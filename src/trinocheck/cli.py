@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .claims import ClaimId
 from .sweep import (
@@ -68,15 +69,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trinocheck: error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_sweep(config)
-    payload = render(report, config.fmt)
     try:
+        # opened before the sweep, so a bad path costs no work
         if config.out is None:
-            sys.stdout.buffer.write(payload)
-            sys.stdout.buffer.flush()
+            sink = nullcontext(sys.stdout.buffer)
         else:
-            with open(config.out, "wb") as fh:
-                fh.write(payload)
+            sink = open(config.out, "wb")
+        with sink as out:
+            try:
+                report = run_sweep(config)
+                payload = render(report, config.fmt)
+            except Exception as exc:  # a checker bug or a dead worker pool
+                print(
+                    f"trinocheck: error: internal error: {type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                )
+                return 2
+            out.write(payload)
+            out.flush()
     except OSError as exc:
         print(f"trinocheck: error: {exc}", file=sys.stderr)
         return 2

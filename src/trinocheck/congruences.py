@@ -11,7 +11,6 @@ full claim modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .claims import CheckResult, ClaimId, result
@@ -23,14 +22,19 @@ from .harmonic import (
     inverse_table,
 )
 from .modular import PrimeContext, fermat_quotient, inv_mod, rat_mod
-from .trinomial import coeff_closed_mod_p2, halfrow_binomial_check, row_mod_prefix
+from .trinomial import (
+    central4_table,
+    coeff_closed_mod_p2,
+    halfrow_binomial_check,
+    row_mod_prefix,
+)
 
 
-@lru_cache(maxsize=4096)
-def _prefix_coeffs(exponent: int, m: int, length: int) -> tuple[int, ...]:
-    """Cached modular row prefix; one computation serves every checker that
-    reads the same row (several claims share the exponent n*p - 1)."""
-    return tuple(row_mod_prefix(exponent, m, length).coeffs)
+def _row_prefix(ctx: PrimeContext, exponent: int) -> list[int]:
+    """Row `exponent` mod p**2, first p coefficients; read through ctx.cached
+    so one computation serves every claim that reads the row (several share
+    the exponent n*p - 1)."""
+    return row_mod_prefix(exponent, ctx.p2, ctx.p).coeffs
 
 
 def _binom_coprime_mod(a: int, k: int, m: int) -> int:
@@ -47,22 +51,22 @@ def _binom_coprime_mod(a: int, k: int, m: int) -> int:
     return num * inv_mod(den, m).value % m
 
 
-def check_thm1_eq2(ctx: PrimeContext, n: int) -> CheckResult:
+def check_thm1_eq2(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """Trinomial C(np-1, p-1)_2 mod p**2 vs +-(1 + n*p*q3) per p mod 3."""
     p, p2 = ctx.p, ctx.p2
-    lhs = _prefix_coeffs(n * p - 1, p2, p)[p - 1]
+    lhs = ctx.cached(_row_prefix, n * p - 1)[p - 1]
     q3 = fermat_quotient(3, ctx).value
     if ctx.rc3 == 1:
         rhs = (1 + n * p * q3) % p2
     else:
         rhs = (-1 - n * p * q3) % p2
-    return result(ClaimId.THM1_EQ2, p, p2, lhs, rhs, n=n)
+    return [result(ClaimId.THM1_EQ2, p, p2, lhs, rhs, n=n)]
 
 
-def check_thm1_eq4(ctx: PrimeContext, n: int) -> CheckResult:
+def check_thm1_eq4(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """Trinomial C(np-1, (p-1)/2)_2 mod p**2 vs the half-row closed form."""
     p, p2 = ctx.p, ctx.p2
-    lhs = _prefix_coeffs(n * p - 1, p2, p)[(p - 1) // 2]
+    lhs = ctx.cached(_row_prefix, n * p - 1)[(p - 1) // 2]
     q2 = fermat_quotient(2, ctx).value
     q3 = fermat_quotient(3, ctx).value
     if ctx.rc6 == 1:
@@ -70,18 +74,18 @@ def check_thm1_eq4(ctx: PrimeContext, n: int) -> CheckResult:
         rhs = (1 + n * p * coef) % p2
     else:
         rhs = -n * p * rat_mod(q3, 2, p).value % p2
-    return result(ClaimId.THM1_EQ4, p, p2, lhs, rhs, n=n)
+    return [result(ClaimId.THM1_EQ4, p, p2, lhs, rhs, n=n)]
 
 
-def check_thm2_eq6(ctx: PrimeContext) -> CheckResult:
+def check_thm2_eq6(ctx: PrimeContext) -> list[CheckResult]:
     """sum_{k=0..(p-1)/2} C(2k,k) * H_k mod p vs -+q3 per p mod 3.
 
     Central binomials mod p come from the multiplicative recurrence
     C(2k,k) = C(2k-2,k-1) * 2*(2k-1) / k; all factors stay below p.
     """
     p = ctx.p
-    table = harmonic_table(ctx)
-    inv = inverse_table(ctx)
+    table = ctx.cached(harmonic_table)
+    inv = ctx.cached(inverse_table)
     central = 1
     acc = 0  # k = 0 term vanishes with H_0 = 0
     for k in range(1, (p - 1) // 2 + 1):
@@ -89,45 +93,39 @@ def check_thm2_eq6(ctx: PrimeContext) -> CheckResult:
         acc = (acc + central * table[k]) % p
     q3 = fermat_quotient(3, ctx).value
     rhs = -q3 % p if ctx.rc3 == 1 else q3 % p
-    return result(ClaimId.THM2_EQ6, p, p, acc, rhs)
+    return [result(ClaimId.THM2_EQ6, p, p, acc, rhs)]
 
 
-def check_thm2_eq7(ctx: PrimeContext) -> CheckResult:
+def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
     """sum_{k=1..floor((p-1)/4)} C(4k,2k)/4**k * (2*H_{2k} - H_k) mod p vs
     -+(-1)**((p-1)/2) * q3/2 per p mod 6."""
     p = ctx.p
-    table = harmonic_table(ctx)
-    inv = inverse_table(ctx)
-    central4 = 1
-    inv4_pow = 1
+    table = ctx.cached(harmonic_table)
+    central4 = ctx.cached(central4_table)
     acc = 0
-    for k in range(1, (p - 1) // 4 + 1):
-        step = (4 * k - 3) * (4 * k - 2) % p * (4 * k - 1) % p * (4 * k) % p
-        den = inv[2 * k - 1] * inv[2 * k] % p
-        central4 = central4 * step % p * den % p * den % p
-        inv4_pow = inv4_pow * inv[4] % p
-        acc = (acc + central4 * inv4_pow % p * (2 * table[2 * k] - table[k])) % p
+    for k in range(1, len(central4)):
+        acc = (acc + central4[k] * (2 * table[2 * k] - table[k])) % p
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     half_q3 = rat_mod(fermat_quotient(3, ctx).value, 2, p).value
     rhs = -sign * half_q3 % p if ctx.rc6 == 1 else sign * half_q3 % p
-    return result(ClaimId.THM2_EQ7, p, p, acc, rhs)
+    return [result(ClaimId.THM2_EQ7, p, p, acc, rhs)]
 
 
-def check_prop3_eq9(ctx: PrimeContext, n: int) -> CheckResult:
+def check_prop3_eq9(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """sum_{k=0..p-1} C(np-1,k)_2 mod p**2 vs 1 + n*p*q3 or 0 per p mod 3."""
     p, p2 = ctx.p, ctx.p2
-    lhs = sum(_prefix_coeffs(n * p - 1, p2, p)) % p2
+    lhs = sum(ctx.cached(_row_prefix, n * p - 1)) % p2
     if ctx.rc3 == 1:
         rhs = (1 + n * p * fermat_quotient(3, ctx).value) % p2
     else:
         rhs = 0
-    return result(ClaimId.PROP3_EQ9, p, p2, lhs, rhs, n=n)
+    return [result(ClaimId.PROP3_EQ9, p, p2, lhs, rhs, n=n)]
 
 
-def check_prop3_eq10(ctx: PrimeContext, n: int) -> CheckResult:
+def check_prop3_eq10(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """sum_{k=0..(p-1)/2} C(np-1,k)_2 mod p**2 vs the half-range closed form."""
     p, p2 = ctx.p, ctx.p2
-    row = _prefix_coeffs(n * p - 1, p2, p)
+    row = ctx.cached(_row_prefix, n * p - 1)
     lhs = sum(row[: (p - 1) // 2 + 1]) % p2
     q2 = fermat_quotient(2, ctx).value
     q3 = fermat_quotient(3, ctx).value
@@ -136,14 +134,14 @@ def check_prop3_eq10(ctx: PrimeContext, n: int) -> CheckResult:
         rhs = (1 + n * p * coef) % p2
     else:
         rhs = -n * p * rat_mod(2 * q2, 3, p).value % p2
-    return result(ClaimId.PROP3_EQ10, p, p2, lhs, rhs, n=n)
+    return [result(ClaimId.PROP3_EQ10, p, p2, lhs, rhs, n=n)]
 
 
 def check_cor4_eq11(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3,
     one record per k in 0..p-1."""
     p, p2 = ctx.p, ctx.p2
-    row = _prefix_coeffs(n * p2 - 1, p2, p)
+    row = ctx.cached(_row_prefix, n * p2 - 1)
     pattern = (1, p2 - 1, 0)
     return [
         result(ClaimId.COR4_EQ11, p, p2, row[k], pattern[k % 3], n=n, k=k)
@@ -155,7 +153,7 @@ def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """Sum of the three closed forms at 3k, 3k+1, 3k+2 vs n*p/(3k+2) mod p**2,
     one record per k with 3k+2 <= p-1."""
     p, p2 = ctx.p, ctx.p2
-    inv = inverse_table(ctx)
+    inv = ctx.cached(inverse_table)
     out = []
     k = 0
     while 3 * k + 2 <= p - 1:
@@ -170,34 +168,34 @@ def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
     return out
 
 
-def check_babbage(ctx: PrimeContext) -> CheckResult:
+def check_babbage(ctx: PrimeContext) -> list[CheckResult]:
     """C(2p-1, p-1) == 1 mod p**2."""
     lhs = _binom_coprime_mod(2 * ctx.p - 1, ctx.p - 1, ctx.p2)
-    return result(ClaimId.BABBAGE, ctx.p, ctx.p2, lhs, 1)
+    return [result(ClaimId.BABBAGE, ctx.p, ctx.p2, lhs, 1)]
 
 
-def check_wolstenholme(ctx: PrimeContext) -> CheckResult:
+def check_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
     """C(2p-1, p-1) == 1 mod p**3."""
     lhs = _binom_coprime_mod(2 * ctx.p - 1, ctx.p - 1, ctx.p3)
-    return result(ClaimId.WOLSTENHOLME, ctx.p, ctx.p3, lhs, 1)
+    return [result(ClaimId.WOLSTENHOLME, ctx.p, ctx.p3, lhs, 1)]
 
 
-def check_glaisher(ctx: PrimeContext, n: int) -> CheckResult:
+def check_glaisher(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """C(np-1, p-1) == 1 mod p**3 for every n >= 1."""
     lhs = _binom_coprime_mod(n * ctx.p - 1, ctx.p - 1, ctx.p3)
-    return result(ClaimId.GLAISHER, ctx.p, ctx.p3, lhs, 1, n=n)
+    return [result(ClaimId.GLAISHER, ctx.p, ctx.p3, lhs, 1, n=n)]
 
 
-def check_morley(ctx: PrimeContext) -> CheckResult:
+def check_morley(ctx: PrimeContext) -> list[CheckResult]:
     """C(p-1, (p-1)/2) vs (-1)**((p-1)/2) * 4**(p-1) mod p**3."""
     p, p3 = ctx.p, ctx.p3
     lhs = _binom_coprime_mod(p - 1, (p - 1) // 2, p3)
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     rhs = sign * pow(4, p - 1, p3) % p3
-    return result(ClaimId.MORLEY, p, p3, lhs, rhs)
+    return [result(ClaimId.MORLEY, p, p3, lhs, rhs)]
 
 
-def check_carlitz(ctx: PrimeContext) -> CheckResult:
+def check_carlitz(ctx: PrimeContext) -> list[CheckResult]:
     """(-1)**((p-1)/2) * C(p-1, (p-1)/2) vs 4**(p-1) + p**3/12 mod p**4.
 
     Checked exactly as cataloged, and that form is false for every p >= 7:
@@ -209,100 +207,45 @@ def check_carlitz(ctx: PrimeContext) -> CheckResult:
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     lhs = sign * _binom_coprime_mod(p - 1, (p - 1) // 2, p4) % p4
     rhs = (pow(4, p - 1, p4) + ctx.p3 * inv_mod(12, p4).value) % p4
-    return result(ClaimId.CARLITZ, p, p4, lhs, rhs)
+    return [result(ClaimId.CARLITZ, p, p4, lhs, rhs)]
 
 
-def check_classical(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """The five classical binomial congruences; only Glaisher depends on n."""
-    return [
-        check_babbage(ctx),
-        check_wolstenholme(ctx),
-        check_glaisher(ctx, n),
-        check_morley(ctx),
-        check_carlitz(ctx),
-    ]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClaimSpec:
-    """How a claim is swept: whether it takes the n parameter, whether it
-    emits one record per index k (collapsible in summary-only reports), and
-    the runner producing its records for one prime."""
+    """How a claim is swept: whether its checker takes the n parameter, and
+    the checker, run(ctx) or run(ctx, n), returning a list of records.
 
-    claim: ClaimId
+    Claims checked by one function share one spec, and the sweep runs each
+    distinct spec once per prime (per (p, n) when per_n).  Specs compare by
+    identity, so a replaced entry is never merged with the spec it replaced.
+    """
+
     per_n: bool
-    per_instance: bool
-    run: Callable[[PrimeContext, int | None], list[CheckResult]]
-
-
-def _only(claim: ClaimId, grouped: Callable[[PrimeContext], list[CheckResult]]):
-    def run(ctx: PrimeContext, n: int | None) -> list[CheckResult]:
-        return [r for r in grouped(ctx) if r.claim is claim]
-
-    return run
-
-
-def _single(checker: Callable[[PrimeContext], CheckResult]):
-    def run(ctx: PrimeContext, n: int | None) -> list[CheckResult]:
-        return [checker(ctx)]
-
-    return run
-
-
-def _single_n(checker: Callable[[PrimeContext, int], CheckResult]):
-    def run(ctx: PrimeContext, n: int | None) -> list[CheckResult]:
-        return [checker(ctx, n)]
-
-    return run
-
-
-def _many_n(checker: Callable[[PrimeContext, int], list[CheckResult]]):
-    def run(ctx: PrimeContext, n: int | None) -> list[CheckResult]:
-        return checker(ctx, n)
-
-    return run
-
-
-def _grouped(checker: Callable[[PrimeContext], list[CheckResult]]):
-    def run(ctx: PrimeContext, n: int | None) -> list[CheckResult]:
-        return checker(ctx)
-
-    return run
+    run: Callable[..., list[CheckResult]]
 
 
 CLAIM_REGISTRY: dict[ClaimId, ClaimSpec] = {
-    entry.claim: entry
-    for entry in [
-        ClaimSpec(ClaimId.THM1_EQ2, True, False, _single_n(check_thm1_eq2)),
-        ClaimSpec(ClaimId.THM1_EQ4, True, False, _single_n(check_thm1_eq4)),
-        ClaimSpec(ClaimId.THM2_EQ6, False, False, _single(check_thm2_eq6)),
-        ClaimSpec(ClaimId.THM2_EQ7, False, False, _single(check_thm2_eq7)),
-        ClaimSpec(ClaimId.PROP3_EQ9, True, False, _single_n(check_prop3_eq9)),
-        ClaimSpec(ClaimId.PROP3_EQ10, True, False, _single_n(check_prop3_eq10)),
-        ClaimSpec(ClaimId.COR4_EQ11, True, True, _many_n(check_cor4_eq11)),
-        ClaimSpec(ClaimId.TRIPLE_SUM_A, True, True, _many_n(check_triple_sum)),
-        ClaimSpec(ClaimId.BABBAGE, False, False, _single(check_babbage)),
-        ClaimSpec(ClaimId.WOLSTENHOLME, False, False, _single(check_wolstenholme)),
-        ClaimSpec(ClaimId.GLAISHER, True, False, _single_n(check_glaisher)),
-        ClaimSpec(ClaimId.MORLEY, False, False, _single(check_morley)),
-        ClaimSpec(ClaimId.CARLITZ, False, False, _single(check_carlitz)),
-        ClaimSpec(
-            ClaimId.HALF_ROW_BINOM, False, True, _grouped(halfrow_binomial_check)
-        ),
-        ClaimSpec(ClaimId.GL0, False, False, _only(ClaimId.GL0, check_half_third_sixth)),
-        ClaimSpec(ClaimId.GL, False, False, _only(ClaimId.GL, check_half_third_sixth)),
-        ClaimSpec(ClaimId.GL2, False, False, _only(ClaimId.GL2, check_half_third_sixth)),
-        ClaimSpec(ClaimId.CONG0, False, True, _only(ClaimId.CONG0, check_reflections)),
-        ClaimSpec(ClaimId.CONG1, False, True, _only(ClaimId.CONG1, check_reflections)),
-        ClaimSpec(ClaimId.C1B, False, False, _only(ClaimId.C1B, check_progression_lemmas)),
-        ClaimSpec(ClaimId.C1C, False, False, _only(ClaimId.C1C, check_progression_lemmas)),
-        ClaimSpec(ClaimId.C2B, False, False, _only(ClaimId.C2B, check_progression_lemmas)),
-        ClaimSpec(ClaimId.C2C, False, False, _only(ClaimId.C2C, check_progression_lemmas)),
-        ClaimSpec(ClaimId.C3, False, False, _only(ClaimId.C3, check_progression_lemmas)),
-        ClaimSpec(ClaimId.C3B, False, False, _only(ClaimId.C3B, check_progression_lemmas)),
-        ClaimSpec(ClaimId.H0, False, False, _only(ClaimId.H0, check_progression_lemmas)),
-        ClaimSpec(ClaimId.H1, False, False, _only(ClaimId.H1, check_progression_lemmas)),
-        ClaimSpec(ClaimId.H2, False, False, _only(ClaimId.H2, check_progression_lemmas)),
-        ClaimSpec(ClaimId.H3, False, False, _only(ClaimId.H3, check_progression_lemmas)),
-    ]
+    ClaimId.THM1_EQ2: ClaimSpec(True, check_thm1_eq2),
+    ClaimId.THM1_EQ4: ClaimSpec(True, check_thm1_eq4),
+    ClaimId.THM2_EQ6: ClaimSpec(False, check_thm2_eq6),
+    ClaimId.THM2_EQ7: ClaimSpec(False, check_thm2_eq7),
+    ClaimId.PROP3_EQ9: ClaimSpec(True, check_prop3_eq9),
+    ClaimId.PROP3_EQ10: ClaimSpec(True, check_prop3_eq10),
+    ClaimId.COR4_EQ11: ClaimSpec(True, check_cor4_eq11),
+    ClaimId.TRIPLE_SUM_A: ClaimSpec(True, check_triple_sum),
+    ClaimId.BABBAGE: ClaimSpec(False, check_babbage),
+    ClaimId.WOLSTENHOLME: ClaimSpec(False, check_wolstenholme),
+    ClaimId.GLAISHER: ClaimSpec(True, check_glaisher),
+    ClaimId.MORLEY: ClaimSpec(False, check_morley),
+    ClaimId.CARLITZ: ClaimSpec(False, check_carlitz),
+    ClaimId.HALF_ROW_BINOM: ClaimSpec(False, halfrow_binomial_check),
+    **dict.fromkeys(
+        (ClaimId.GL0, ClaimId.GL, ClaimId.GL2), ClaimSpec(False, check_half_third_sixth)
+    ),
+    **dict.fromkeys((ClaimId.CONG0, ClaimId.CONG1), ClaimSpec(False, check_reflections)),
+    **dict.fromkeys(
+        (ClaimId.C1B, ClaimId.C1C, ClaimId.C2B, ClaimId.C2C, ClaimId.C3, ClaimId.C3B,
+         ClaimId.H0, ClaimId.H1, ClaimId.H2, ClaimId.H3),
+        ClaimSpec(False, check_progression_lemmas),
+    ),
 }

@@ -49,7 +49,7 @@ class HarmonicTable:
 
 def harmonic_table(ctx: PrimeContext) -> HarmonicTable:
     """Prefix sums of modular inverses: O(p) time, one entry per 0 <= n < p."""
-    inv = inverse_table(ctx)
+    inv = ctx.cached(inverse_table)
     p = ctx.p
     values = [0] * p
     acc = 0
@@ -71,13 +71,10 @@ def ap_harmonic(m: int, d: int, r: int, ctx: PrimeContext) -> Residue:
     return Residue(acc, p)
 
 
-def check_half_third_sixth(
-    ctx: PrimeContext, table: HarmonicTable | None = None
-) -> list[CheckResult]:
+def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
     """H at the floor(p/2), floor(p/3), floor(p/6) prefixes vs -2*q2, -(3/2)*q3
     and their sum, all mod p."""
-    if table is None:
-        table = harmonic_table(ctx)
+    table = ctx.cached(harmonic_table)
     p = ctx.p
     q2 = fermat_quotient(2, ctx).value
     q3 = fermat_quotient(3, ctx).value
@@ -91,16 +88,13 @@ def check_half_third_sixth(
     ]
 
 
-def check_reflections(
-    ctx: PrimeContext, table: HarmonicTable | None = None
-) -> list[CheckResult]:
+def check_reflections(ctx: PrimeContext) -> list[CheckResult]:
     """Reflection rules, one record per index k:
 
     H_{p-k} == H_{k-1} for 1 <= k <= p-1, and
     H_{(p-1)/2 - k} == -2*q2 + 2*H_{2k} - H_k for 1 <= k <= (p-1)/2.
     """
-    if table is None:
-        table = harmonic_table(ctx)
+    table = ctx.cached(harmonic_table)
     p = ctx.p
     q2 = fermat_quotient(2, ctx).value
     out = []
@@ -124,53 +118,30 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     q2 = fermat_quotient(2, ctx).value
     q3 = fermat_quotient(3, ctx).value
     half_q3 = rat_mod(q3, 2, p).value
-    out = []
+    two_thirds_q2 = rat_mod(-2 * q2, 3, p).value
+    # (claim, m, d, r, rhs): sum_{k=0..m} 1/(d*k + r) == rhs
     if ctx.rc3 == 1:
         m = (p - 4) // 3
-        out.append(result(ClaimId.C1B, p, p, ap_harmonic(m, 3, 2, ctx).value, 0))
-        out.append(
-            result(ClaimId.C1C, p, p, ap_harmonic(m, 3, 1, ctx).value, half_q3)
-        )
+        sums = [(ClaimId.C1B, m, 3, 2, 0), (ClaimId.C1C, m, 3, 1, half_q3)]
     else:
         m = (p - 5) // 3
-        out.append(result(ClaimId.C2B, p, p, ap_harmonic(m, 3, 1, ctx).value, 1))
-        out.append(
-            result(ClaimId.C2C, p, p, ap_harmonic(m, 3, 2, ctx).value, half_q3)
-        )
-    two_thirds_q2 = rat_mod(-2 * q2, 3, p).value
+        sums = [(ClaimId.C2B, m, 3, 1, 1), (ClaimId.C2C, m, 3, 2, half_q3)]
+    odd_rhs = q2 + rat_mod(-3 * q3, 4, p).value
     if ctx.rc6 == 1:
         m = (p - 1) // 6
-        odd_rhs = (q2 + rat_mod(-3 * q3, 4, p).value + rat_mod(3, 2, p).value) % p
-        out.append(
-            result(ClaimId.C3, p, p, ap_harmonic(m, 2, 1, ctx).value, odd_rhs)
-        )
-        out.append(
-            result(
-                ClaimId.H0, p, p, ap_harmonic(m, 3, 1, ctx).value,
-                (two_thirds_q2 + 2) % p,
-            )
-        )
-        out.append(
-            result(
-                ClaimId.H1, p, p, ap_harmonic(m, 3, 2, ctx).value,
-                (two_thirds_q2 + half_q3 + rat_mod(2, 3, p).value) % p,
-            )
-        )
+        sums += [
+            (ClaimId.C3, m, 2, 1, odd_rhs + rat_mod(3, 2, p).value),
+            (ClaimId.H0, m, 3, 1, two_thirds_q2 + 2),
+            (ClaimId.H1, m, 3, 2, two_thirds_q2 + half_q3 + rat_mod(2, 3, p).value),
+        ]
     else:
         m = (p - 5) // 6
-        odd_rhs = (q2 + rat_mod(-3 * q3, 4, p).value) % p
-        out.append(
-            result(ClaimId.C3B, p, p, ap_harmonic(m, 2, 1, ctx).value, odd_rhs)
-        )
-        out.append(
-            result(
-                ClaimId.H3, p, p, ap_harmonic(m, 3, 1, ctx).value,
-                (half_q3 + two_thirds_q2) % p,
-            )
-        )
-        out.append(
-            result(
-                ClaimId.H2, p, p, ap_harmonic(m, 3, 2, ctx).value, two_thirds_q2
-            )
-        )
-    return out
+        sums += [
+            (ClaimId.C3B, m, 2, 1, odd_rhs),
+            (ClaimId.H3, m, 3, 1, half_q3 + two_thirds_q2),
+            (ClaimId.H2, m, 3, 2, two_thirds_q2),
+        ]
+    return [
+        result(claim, p, p, ap_harmonic(m, d, r, ctx).value, rhs)
+        for claim, m, d, r, rhs in sums
+    ]

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
 
 #: Largest upper bound sieve_primes accepts.  The sieve is a plain bytearray,
 #: one byte per candidate, so a full-capacity call costs ~100 MB.
@@ -70,11 +73,13 @@ class Residue:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A verified odd prime p >= 5 with cached powers and residue classes.
+    """A verified odd prime p >= 5 with cached powers, residue classes and a
+    memo of per-prime tables.
 
-    Immutable and hashable; safe to share across concurrent workers.
-    rc6 determines rc3 (1 -> 1, 5 -> 2), which the congruence checkers rely
-    on when dispatching per residue class.
+    Hashable by p alone.  rc6 determines rc3 (1 -> 1, 5 -> 2), which the
+    congruence checkers rely on when dispatching per residue class.  Tables
+    built through cached() live exactly as long as the context, so a sweep
+    that builds one context per prime never keeps a finished prime's tables.
     """
 
     p: int
@@ -83,6 +88,7 @@ class PrimeContext:
     p4: int = field(init=False, repr=False, compare=False)
     rc3: int = field(init=False, compare=False)
     rc6: int = field(init=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         p = self.p
@@ -93,6 +99,13 @@ class PrimeContext:
         object.__setattr__(self, "p4", p * p * p * p)
         object.__setattr__(self, "rc3", p % 3)
         object.__setattr__(self, "rc6", p % 6)
+
+    def cached(self, build: Callable[..., _T], *args: object) -> _T:
+        """build(self, *args), computed once per context and argument tuple."""
+        key = (build, *args)
+        if key not in self._memo:
+            self._memo[key] = build(self, *args)
+        return self._memo[key]
 
 
 def is_prime(n: int) -> bool:

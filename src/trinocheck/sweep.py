@@ -13,6 +13,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from .claims import CheckResult, ClaimId, parse_claim, record_sort_key, result
 from .congruences import CLAIM_REGISTRY
@@ -115,7 +116,8 @@ def _summarize(records: list[CheckResult]) -> Summary:
 
 
 def _collapse(records: list[CheckResult]) -> list[CheckResult]:
-    """Fold runs of per-instance records into one aggregate per (claim, p, n).
+    """Fold runs of per-instance records (those with an index k) into one
+    aggregate per (claim, p, n).
 
     Aggregates carry passed-count in lhs and instance-count in rhs, so the
     CheckResult rule pass <=> lhs == rhs still holds.
@@ -134,7 +136,7 @@ def _collapse(records: list[CheckResult]) -> list[CheckResult]:
         group.clear()
 
     for r in records:
-        if not CLAIM_REGISTRY[r.claim].per_instance:
+        if r.k is None:
             flush()
             out.append(r)
             continue
@@ -146,22 +148,21 @@ def _collapse(records: list[CheckResult]) -> list[CheckResult]:
 
 
 def _check_prime(p: int, claims: tuple[ClaimId, ...], nmax: int) -> list[CheckResult]:
-    """All records for one prime, sorted; this is the parallel work unit."""
+    """All records for one prime, sorted; this is the parallel work unit.
+
+    Each distinct registry spec runs once (once per n when per_n), and a
+    record is kept only if its claim is selected and is registered to the
+    spec that produced it.
+    """
     ctx = PrimeContext(p)
     records: list[CheckResult] = []
-    for claim in claims:
-        entry = CLAIM_REGISTRY[claim]
-        if entry.per_n:
-            for n in range(1, nmax + 1):
-                records.extend(entry.run(ctx, n))
-        else:
-            records.extend(entry.run(ctx, None))
+    for spec in dict.fromkeys(CLAIM_REGISTRY[c] for c in claims):
+        keep = {c for c in claims if CLAIM_REGISTRY[c] is spec}
+        calls = [(ctx, n) for n in range(1, nmax + 1)] if spec.per_n else [(ctx,)]
+        for args in calls:
+            records.extend(r for r in spec.run(*args) if r.claim in keep)
     records.sort(key=record_sort_key)
     return records
-
-
-def _check_prime_args(args: tuple[int, tuple[ClaimId, ...], int]) -> list[CheckResult]:
-    return _check_prime(*args)
 
 
 def run_sweep(config: SweepConfig) -> Report:
@@ -192,8 +193,10 @@ def run_sweep(config: SweepConfig) -> Report:
     else:
         executor = ProcessPoolExecutor(max_workers=config.jobs)
         try:
-            work = [(p, config.claims, config.nmax) for p in primes]
-            for prime_records in executor.map(_check_prime_args, work, chunksize=1):
+            work = executor.map(
+                _check_prime, primes, repeat(config.claims), repeat(config.nmax), chunksize=1
+            )
+            for prime_records in work:
                 if consume(prime_records):
                     break
         finally:

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .claims import CheckResult, ClaimId, result
-from .harmonic import HarmonicTable, harmonic_table, inverse_table
+from .harmonic import harmonic_table, inverse_table
 from .modular import PrimeContext, Residue
 
 #: 2*cos(r*pi/3) for r = 0..5; always integral, which is what makes the
@@ -154,9 +153,7 @@ def coeff_via_convolution(n: int, k: int) -> int:
     return total
 
 
-def binom_np_minus1_mod_p2(
-    n: int, ctx: PrimeContext, k: int, table: HarmonicTable | None = None
-) -> Residue:
+def binom_np_minus1_mod_p2(n: int, ctx: PrimeContext, k: int) -> Residue:
     """Binomial C(n*p - 1, k) mod p**2 as (-1)**k * (1 - n*p*H_k).
 
     H_k enters multiplied by p, so its mod-p value is all the precision the
@@ -164,15 +161,12 @@ def binom_np_minus1_mod_p2(
     """
     if not 0 <= k <= ctx.p - 1:
         raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={ctx.p}")
-    if table is None:
-        table = harmonic_table(ctx)
-    value = (1 - n * ctx.p * table[k]) % ctx.p2
+    value = (1 - n * ctx.p * ctx.cached(harmonic_table)[k]) % ctx.p2
     if k & 1:
         value = -value % ctx.p2
     return Residue(value, ctx.p2)
 
 
-@lru_cache(maxsize=64)
 def _closed_form_tables(ctx: PrimeContext) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
     """(H mod p, prefix sums of 1/(3j+1), prefix sums of 1/(3j+2), inv(3)).
 
@@ -180,8 +174,8 @@ def _closed_form_tables(ctx: PrimeContext) -> tuple[tuple[int, ...], tuple[int, 
     the term index stays below p so every inversion exists.
     """
     p = ctx.p
-    inv = inverse_table(ctx)
-    h = harmonic_table(ctx).values
+    inv = ctx.cached(inverse_table)
+    h = ctx.cached(harmonic_table).values
     s1 = [0]
     j = 0
     while 3 * j + 1 <= p - 1:
@@ -197,7 +191,7 @@ def _closed_form_tables(ctx: PrimeContext) -> tuple[tuple[int, ...], tuple[int, 
 
 def _coeff_closed_int(n: int, ctx: PrimeContext, k: int) -> int:
     p, p2 = ctx.p, ctx.p2
-    h, s1, s2, inv3 = _closed_form_tables(ctx)
+    h, s1, s2, inv3 = ctx.cached(_closed_form_tables)
     q, r = divmod(k, 3)
     if r == 0:
         coef = (2 * inv3 * h[q] + s2[q]) % p
@@ -238,26 +232,38 @@ def alt_fib_sum(n: int) -> int:
     return sum((-1) ** k * math.comb(n - k, k) for k in range(n // 2 + 1))
 
 
-def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
-    """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, one record per
-    k in 1..floor((p-1)/4).
+def central4_table(ctx: PrimeContext) -> list[int]:
+    """C(4k, 2k) / 4**k mod p for 0 <= k <= floor((p-1)/4).
 
-    The left side is an exact binomial reduced mod p; the right side builds
-    C(4k, 2k) by its multiplicative recurrence so the codepaths stay apart.
+    C(4k, 2k) comes from its multiplicative recurrence; every factor stays
+    below p, so every inversion exists.
     """
     p = ctx.p
-    inv = inverse_table(ctx)
-    inv4 = inv[4]
-    half = (p - 1) // 2
+    inv = ctx.cached(inverse_table)
     central4 = 1  # C(4k, 2k) mod p
     inv4_pow = 1
-    out = []
+    out = [1]
     for k in range(1, (p - 1) // 4 + 1):
         step = (4 * k - 3) * (4 * k - 2) % p * (4 * k - 1) % p * (4 * k) % p
         den = inv[2 * k - 1] * inv[2 * k] % p
         central4 = central4 * step % p * den % p * den % p
-        inv4_pow = inv4_pow * inv4 % p
-        lhs = (-1) ** k * math.comb(half - k, k) % p
-        rhs = central4 * inv4_pow % p
-        out.append(result(ClaimId.HALF_ROW_BINOM, p, p, lhs, rhs, k=k))
+        inv4_pow = inv4_pow * inv[4] % p
+        out.append(central4 * inv4_pow % p)
+    return out
+
+
+def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
+    """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, one record per
+    k in 1..floor((p-1)/4).
+
+    The left side is an exact binomial reduced mod p; the right side is
+    central4_table, so the codepaths stay apart.
+    """
+    p = ctx.p
+    half = (p - 1) // 2
+    rhs = ctx.cached(central4_table)
+    out = []
+    for k in range(1, len(rhs)):
+        lhs = (-1) ** k * math.comb(half - k, k)
+        out.append(result(ClaimId.HALF_ROW_BINOM, p, p, lhs, rhs[k], k=k))
     return out

@@ -55,7 +55,7 @@ def test_criterion_1_theorem1_sweep():
     for p in tc.sieve_primes(5, 1009):
         ctx = tc.PrimeContext(p)
         for n in range(1, 9):
-            _collect([check_thm1_eq2(ctx, n), check_thm1_eq4(ctx, n)], failures)
+            _collect(check_thm1_eq2(ctx, n) + check_thm1_eq4(ctx, n), failures)
     elapsed = time.monotonic() - start
     if elapsed > 300:
         failures.append(f"runtime {elapsed:.0f}s exceeds 5-minute budget")
@@ -67,7 +67,7 @@ def test_criterion_2_theorem2_sweep():
     start = time.monotonic()
     for p in tc.sieve_primes(5, 2003):
         ctx = tc.PrimeContext(p)
-        _collect([check_thm2_eq6(ctx), check_thm2_eq7(ctx)], failures)
+        _collect(check_thm2_eq6(ctx) + check_thm2_eq7(ctx), failures)
     elapsed = time.monotonic() - start
     if elapsed > 60:
         failures.append(f"runtime {elapsed:.0f}s exceeds 1-minute budget")
@@ -79,7 +79,7 @@ def test_criterion_3_proposition3_sweep():
     for p in tc.sieve_primes(5, 1009):
         ctx = tc.PrimeContext(p)
         for n in range(1, 9):
-            _collect([check_prop3_eq9(ctx, n), check_prop3_eq10(ctx, n)], failures)
+            _collect(check_prop3_eq9(ctx, n) + check_prop3_eq10(ctx, n), failures)
     _conclude("3 proposition-3 sweep (p <= 1009, n <= 8, mod p^2)", failures)
 
 
@@ -96,9 +96,8 @@ def test_criterion_5_lemma_sweep():
     failures = []
     for p in tc.sieve_primes(5, 2003):
         ctx = tc.PrimeContext(p)
-        table = tc.harmonic_table(ctx)
-        _collect(tc.check_half_third_sixth(ctx, table), failures)
-        _collect(tc.check_reflections(ctx, table), failures)
+        _collect(tc.check_half_third_sixth(ctx), failures)
+        _collect(tc.check_reflections(ctx), failures)
         _collect(tc.check_progression_lemmas(ctx), failures)
     _conclude("5 harmonic-lemma sweep (p <= 2003, mod p)", failures)
 
@@ -136,10 +135,10 @@ def test_criterion_6_classical_sweep():
     carlitz = []
     for p in tc.sieve_primes(5, 499):
         ctx = tc.PrimeContext(p)
-        _collect([check_babbage(ctx), check_wolstenholme(ctx), check_morley(ctx)], failures)
+        _collect(check_babbage(ctx) + check_wolstenholme(ctx) + check_morley(ctx), failures)
         for n in range(1, 9):
-            _collect([check_glaisher(ctx, n)], failures)
-        carlitz.append(check_carlitz(ctx))
+            _collect(check_glaisher(ctx, n), failures)
+        carlitz.extend(check_carlitz(ctx))
 
     # the checker must report exactly what independent big-integer arithmetic says
     for r in carlitz:
@@ -233,10 +232,10 @@ def test_criterion_9_spot_fixtures():
     check("C(4,2)_2", tc.row_exact(4)[2], 10)
     q3_5 = tc.fermat_quotient(3, tc.PrimeContext(5)).value
     check("-(5/2)q3(5) mod 25", tc.rat_mod(-5 * q3_5, 2, 25).value, 10)
-    check("central-binomial harmonic sum mod 5", check_thm2_eq6(tc.PrimeContext(5)).lhs, 1)
+    check("central-binomial harmonic sum mod 5", check_thm2_eq6(tc.PrimeContext(5))[0].lhs, 1)
     check("q3(11)", tc.fermat_quotient(3, tc.PrimeContext(11)).value, 0)
     check("C(10,10)_2 mod 121", tc.row_exact(10)[10] % 121, 121 - 1)
-    eq7 = check_thm2_eq7(tc.PrimeContext(13))
+    [eq7] = check_thm2_eq7(tc.PrimeContext(13))
     check("quarter-row sum p=13 lhs", eq7.lhs, 9)
     check("quarter-row sum p=13 rhs", eq7.rhs, 9)
     _conclude("9 spot-value regression fixtures", failures)
@@ -268,12 +267,10 @@ def test_criterion_10_cli_contract(monkeypatch, tmp_path, capsysbinary):
         failures.append(f"expected exit 2, got {rc}")
 
     # fault injection: a deliberately falsified claim must yield exit 1
-    def broken(ctx, n):
+    def broken(ctx):
         return [result(ClaimId.GL, ctx.p, ctx.p, 0, 1)]
 
-    monkeypatch.setitem(
-        CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(ClaimId.GL, False, False, broken)
-    )
+    monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(False, broken))
     out = tmp_path / "injected.jsonl"
     rc = main(["--pmin", "5", "--pmax", "11", "--claims", "GL", "--out", str(out)])
     if rc != 1:

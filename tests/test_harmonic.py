@@ -145,10 +145,9 @@ class TestProgressionLemmas:
 @pytest.mark.parametrize("p", PRIMES_TO_199)
 def test_all_lemma_checkers_pass_small_sweep(p):
     ctx = PrimeContext(p)
-    table = harmonic_table(ctx)
     results = (
-        check_half_third_sixth(ctx, table)
-        + check_reflections(ctx, table)
+        check_half_third_sixth(ctx)
+        + check_reflections(ctx)
         + check_progression_lemmas(ctx)
     )
     assert all(r.passed for r in results)

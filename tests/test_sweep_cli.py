@@ -1,12 +1,19 @@
 import json
 import subprocess
 import sys
+from collections import Counter
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trinocheck import cli
 from trinocheck.claims import ClaimId, record_sort_key, result
 from trinocheck.cli import main
 from trinocheck.congruences import CLAIM_REGISTRY, ClaimSpec
+from trinocheck.harmonic import ap_harmonic, inverse_table
+from trinocheck.trinomial import row_mod_prefix
 from trinocheck.sweep import (
     ConfigError,
     SweepConfig,
@@ -25,10 +32,10 @@ def _cfg(**kwargs):
 def _falsified(claim):
     """A deliberately broken runner: every record fails."""
 
-    def run(ctx, n):
+    def run(ctx, n=None):
         return [result(claim, ctx.p, ctx.p2, 0, 1, n=n)]
 
-    return ClaimSpec(claim, CLAIM_REGISTRY[claim].per_n, False, run)
+    return ClaimSpec(CLAIM_REGISTRY[claim].per_n, run)
 
 
 class TestSweepConfig:
@@ -125,6 +132,75 @@ class TestRunSweep:
         cfg = SweepConfig(pmin=5, pmax=31, nmax=2)
         assert render(run_sweep(cfg), "jsonl") == render(run_sweep(cfg), "jsonl")
         assert render(run_sweep(cfg), "csv") == render(run_sweep(cfg), "csv")
+
+
+@cache
+def _all_claims_records():
+    return run_sweep(SweepConfig(pmin=5, pmax=61, nmax=2)).records
+
+
+class TestSharedSpecs:
+    """Claims checked by one function share one registry spec, which runs
+    once per prime (per (p, n) when per_n)."""
+
+    def test_work_counts_one_prime(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("trinocheck")]
+        for fn in (ap_harmonic, inverse_table, row_mod_prefix):
+            wrapped = counting(fn.__name__, fn)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapped)
+        replaced = {}
+        for claim, spec in list(CLAIM_REGISTRY.items()):
+            if spec not in replaced:
+                replaced[spec] = ClaimSpec(spec.per_n, counting(spec.run.__name__, spec.run))
+            monkeypatch.setitem(CLAIM_REGISTRY, claim, replaced[spec])
+
+        nmax = 8
+        report = run_sweep(SweepConfig(pmin=101, pmax=101, nmax=nmax))
+        assert report.records
+        for grouped in ("check_progression_lemmas", "check_reflections",
+                        "check_half_third_sixth"):
+            assert calls[grouped] == 1, grouped
+        assert calls["check_thm1_eq2"] == nmax
+        assert calls["ap_harmonic"] == 5
+        assert calls["inverse_table"] == 1
+        # one row per distinct exponent: n*p - 1 and n*p**2 - 1 for n <= nmax
+        assert calls["row_mod_prefix"] == 2 * nmax
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        subset=st.sets(st.sampled_from(list(ClaimId)), min_size=1),
+        pmax=st.integers(5, 61),
+    )
+    def test_subset_equals_filtered_full_sweep(self, jobs, subset, pmax):
+        claims = tuple(c for c in ClaimId if c in subset)
+        got = run_sweep(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs))
+        want = [r for r in _all_claims_records() if r.claim in subset and r.p <= pmax]
+        assert got.records == want
+
+    def test_replacing_one_shared_claim(self, monkeypatch):
+        def falsified_gl(ctx):
+            return [result(ClaimId.GL, ctx.p, ctx.p, 0, 1)]
+
+        untouched = [r for r in _all_claims_records() if r.claim is not ClaimId.GL]
+        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(False, falsified_gl))
+        records = run_sweep(SweepConfig(pmin=5, pmax=61, nmax=2)).records
+        gl = [r for r in records if r.claim is ClaimId.GL]
+        assert [r.p for r in gl] == sorted({r.p for r in records})
+        assert not any(r.passed for r in gl)
+        assert [r for r in records if r.claim is not ClaimId.GL] == untouched
 
 
 class TestRender:
@@ -255,6 +331,36 @@ class TestCli:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_exit_two_on_internal_error(self, monkeypatch, capfdbinary, jobs):
+        def raises(ctx):
+            return [1 // 0]
+
+        # pool workers are forked, so they see the patched registry too
+        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL0, ClaimSpec(False, raises))
+        rc = main(["--pmin", "5", "--pmax", "13", "--claims", "GL0,Thm1_Eq2",
+                   "--jobs", jobs])
+        assert rc == 2
+        captured = capfdbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err.decode().splitlines() == [
+            "trinocheck: error: internal error: ZeroDivisionError: "
+            "integer division or modulo by zero"
+        ]
+
+    def test_bad_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys):
+        swept = []
+
+        def no_sweep(config):
+            swept.append(config)
+            raise AssertionError("run_sweep called despite an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        rc = main(["--pmax", "1009", "--out", str(tmp_path / "missing" / "r.jsonl")])
+        assert rc == 2
+        assert swept == []
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_jobs_flag(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
