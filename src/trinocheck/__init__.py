@@ -34,6 +34,7 @@ from .trinomial import (
     coeff_via_cosine,
     halfrow_binomial_check,
     row_exact,
+    row_mod_p2_prefix,
     row_mod_prefix,
 )
 
@@ -71,6 +72,7 @@ __all__ = [
     "rat_mod",
     "render",
     "row_exact",
+    "row_mod_p2_prefix",
     "row_mod_prefix",
     "run_sweep",
     "sieve_primes",

@@ -7,8 +7,12 @@ internal error.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+import tempfile
 from contextlib import nullcontext
+from typing import BinaryIO
 
 from .claims import ClaimId
 from .sweep import (
@@ -50,6 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _temp_beside(path: str) -> tuple[str, BinaryIO]:
+    """(name, binary file) of a new temporary file in `path`'s directory, to
+    be renamed onto `path` once the report is complete, so an interrupted
+    run never replaces a previous report."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    return tmp, os.fdopen(fd, "wb")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -69,12 +84,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trinocheck: error: {exc}", file=sys.stderr)
         return 2
 
+    tmp = None
     try:
-        # opened before the sweep, so a bad path costs no work
+        # created before the sweep, so a bad path costs no work
         if config.out is None:
             sink = nullcontext(sys.stdout.buffer)
         else:
-            sink = open(config.out, "wb")
+            tmp, sink = _temp_beside(config.out)
         with sink as out:
             try:
                 report = run_sweep(config)
@@ -87,9 +103,18 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             out.write(payload)
             out.flush()
+        if tmp is not None:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() gives
+            os.replace(tmp, config.out)
+            tmp = None
     except OSError as exc:
         print(f"trinocheck: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)
     return 0 if report.summary.failed == 0 else 1
 
 

@@ -24,9 +24,9 @@ from .harmonic import (
 from .modular import PrimeContext, fermat_quotient, inv_mod, rat_mod
 from .trinomial import (
     central4_table,
-    coeff_closed_mod_p2,
+    closed_row_mod_p2,
     halfrow_binomial_check,
-    row_mod_prefix,
+    row_mod_p2_prefix,
 )
 
 
@@ -34,7 +34,7 @@ def _row_prefix(ctx: PrimeContext, exponent: int) -> list[int]:
     """Row `exponent` mod p**2, first p coefficients; read through ctx.cached
     so one computation serves every claim that reads the row (several share
     the exponent n*p - 1)."""
-    return row_mod_prefix(exponent, ctx.p2, ctx.p).coeffs
+    return row_mod_p2_prefix(exponent, ctx)
 
 
 def _binom_coprime_mod(a: int, k: int, m: int) -> int:
@@ -154,14 +154,11 @@ def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
     one record per k with 3k+2 <= p-1."""
     p, p2 = ctx.p, ctx.p2
     inv = ctx.cached(inverse_table)
+    row = ctx.cached(closed_row_mod_p2, n)
     out = []
     k = 0
     while 3 * k + 2 <= p - 1:
-        lhs = (
-            coeff_closed_mod_p2(n, ctx, 3 * k).value
-            + coeff_closed_mod_p2(n, ctx, 3 * k + 1).value
-            + coeff_closed_mod_p2(n, ctx, 3 * k + 2).value
-        ) % p2
+        lhs = (row[3 * k] + row[3 * k + 1] + row[3 * k + 2]) % p2
         rhs = n * p * inv[3 * k + 2] % p2
         out.append(result(ClaimId.TRIPLE_SUM_A, p, p2, lhs, rhs, n=n, k=k))
         k += 1

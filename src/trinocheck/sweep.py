@@ -147,12 +147,17 @@ def _collapse(records: list[CheckResult]) -> list[CheckResult]:
     return out
 
 
-def _check_prime(p: int, claims: tuple[ClaimId, ...], nmax: int) -> list[CheckResult]:
-    """All records for one prime, sorted; this is the parallel work unit.
+def _check_prime(
+    p: int, claims: tuple[ClaimId, ...], nmax: int, summary_only: bool
+) -> list[CheckResult]:
+    """All records for one prime, sorted (collapsed when summary_only); this
+    is the parallel work unit, so a worker sends back only what the report
+    keeps.
 
     Each distinct registry spec runs once (once per n when per_n), and a
     record is kept only if its claim is selected and is registered to the
-    spec that produced it.
+    spec that produced it.  Collapsing one prime at a time is exact because
+    every aggregate belongs to a single (claim, p, n).
     """
     ctx = PrimeContext(p)
     records: list[CheckResult] = []
@@ -162,22 +167,22 @@ def _check_prime(p: int, claims: tuple[ClaimId, ...], nmax: int) -> list[CheckRe
         for args in calls:
             records.extend(r for r in spec.run(*args) if r.claim in keep)
     records.sort(key=record_sort_key)
-    return records
+    return _collapse(records) if summary_only else records
 
 
 def run_sweep(config: SweepConfig) -> Report:
     """Run every applicable (claim, p, n) instance and return a deterministic
     report.
 
-    With fail_fast the record stream is truncated immediately after the
-    first failing record (identical truncation point at any worker count).
+    With fail_fast the record stream (the collapsed stream when
+    summary_only) is truncated immediately after the first failing record
+    (identical truncation point at any worker count).
     """
     primes = sieve_primes(config.pmin, config.pmax)
     records: list[CheckResult] = []
+    work_args = (config.claims, config.nmax, config.summary_only)
 
     def consume(prime_records: list[CheckResult]) -> bool:
-        if config.summary_only:
-            prime_records = _collapse(prime_records)
         if config.fail_fast:
             for i, r in enumerate(prime_records):
                 if not r.passed:
@@ -188,13 +193,13 @@ def run_sweep(config: SweepConfig) -> Report:
 
     if config.jobs == 1 or len(primes) <= 1:
         for p in primes:
-            if consume(_check_prime(p, config.claims, config.nmax)):
+            if consume(_check_prime(p, *work_args)):
                 break
     else:
         executor = ProcessPoolExecutor(max_workers=config.jobs)
         try:
             work = executor.map(
-                _check_prime, primes, repeat(config.claims), repeat(config.nmax), chunksize=1
+                _check_prime, primes, *(repeat(a) for a in work_args), chunksize=1
             )
             for prime_records in work:
                 if consume(prime_records):

@@ -1,9 +1,12 @@
 """Trinomial coefficients: the coefficient of x**k in (1 + x + x**2)**n.
 
-Four independent engines compute the same numbers:
+Five independent engines compute the same numbers:
 
 * row_exact          -- the additive three-term recurrence (brute-force oracle)
-* row_mod_prefix     -- truncated modular polynomial powers (the sweep engine)
+* row_mod_p2_prefix  -- J.C.P. Miller's power recurrence mod p**2, O(p) per
+                        row prefix (the sweep engine)
+* row_mod_prefix     -- truncated schoolbook polynomial powers mod any m
+                        (a test oracle for the sweep engine)
 * coeff_via_cosine   -- binomial double sum with exact sixth-root-of-unity
                         cosine weights (stored as doubled integers; no floats)
 * coeff_via_convolution -- sum_j C(n,j)*C(j,k-j), from (1+x+x**2)**n as
@@ -19,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .claims import CheckResult, ClaimId, result
 from .harmonic import harmonic_table, inverse_table
 from .modular import PrimeContext, Residue
@@ -28,8 +29,6 @@ from .modular import PrimeContext, Residue
 #: 2*cos(r*pi/3) for r = 0..5; always integral, which is what makes the
 #: cosine identity evaluable without floating point.
 DOUBLED_COSINE = (2, 1, -1, -2, -1, 1)
-
-_INT64_MAX = 2**63 - 1
 
 
 class OddDoubledSum(RuntimeError):
@@ -77,32 +76,22 @@ def row_exact(n: int) -> TrinomialRow:
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], m: int, length: int) -> list[int]:
-    """First `length` coefficients of a*b with coefficients reduced mod m.
-
-    Inputs are already reduced mod m.  When every dot product fits in int64
-    the convolution runs vectorized; otherwise exact big-integer schoolbook.
-    """
-    out_len = min(len(a) + len(b) - 1, length)
-    depth = min(len(a), len(b), out_len)
-    if (m - 1) * (m - 1) * depth <= _INT64_MAX:
-        conv = np.convolve(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-        )[:out_len]
-        return [int(c) for c in conv % m]
-    out = [0] * out_len
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= out_len:
-            continue
-        for j in range(min(len(b), out_len - i)):
-            out[i + j] += ai * b[j]
+    """First `length` coefficients of a*b with coefficients reduced mod m
+    (schoolbook; inputs are already reduced mod m)."""
+    out = [0] * min(len(a) + len(b) - 1, length)
+    for i, ai in enumerate(a[:length]):
+        if ai:
+            for j, bj in enumerate(b[: length - i], i):
+                out[j] += ai * bj
     return [c % m for c in out]
 
 
 def row_mod_prefix(n: int, m: int, length: int) -> TrinomialRow:
     """First `length` coefficients of (1 + x + x**2)**n mod m.
 
-    Binary exponentiation with truncated polynomial products, O(length**2 *
-    log n).  If length exceeds 2n + 1 the tail is zero-padded.
+    Binary exponentiation with truncated schoolbook products, O(length**2 *
+    log n).  If length exceeds 2n + 1 the tail is zero-padded.  The sweep
+    reads rows from row_mod_p2_prefix; this engine is its test oracle.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -121,6 +110,46 @@ def row_mod_prefix(n: int, m: int, length: int) -> TrinomialRow:
             base = _poly_mul_trunc(base, base, m, length)
     acc.extend([0] * (length - len(acc)))
     return TrinomialRow(n=n, coeffs=acc, modulus=m, prefix_len=length)
+
+
+def _inverse_table_p2(ctx: PrimeContext) -> list[int]:
+    """inv[k] = k**-1 mod p**2 for 1 <= k < p (inv[0] = 0).
+
+    inv[k] = -(p**2 // k) * inv[p**2 % k]: for 2 <= k < p the remainder is
+    nonzero and below k, so it is a unit already inverted.  Built here, not
+    from harmonic.inverse_table (mod p), so the row engine shares no table
+    with the closed forms it is compared against.
+    """
+    p, p2 = ctx.p, ctx.p2
+    inv = [0] * p
+    inv[1] = 1
+    for k in range(2, p):
+        inv[k] = (p2 - p2 // k) * inv[p2 % k] % p2
+    return inv
+
+
+def row_mod_p2_prefix(exponent: int, ctx: PrimeContext) -> list[int]:
+    """First p coefficients of (1 + x + x**2)**exponent mod p**2, in O(p).
+
+    With f = (1 + x + x**2)**N, f'*(1 + x + x**2) = N*(1 + 2x)*f gives
+    k*a_k = (N - k + 1)*a_{k-1} + (2N - k + 2)*a_{k-2} exactly over the
+    integers (J.C.P. Miller's power recurrence; Knuth, TAOCP Vol. 2, 4.7).
+    Every k <= p - 1 is a unit mod p**2, so each step divides exactly.  Rows
+    shorter than p come out zero-padded, because the recurrence itself
+    yields a_k = 0 for k > 2N.
+    """
+    if exponent < 0:
+        raise ValueError(f"exponent must be nonnegative, got {exponent}")
+    p2 = ctx.p2
+    inv = ctx.cached(_inverse_table_p2)
+    e = exponent % p2
+    row = [1, e]
+    before, last = 1, e
+    for k in range(2, ctx.p):
+        step = (e - k + 1) * last + (2 * e - k + 2) * before
+        before, last = last, step * inv[k] % p2
+        row.append(last)
+    return row
 
 
 def coeff_via_cosine(n: int, k: int) -> int:
@@ -213,12 +242,18 @@ def coeff_closed_mod_p2(n: int, ctx: PrimeContext, k: int) -> Residue:
       3q+2: n*p*( -sum_{j<=q} 1/(3j+1) + sum_{j<=q} 1/(3j+2) )
 
     The harmonic pieces carry a factor p, so they are evaluated mod p; the
-    constant term is exact mod p**2.  This path shares nothing with
-    row_mod_prefix, which is what makes the cross-check meaningful.
+    constant term is exact mod p**2.  This path shares nothing with the row
+    engines, which is what makes the cross-check meaningful.
     """
     if not 0 <= k <= ctx.p - 1:
         raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={ctx.p}")
     return Residue(_coeff_closed_int(n, ctx, k), ctx.p2)
+
+
+def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
+    """The closed forms of coeff_closed_mod_p2 for k = 0..p-1 as plain ints:
+    row n*p - 1 mod p**2, one list per (p, n) when read through ctx.cached."""
+    return [_coeff_closed_int(n, ctx, k) for k in range(ctx.p)]
 
 
 def alt_fib_sum(n: int) -> int:

@@ -193,14 +193,23 @@ def test_criterion_7_engine_cross_equivalence():
             }
             if len(values) != 1:
                 failures.append((n, k, values))
+    # the sweep's recurrence vs schoolbook powering on both row families, and
+    # vs the closed forms on rows n*p - 1
     for p in tc.sieve_primes(5, 199):
         ctx = tc.PrimeContext(p)
         for n in range(1, 4):
-            row = tc.row_mod_prefix(n * p - 1, ctx.p2, p)
+            for exponent in (n * p - 1, n * p * p - 1):
+                schoolbook = tc.row_mod_prefix(exponent, ctx.p2, p).coeffs
+                if tc.row_mod_p2_prefix(exponent, ctx) != schoolbook:
+                    failures.append((p, exponent, "recurrence vs schoolbook"))
+            row = tc.row_mod_p2_prefix(n * p - 1, ctx)
             for k in range(p):
                 if tc.coeff_closed_mod_p2(n, ctx, k).value != row[k]:
                     failures.append((p, n, k))
-    _conclude("7 engine cross-equivalence (n <= 60; closed forms p <= 199)", failures)
+    _conclude(
+        "7 engine cross-equivalence (n <= 60; recurrence, schoolbook and closed forms p <= 199)",
+        failures,
+    )
 
 
 def test_criterion_8_structural_invariants():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -13,10 +14,11 @@ from trinocheck.claims import ClaimId, record_sort_key, result
 from trinocheck.cli import main
 from trinocheck.congruences import CLAIM_REGISTRY, ClaimSpec
 from trinocheck.harmonic import ap_harmonic, inverse_table
-from trinocheck.trinomial import row_mod_prefix
+from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
 from trinocheck.sweep import (
     ConfigError,
     SweepConfig,
+    _collapse,
     parse_claims,
     render,
     run_sweep,
@@ -154,7 +156,7 @@ class TestSharedSpecs:
             return wrapped
 
         modules = [m for name, m in sys.modules.items() if name.startswith("trinocheck")]
-        for fn in (ap_harmonic, inverse_table, row_mod_prefix):
+        for fn in (ap_harmonic, inverse_table, row_mod_p2_prefix, row_mod_prefix):
             wrapped = counting(fn.__name__, fn)
             for module in modules:
                 for attr, value in list(vars(module).items()):
@@ -175,8 +177,10 @@ class TestSharedSpecs:
         assert calls["check_thm1_eq2"] == nmax
         assert calls["ap_harmonic"] == 5
         assert calls["inverse_table"] == 1
-        # one row per distinct exponent: n*p - 1 and n*p**2 - 1 for n <= nmax
-        assert calls["row_mod_prefix"] == 2 * nmax
+        # one row per distinct exponent: n*p - 1 and n*p**2 - 1 for n <= nmax;
+        # schoolbook powering is a test oracle only
+        assert calls["row_mod_p2_prefix"] == 2 * nmax
+        assert calls["row_mod_prefix"] == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @settings(max_examples=15, deadline=None)
@@ -188,6 +192,27 @@ class TestSharedSpecs:
         claims = tuple(c for c in ClaimId if c in subset)
         got = run_sweep(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs))
         want = [r for r in _all_claims_records() if r.claim in subset and r.p <= pmax]
+        assert got.records == want
+
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        subset=st.sets(st.sampled_from(list(ClaimId))),
+        pmax=st.integers(5, 61),
+    )
+    def test_summary_only_collapses_in_workers(self, jobs, fail_fast, subset, pmax):
+        # Carlitz fails at every p >= 7, so with pmax >= 7 fail_fast truncates
+        chosen = subset | {ClaimId.CARLITZ, ClaimId.COR4_EQ11}
+        claims = tuple(c for c in ClaimId if c in chosen)
+        got = run_sweep(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
+                                    fail_fast=fail_fast, summary_only=True))
+        want = _collapse(
+            [r for r in _all_claims_records() if r.claim in chosen and r.p <= pmax]
+        )
+        if fail_fast:
+            cut = next((i + 1 for i, r in enumerate(want) if not r.passed), len(want))
+            want = want[:cut]
         assert got.records == want
 
     def test_replacing_one_shared_claim(self, monkeypatch):
@@ -321,8 +346,27 @@ class TestCli:
         assert main(args) == 0
         stdout_payload = capsysbinary.readouterr().out
         out = tmp_path / "r.jsonl"
+        out.write_bytes(b"previous report\n")
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_bytes() == stdout_payload
+        assert [f.name for f in tmp_path.iterdir()] == ["r.jsonl"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_internal_error_keeps_previous_out_file(self, monkeypatch, tmp_path, capsys):
+        def raises(ctx):
+            return [1 // 0]
+
+        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL0, ClaimSpec(False, raises))
+        out = tmp_path / "r.jsonl"
+        previous = b'{"summary":"an earlier run"}\n'
+        out.write_bytes(previous)
+        rc = main(["--pmin", "5", "--pmax", "13", "--claims", "GL0", "--out", str(out)])
+        assert rc == 2
+        assert "ZeroDivisionError" in capsys.readouterr().err
+        assert out.read_bytes() == previous
+        assert [f.name for f in tmp_path.iterdir()] == ["r.jsonl"]
 
     def test_exit_two_on_unwritable_output(self, capsys):
         rc = main(
@@ -362,6 +406,15 @@ class TestCli:
         assert swept == []
         assert "No such file or directory" in capsys.readouterr().err
 
+    def test_directory_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys):
+        swept = []
+        monkeypatch.setattr(cli, "run_sweep", swept.append)
+        rc = main(["--pmax", "1009", "--out", str(tmp_path)])
+        assert rc == 2
+        assert swept == []
+        assert "Is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_jobs_flag(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
@@ -369,6 +422,14 @@ class TestCli:
         assert main(args + ["--out", str(serial)]) == 0
         assert main(args + ["--jobs", "3", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_import_leaves_numpy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, trinocheck.cli; print('numpy' in sys.modules)"],
+            capture_output=True, check=True,
+        )
+        assert proc.stdout == b"False\n"
 
     def test_module_entrypoint(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -9,11 +9,13 @@ from trinocheck.modular import PrimeContext, sieve_primes
 from trinocheck.trinomial import (
     alt_fib_sum,
     binom_np_minus1_mod_p2,
+    closed_row_mod_p2,
     coeff_closed_mod_p2,
     coeff_via_convolution,
     coeff_via_cosine,
     halfrow_binomial_check,
     row_exact,
+    row_mod_p2_prefix,
     row_mod_prefix,
 )
 
@@ -67,8 +69,6 @@ class TestRowModPrefix:
     )
     @settings(max_examples=150)
     def test_matches_exact_row(self, n, m, length):
-        # moduli straddle the vectorized/big-int threshold, so the oracle
-        # equivalence covers both multiplication paths
         exact = row_exact(n).coeffs
         expect = [c % m for c in exact[:length]]
         expect += [0] * (length - len(expect))
@@ -81,6 +81,38 @@ class TestRowModPrefix:
             row_mod_prefix(3, 7, 0)
         with pytest.raises(ValueError):
             row_mod_prefix(-1, 7, 3)
+
+
+class TestRowModP2Prefix:
+    def test_examples(self):
+        assert row_mod_p2_prefix(6, PrimeContext(7)) == [1, 6, 21, 1, 41, 28, 43]
+        # the n*p**2 - 1 pattern at p=5: 1, -1, 0, 1, -1
+        assert row_mod_p2_prefix(24, PrimeContext(5)) == [1, 24, 0, 1, 24]
+        assert row_mod_p2_prefix(0, PrimeContext(5)) == [1, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("p", [5, 7, 97])
+    def test_short_rows_match_exact_row(self, p):
+        # rows with 2N + 1 < p end inside the prefix and must come out zero-padded
+        ctx = PrimeContext(p)
+        for n in range(2 * p):
+            expect = [c % ctx.p2 for c in row_exact(n).coeffs[:p]]
+            expect += [0] * (p - len(expect))
+            assert row_mod_p2_prefix(n, ctx) == expect
+
+    @given(st.sampled_from(sieve_primes(5, 97)), st.data())
+    @settings(max_examples=150)
+    def test_matches_exact_coefficients(self, p, data):
+        # row_exact is O(N**2) and too slow at N ~ 3*p**2, so the exact
+        # prefix comes coefficientwise from the convolution engine
+        ctx = PrimeContext(p)
+        n = data.draw(st.one_of(st.integers(0, p), st.integers(0, 3 * p * p)))
+        expect = [coeff_via_convolution(n, k) % ctx.p2 for k in range(min(p, 2 * n + 1))]
+        expect += [0] * (p - len(expect))
+        assert row_mod_p2_prefix(n, ctx) == expect
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            row_mod_p2_prefix(-1, PrimeContext(5))
 
 
 class TestCoeffViaCosine:
@@ -149,6 +181,14 @@ class TestCoeffClosedModP2:
                 row = row_mod_prefix(n * p - 1, ctx.p2, p)
                 for k in range(p):
                     assert coeff_closed_mod_p2(n, ctx, k).value == row[k]
+
+    def test_closed_row_is_the_closed_forms(self):
+        for p in sieve_primes(5, 61):
+            ctx = PrimeContext(p)
+            for n in range(1, 4):
+                assert closed_row_mod_p2(ctx, n) == [
+                    coeff_closed_mod_p2(n, ctx, k).value for k in range(p)
+                ]
 
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):
