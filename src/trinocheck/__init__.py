@@ -3,7 +3,6 @@ modulo prime powers."""
 
 from .claims import CheckResult, ClaimId
 from .harmonic import (
-    HarmonicTable,
     ap_harmonic,
     check_half_third_sixth,
     check_progression_lemmas,
@@ -15,18 +14,15 @@ from .modular import (
     DivisibleBase,
     NotInvertible,
     PrimeContext,
-    Residue,
     fermat_quotient,
     inv_mod,
     is_prime,
-    pow_mod,
     rat_mod,
     sieve_primes,
 )
 from .sweep import ConfigError, Report, SweepConfig, render, run_sweep
 from .trinomial import (
     OddDoubledSum,
-    TrinomialRow,
     alt_fib_sum,
     binom_np_minus1_mod_p2,
     coeff_closed_mod_p2,
@@ -45,14 +41,11 @@ __all__ = [
     "ClaimId",
     "ConfigError",
     "DivisibleBase",
-    "HarmonicTable",
     "NotInvertible",
     "OddDoubledSum",
     "PrimeContext",
     "Report",
-    "Residue",
     "SweepConfig",
-    "TrinomialRow",
     "alt_fib_sum",
     "ap_harmonic",
     "binom_np_minus1_mod_p2",
@@ -68,7 +61,6 @@ __all__ = [
     "inv_mod",
     "inverse_table",
     "is_prime",
-    "pow_mod",
     "rat_mod",
     "render",
     "row_exact",

@@ -90,8 +90,8 @@ def result(
     k: int | None = None,
 ) -> CheckResult:
     """Build a CheckResult, deriving the pass flag from residue equality."""
-    return CheckResult(claim, p, n, k, modulus, lhs % modulus, rhs % modulus,
-                       lhs % modulus == rhs % modulus)
+    lhs, rhs = lhs % modulus, rhs % modulus
+    return CheckResult(claim, p, n, k, modulus, lhs, rhs, lhs == rhs)
 
 
 def record_sort_key(r: CheckResult) -> tuple[int, int, int, int]:

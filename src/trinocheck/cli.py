@@ -74,8 +74,6 @@ def main(argv: list[str] | None = None) -> int:
             pmax=args.pmax,
             nmax=args.nmax,
             claims=claims,
-            fmt=args.fmt,
-            out=args.out,
             jobs=args.jobs,
             fail_fast=args.fail_fast,
             summary_only=args.summary_only,
@@ -87,14 +85,14 @@ def main(argv: list[str] | None = None) -> int:
     tmp = None
     try:
         # created before the sweep, so a bad path costs no work
-        if config.out is None:
+        if args.out is None:
             sink = nullcontext(sys.stdout.buffer)
         else:
-            tmp, sink = _temp_beside(config.out)
+            tmp, sink = _temp_beside(args.out)
         with sink as out:
             try:
                 report = run_sweep(config)
-                payload = render(report, config.fmt)
+                payload = render(report, args.fmt)
             except Exception as exc:  # a checker bug or a dead worker pool
                 print(
                     f"trinocheck: error: internal error: {type(exc).__name__}: {exc}",
@@ -107,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() gives
-            os.replace(tmp, config.out)
+            os.replace(tmp, args.out)
             tmp = None
     except OSError as exc:
         print(f"trinocheck: error: {exc}", file=sys.stderr)

@@ -21,20 +21,13 @@ from .harmonic import (
     harmonic_table,
     inverse_table,
 )
-from .modular import PrimeContext, fermat_quotient, inv_mod, rat_mod
+from .modular import PrimeContext, inv_mod, rat_mod
 from .trinomial import (
     central4_table,
     closed_row_mod_p2,
     halfrow_binomial_check,
     row_mod_p2_prefix,
 )
-
-
-def _row_prefix(ctx: PrimeContext, exponent: int) -> list[int]:
-    """Row `exponent` mod p**2, first p coefficients; read through ctx.cached
-    so one computation serves every claim that reads the row (several share
-    the exponent n*p - 1)."""
-    return row_mod_p2_prefix(exponent, ctx)
 
 
 def _binom_coprime_mod(a: int, k: int, m: int) -> int:
@@ -48,32 +41,30 @@ def _binom_coprime_mod(a: int, k: int, m: int) -> int:
     for i in range(1, k + 1):
         num = num * ((a - i + 1) % m) % m
         den = den * i % m
-    return num * inv_mod(den, m).value % m
+    return num * inv_mod(den, m) % m
 
 
 def check_thm1_eq2(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """Trinomial C(np-1, p-1)_2 mod p**2 vs +-(1 + n*p*q3) per p mod 3."""
     p, p2 = ctx.p, ctx.p2
-    lhs = ctx.cached(_row_prefix, n * p - 1)[p - 1]
-    q3 = fermat_quotient(3, ctx).value
+    lhs = ctx.cached(row_mod_p2_prefix, n * p - 1)[p - 1]
     if ctx.rc3 == 1:
-        rhs = (1 + n * p * q3) % p2
+        rhs = (1 + n * p * ctx.q3) % p2
     else:
-        rhs = (-1 - n * p * q3) % p2
+        rhs = (-1 - n * p * ctx.q3) % p2
     return [result(ClaimId.THM1_EQ2, p, p2, lhs, rhs, n=n)]
 
 
 def check_thm1_eq4(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """Trinomial C(np-1, (p-1)/2)_2 mod p**2 vs the half-row closed form."""
     p, p2 = ctx.p, ctx.p2
-    lhs = ctx.cached(_row_prefix, n * p - 1)[(p - 1) // 2]
-    q2 = fermat_quotient(2, ctx).value
-    q3 = fermat_quotient(3, ctx).value
+    lhs = ctx.cached(row_mod_p2_prefix, n * p - 1)[(p - 1) // 2]
+    half_q3 = rat_mod(ctx.q3, 2, p)
     if ctx.rc6 == 1:
-        coef = (2 * q2 + rat_mod(q3, 2, p).value) % p
+        coef = (2 * ctx.q2 + half_q3) % p
         rhs = (1 + n * p * coef) % p2
     else:
-        rhs = -n * p * rat_mod(q3, 2, p).value % p2
+        rhs = -n * p * half_q3 % p2
     return [result(ClaimId.THM1_EQ4, p, p2, lhs, rhs, n=n)]
 
 
@@ -91,8 +82,7 @@ def check_thm2_eq6(ctx: PrimeContext) -> list[CheckResult]:
     for k in range(1, (p - 1) // 2 + 1):
         central = central * (2 * (2 * k - 1)) % p * inv[k] % p
         acc = (acc + central * table[k]) % p
-    q3 = fermat_quotient(3, ctx).value
-    rhs = -q3 % p if ctx.rc3 == 1 else q3 % p
+    rhs = -ctx.q3 % p if ctx.rc3 == 1 else ctx.q3
     return [result(ClaimId.THM2_EQ6, p, p, acc, rhs)]
 
 
@@ -106,7 +96,7 @@ def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
     for k in range(1, len(central4)):
         acc = (acc + central4[k] * (2 * table[2 * k] - table[k])) % p
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
-    half_q3 = rat_mod(fermat_quotient(3, ctx).value, 2, p).value
+    half_q3 = rat_mod(ctx.q3, 2, p)
     rhs = -sign * half_q3 % p if ctx.rc6 == 1 else sign * half_q3 % p
     return [result(ClaimId.THM2_EQ7, p, p, acc, rhs)]
 
@@ -114,9 +104,9 @@ def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
 def check_prop3_eq9(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """sum_{k=0..p-1} C(np-1,k)_2 mod p**2 vs 1 + n*p*q3 or 0 per p mod 3."""
     p, p2 = ctx.p, ctx.p2
-    lhs = sum(ctx.cached(_row_prefix, n * p - 1)) % p2
+    lhs = sum(ctx.cached(row_mod_p2_prefix, n * p - 1)) % p2
     if ctx.rc3 == 1:
-        rhs = (1 + n * p * fermat_quotient(3, ctx).value) % p2
+        rhs = (1 + n * p * ctx.q3) % p2
     else:
         rhs = 0
     return [result(ClaimId.PROP3_EQ9, p, p2, lhs, rhs, n=n)]
@@ -125,15 +115,13 @@ def check_prop3_eq9(ctx: PrimeContext, n: int) -> list[CheckResult]:
 def check_prop3_eq10(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """sum_{k=0..(p-1)/2} C(np-1,k)_2 mod p**2 vs the half-range closed form."""
     p, p2 = ctx.p, ctx.p2
-    row = ctx.cached(_row_prefix, n * p - 1)
+    row = ctx.cached(row_mod_p2_prefix, n * p - 1)
     lhs = sum(row[: (p - 1) // 2 + 1]) % p2
-    q2 = fermat_quotient(2, ctx).value
-    q3 = fermat_quotient(3, ctx).value
     if ctx.rc6 == 1:
-        coef = (rat_mod(4 * q2, 3, p).value + q3) % p
+        coef = (rat_mod(4 * ctx.q2, 3, p) + ctx.q3) % p
         rhs = (1 + n * p * coef) % p2
     else:
-        rhs = -n * p * rat_mod(2 * q2, 3, p).value % p2
+        rhs = -n * p * rat_mod(2 * ctx.q2, 3, p) % p2
     return [result(ClaimId.PROP3_EQ10, p, p2, lhs, rhs, n=n)]
 
 
@@ -141,7 +129,7 @@ def check_cor4_eq11(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3,
     one record per k in 0..p-1."""
     p, p2 = ctx.p, ctx.p2
-    row = ctx.cached(_row_prefix, n * p2 - 1)
+    row = ctx.cached(row_mod_p2_prefix, n * p2 - 1)
     pattern = (1, p2 - 1, 0)
     return [
         result(ClaimId.COR4_EQ11, p, p2, row[k], pattern[k % 3], n=n, k=k)
@@ -203,7 +191,7 @@ def check_carlitz(ctx: PrimeContext) -> list[CheckResult]:
     p, p4 = ctx.p, ctx.p4
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     lhs = sign * _binom_coprime_mod(p - 1, (p - 1) // 2, p4) % p4
-    rhs = (pow(4, p - 1, p4) + ctx.p3 * inv_mod(12, p4).value) % p4
+    rhs = (pow(4, p - 1, p4) + ctx.p3 * inv_mod(12, p4)) % p4
     return [result(ClaimId.CARLITZ, p, p4, lhs, rhs)]
 
 

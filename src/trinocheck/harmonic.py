@@ -9,10 +9,8 @@ the trinomial closed forms are built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .claims import CheckResult, ClaimId, result
-from .modular import PrimeContext, Residue, fermat_quotient, inv_mod, rat_mod
+from .modular import PrimeContext, inv_mod, rat_mod
 
 
 def inverse_table(ctx: PrimeContext) -> list[int]:
@@ -29,26 +27,13 @@ def inverse_table(ctx: PrimeContext) -> list[int]:
     return inv
 
 
-@dataclass(frozen=True)
-class HarmonicTable:
-    """H_n mod p for 0 <= n <= p-1; immutable and shareable.
+def harmonic_table(ctx: PrimeContext) -> list[int]:
+    """H_n mod p for 0 <= n <= p-1, as prefix sums of modular inverses in O(p).
 
     Entry 0 is 0 by definition and entry p-1 is 0 (the numerator of
-    H_{p-1} is divisible by p for p >= 5).
+    H_{p-1} is divisible by p for p >= 5).  Shared through ctx.cached, so
+    callers must not mutate it.
     """
-
-    ctx: PrimeContext
-    values: tuple[int, ...]
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def harmonic_table(ctx: PrimeContext) -> HarmonicTable:
-    """Prefix sums of modular inverses: O(p) time, one entry per 0 <= n < p."""
     inv = ctx.cached(inverse_table)
     p = ctx.p
     values = [0] * p
@@ -56,10 +41,10 @@ def harmonic_table(ctx: PrimeContext) -> HarmonicTable:
     for n in range(1, p):
         acc = (acc + inv[n]) % p
         values[n] = acc
-    return HarmonicTable(ctx, tuple(values))
+    return values
 
 
-def ap_harmonic(m: int, d: int, r: int, ctx: PrimeContext) -> Residue:
+def ap_harmonic(m: int, d: int, r: int, ctx: PrimeContext) -> int:
     """Sum_{k=0..m} 1/(d*k + r) mod p (empty when m < 0).
 
     Raises NotInvertible if any term d*k + r hits a multiple of p.
@@ -67,8 +52,8 @@ def ap_harmonic(m: int, d: int, r: int, ctx: PrimeContext) -> Residue:
     p = ctx.p
     acc = 0
     for k in range(m + 1):
-        acc += inv_mod(d * k + r, p).value
-    return Residue(acc, p)
+        acc += inv_mod(d * k + r, p)
+    return acc % p
 
 
 def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
@@ -76,10 +61,8 @@ def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
     and their sum, all mod p."""
     table = ctx.cached(harmonic_table)
     p = ctx.p
-    q2 = fermat_quotient(2, ctx).value
-    q3 = fermat_quotient(3, ctx).value
-    half_rhs = -2 * q2 % p
-    third_rhs = rat_mod(-3 * q3, 2, p).value
+    half_rhs = -2 * ctx.q2 % p
+    third_rhs = rat_mod(-3 * ctx.q3, 2, p)
     sixth_rhs = (half_rhs + third_rhs) % p
     return [
         result(ClaimId.GL0, p, p, table[p // 2], half_rhs),
@@ -96,13 +79,12 @@ def check_reflections(ctx: PrimeContext) -> list[CheckResult]:
     """
     table = ctx.cached(harmonic_table)
     p = ctx.p
-    q2 = fermat_quotient(2, ctx).value
     out = []
     for k in range(1, p):
         out.append(result(ClaimId.CONG0, p, p, table[p - k], table[k - 1], k=k))
     half = (p - 1) // 2
     for k in range(1, half + 1):
-        rhs = (-2 * q2 + 2 * table[2 * k] - table[k]) % p
+        rhs = (-2 * ctx.q2 + 2 * table[2 * k] - table[k]) % p
         out.append(result(ClaimId.CONG1, p, p, table[half - k], rhs, k=k))
     return out
 
@@ -115,10 +97,8 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     indices stay below p, so every inversion exists.
     """
     p = ctx.p
-    q2 = fermat_quotient(2, ctx).value
-    q3 = fermat_quotient(3, ctx).value
-    half_q3 = rat_mod(q3, 2, p).value
-    two_thirds_q2 = rat_mod(-2 * q2, 3, p).value
+    half_q3 = rat_mod(ctx.q3, 2, p)
+    two_thirds_q2 = rat_mod(-2 * ctx.q2, 3, p)
     # (claim, m, d, r, rhs): sum_{k=0..m} 1/(d*k + r) == rhs
     if ctx.rc3 == 1:
         m = (p - 4) // 3
@@ -126,13 +106,13 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     else:
         m = (p - 5) // 3
         sums = [(ClaimId.C2B, m, 3, 1, 1), (ClaimId.C2C, m, 3, 2, half_q3)]
-    odd_rhs = q2 + rat_mod(-3 * q3, 4, p).value
+    odd_rhs = ctx.q2 + rat_mod(-3 * ctx.q3, 4, p)
     if ctx.rc6 == 1:
         m = (p - 1) // 6
         sums += [
-            (ClaimId.C3, m, 2, 1, odd_rhs + rat_mod(3, 2, p).value),
+            (ClaimId.C3, m, 2, 1, odd_rhs + rat_mod(3, 2, p)),
             (ClaimId.H0, m, 3, 1, two_thirds_q2 + 2),
-            (ClaimId.H1, m, 3, 2, two_thirds_q2 + half_q3 + rat_mod(2, 3, p).value),
+            (ClaimId.H1, m, 3, 2, two_thirds_q2 + half_q3 + rat_mod(2, 3, p)),
         ]
     else:
         m = (p - 5) // 6
@@ -142,6 +122,6 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
             (ClaimId.H2, m, 3, 2, two_thirds_q2),
         ]
     return [
-        result(claim, p, p, ap_harmonic(m, d, r, ctx).value, rhs)
+        result(claim, p, p, ap_harmonic(m, d, r, ctx), rhs)
         for claim, m, d, r, rhs in sums
     ]

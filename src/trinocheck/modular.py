@@ -1,8 +1,9 @@
-"""Exact integer and modular arithmetic: primes, residues, inverses, Fermat quotients.
+"""Exact integer and modular arithmetic: primes, inverses, Fermat quotients.
 
-Everything in this module is pure and exact.  Python integers are arbitrary
-precision, so products of residues never overflow at any modulus size; the
-documented capacity limits below are about time and memory, never precision.
+Everything in this module is pure and exact, and every residue it returns
+is a plain int in [0, modulus).  Python integers are arbitrary precision, so
+products of residues never overflow at any modulus size; the documented
+capacity limits below are about time and memory, never precision.
 """
 
 from __future__ import annotations
@@ -31,50 +32,9 @@ class DivisibleBase(ValueError):
 
 
 @dataclass(frozen=True)
-class Residue:
-    """A canonical representative in [0, modulus).
-
-    Construction canonicalizes (negative inputs are reduced into range).
-    Arithmetic between residues requires equal moduli.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _require_same_modulus(self, other: Residue) -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} != {other.modulus}"
-            )
-
-    def __add__(self, other: Residue) -> Residue:
-        self._require_same_modulus(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: Residue) -> Residue:
-        self._require_same_modulus(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: Residue) -> Residue:
-        self._require_same_modulus(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> Residue:
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class PrimeContext:
-    """A verified odd prime p >= 5 with cached powers, residue classes and a
-    memo of per-prime tables.
+    """A verified odd prime p >= 5 with cached powers, residue classes, the
+    Fermat quotients q2 and q3 and a memo of per-prime tables.
 
     Hashable by p alone.  rc6 determines rc3 (1 -> 1, 5 -> 2), which the
     congruence checkers rely on when dispatching per residue class.  Tables
@@ -88,6 +48,8 @@ class PrimeContext:
     p4: int = field(init=False, repr=False, compare=False)
     rc3: int = field(init=False, compare=False)
     rc6: int = field(init=False, compare=False)
+    q2: int = field(init=False, repr=False, compare=False)
+    q3: int = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -99,6 +61,8 @@ class PrimeContext:
         object.__setattr__(self, "p4", p * p * p * p)
         object.__setattr__(self, "rc3", p % 3)
         object.__setattr__(self, "rc6", p % 6)
+        object.__setattr__(self, "q2", fermat_quotient(2, self))
+        object.__setattr__(self, "q3", fermat_quotient(3, self))
 
     def cached(self, build: Callable[..., _T], *args: object) -> _T:
         """build(self, *args), computed once per context and argument tuple."""
@@ -153,16 +117,7 @@ def sieve_primes(lo: int, hi: int) -> list[int]:
     return [i for i in range(lo, hi + 1) if sieve[i]]
 
 
-def pow_mod(base: int, exp: int, m: int) -> Residue:
-    """base**exp mod m.  Exact at any modulus (arbitrary-precision ints)."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return Residue(pow(base, exp, m), m)
-
-
-def inv_mod(a: int, m: int) -> Residue:
+def inv_mod(a: int, m: int) -> int:
     """The unique x in [0, m) with a*x == 1 (mod m); NotInvertible otherwise.
 
     A NotInvertible raised from a congruence checker signals a denominator
@@ -171,27 +126,28 @@ def inv_mod(a: int, m: int) -> Residue:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     try:
-        return Residue(pow(a, -1, m), m)
+        return pow(a, -1, m)
     except ValueError as exc:
         raise NotInvertible(f"{a} is not invertible mod {m}") from exc
 
 
-def rat_mod(num: int, den: int, m: int) -> Residue:
+def rat_mod(num: int, den: int, m: int) -> int:
     """The residue of the rational num/den mod m (den must be coprime to m).
 
     Negative numerators are canonicalized into [0, m).
     """
-    return Residue(num * inv_mod(den, m).value, m)
+    return num * inv_mod(den, m) % m
 
 
-def fermat_quotient(a: int, ctx: PrimeContext) -> Residue:
+def fermat_quotient(a: int, ctx: PrimeContext) -> int:
     """(a**(p-1) - 1) / p reduced mod p.
 
     The division is exact by Fermat's little theorem; the power is taken
-    mod p**2 so the quotient survives the reduction.
+    mod p**2 so the quotient survives the reduction, and it already lies in
+    [0, p).  Checkers read q2 and q3 from the context instead.
     """
     p = ctx.p
     if a % p == 0:
         raise DivisibleBase(f"base {a} is divisible by p={p}")
     lifted = pow(a, p - 1, ctx.p2)
-    return Residue((lifted - 1) // p, p)
+    return (lifted - 1) // p

@@ -34,14 +34,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to sweep and how to report it."""
+    """What to sweep and how; render() takes the report format, and the
+    caller chooses where the report goes."""
 
     pmin: int = 5
     pmax: int = 1009
     nmax: int = 8
     claims: tuple[ClaimId, ...] = tuple(ClaimId)
-    fmt: str = "jsonl"
-    out: str | None = None
     jobs: int = 1
     fail_fast: bool = False
     summary_only: bool = False
@@ -57,8 +56,6 @@ class SweepConfig:
             raise ConfigError(f"need 1 <= nmax <= {MAX_NMAX}, got {self.nmax}")
         if not self.claims:
             raise ConfigError("claim set must be nonempty")
-        if self.fmt not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.fmt!r}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 

@@ -20,11 +20,10 @@ the point: each one cross-checks the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .claims import CheckResult, ClaimId, result
 from .harmonic import harmonic_table, inverse_table
-from .modular import PrimeContext, Residue
+from .modular import PrimeContext
 
 #: 2*cos(r*pi/3) for r = 0..5; always integral, which is what makes the
 #: cosine identity evaluable without floating point.
@@ -35,30 +34,11 @@ class OddDoubledSum(RuntimeError):
     """The doubled cosine-weight sum came out odd: an internal bug, never data."""
 
 
-@dataclass
-class TrinomialRow:
-    """Coefficients of (1 + x + x**2)**n, exact or reduced mod `modulus`.
-
-    An exact untruncated row has length 2n + 1 and is palindromic; a modular
-    row holds the first `prefix_len` coefficients as canonical residues.
-    """
-
-    n: int
-    coeffs: list[int]
-    modulus: int | None = None
-    prefix_len: int | None = None
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def row_exact(n: int) -> TrinomialRow:
+def row_exact(n: int) -> list[int]:
     """Full exact row via T(n,k) = T(n-1,k) + T(n-1,k-1) + T(n-1,k-2).
 
-    Arbitrary-precision, so exact for any n; cost is O(n**2) big-integer
+    The row has length 2n + 1 and is palindromic.  Arbitrary-precision, so
+    exact for any n; cost is O(n**2) big-integer
     additions (fine well past n = 2000).  This is the brute-force oracle the
     other engines are judged against.
     """
@@ -72,7 +52,7 @@ def row_exact(n: int) -> TrinomialRow:
             new[k + 1] += v
             new[k + 2] += v
         row = new
-    return TrinomialRow(n=n, coeffs=row)
+    return row
 
 
 def _poly_mul_trunc(a: list[int], b: list[int], m: int, length: int) -> list[int]:
@@ -86,8 +66,9 @@ def _poly_mul_trunc(a: list[int], b: list[int], m: int, length: int) -> list[int
     return [c % m for c in out]
 
 
-def row_mod_prefix(n: int, m: int, length: int) -> TrinomialRow:
-    """First `length` coefficients of (1 + x + x**2)**n mod m.
+def row_mod_prefix(n: int, m: int, length: int) -> list[int]:
+    """First `length` coefficients of (1 + x + x**2)**n mod m, as residues in
+    [0, m).
 
     Binary exponentiation with truncated schoolbook products, O(length**2 *
     log n).  If length exceeds 2n + 1 the tail is zero-padded.  The sweep
@@ -109,7 +90,7 @@ def row_mod_prefix(n: int, m: int, length: int) -> TrinomialRow:
         if e:
             base = _poly_mul_trunc(base, base, m, length)
     acc.extend([0] * (length - len(acc)))
-    return TrinomialRow(n=n, coeffs=acc, modulus=m, prefix_len=length)
+    return acc
 
 
 def _inverse_table_p2(ctx: PrimeContext) -> list[int]:
@@ -128,7 +109,7 @@ def _inverse_table_p2(ctx: PrimeContext) -> list[int]:
     return inv
 
 
-def row_mod_p2_prefix(exponent: int, ctx: PrimeContext) -> list[int]:
+def row_mod_p2_prefix(ctx: PrimeContext, exponent: int) -> list[int]:
     """First p coefficients of (1 + x + x**2)**exponent mod p**2, in O(p).
 
     With f = (1 + x + x**2)**N, f'*(1 + x + x**2) = N*(1 + 2x)*f gives
@@ -136,7 +117,8 @@ def row_mod_p2_prefix(exponent: int, ctx: PrimeContext) -> list[int]:
     integers (J.C.P. Miller's power recurrence; Knuth, TAOCP Vol. 2, 4.7).
     Every k <= p - 1 is a unit mod p**2, so each step divides exactly.  Rows
     shorter than p come out zero-padded, because the recurrence itself
-    yields a_k = 0 for k > 2N.
+    yields a_k = 0 for k > 2N.  The checkers read it through ctx.cached, so
+    one computation serves every claim that reads the row.
     """
     if exponent < 0:
         raise ValueError(f"exponent must be nonnegative, got {exponent}")
@@ -182,7 +164,7 @@ def coeff_via_convolution(n: int, k: int) -> int:
     return total
 
 
-def binom_np_minus1_mod_p2(n: int, ctx: PrimeContext, k: int) -> Residue:
+def binom_np_minus1_mod_p2(n: int, ctx: PrimeContext, k: int) -> int:
     """Binomial C(n*p - 1, k) mod p**2 as (-1)**k * (1 - n*p*H_k).
 
     H_k enters multiplied by p, so its mod-p value is all the precision the
@@ -191,12 +173,10 @@ def binom_np_minus1_mod_p2(n: int, ctx: PrimeContext, k: int) -> Residue:
     if not 0 <= k <= ctx.p - 1:
         raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={ctx.p}")
     value = (1 - n * ctx.p * ctx.cached(harmonic_table)[k]) % ctx.p2
-    if k & 1:
-        value = -value % ctx.p2
-    return Residue(value, ctx.p2)
+    return -value % ctx.p2 if k & 1 else value
 
 
-def _closed_form_tables(ctx: PrimeContext) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+def _closed_form_tables(ctx: PrimeContext) -> tuple[list[int], list[int], list[int], int]:
     """(H mod p, prefix sums of 1/(3j+1), prefix sums of 1/(3j+2), inv(3)).
 
     s1[t] = sum_{j<t} 1/(3j+1) and s2[t] = sum_{j<t} 1/(3j+2), built while
@@ -204,7 +184,7 @@ def _closed_form_tables(ctx: PrimeContext) -> tuple[tuple[int, ...], tuple[int, 
     """
     p = ctx.p
     inv = ctx.cached(inverse_table)
-    h = ctx.cached(harmonic_table).values
+    h = ctx.cached(harmonic_table)
     s1 = [0]
     j = 0
     while 3 * j + 1 <= p - 1:
@@ -215,24 +195,10 @@ def _closed_form_tables(ctx: PrimeContext) -> tuple[tuple[int, ...], tuple[int, 
     while 3 * j + 2 <= p - 1:
         s2.append((s2[-1] + inv[3 * j + 2]) % p)
         j += 1
-    return h, tuple(s1), tuple(s2), inv[3]
+    return h, s1, s2, inv[3]
 
 
-def _coeff_closed_int(n: int, ctx: PrimeContext, k: int) -> int:
-    p, p2 = ctx.p, ctx.p2
-    h, s1, s2, inv3 = ctx.cached(_closed_form_tables)
-    q, r = divmod(k, 3)
-    if r == 0:
-        coef = (2 * inv3 * h[q] + s2[q]) % p
-        return (1 - n * p * coef) % p2
-    if r == 1:
-        coef = (2 * inv3 * h[q] + s1[q + 1]) % p
-        return (-1 + n * p * coef) % p2
-    coef = (s2[q + 1] - s1[q + 1]) % p
-    return n * p * coef % p2
-
-
-def coeff_closed_mod_p2(n: int, ctx: PrimeContext, k: int) -> Residue:
+def coeff_closed_mod_p2(n: int, ctx: PrimeContext, k: int) -> int:
     """Trinomial coefficient of x**k in row n*p - 1, mod p**2, in closed form.
 
     Dispatch on k mod 3 (k = 3q, 3q+1, 3q+2):
@@ -245,15 +211,25 @@ def coeff_closed_mod_p2(n: int, ctx: PrimeContext, k: int) -> Residue:
     constant term is exact mod p**2.  This path shares nothing with the row
     engines, which is what makes the cross-check meaningful.
     """
-    if not 0 <= k <= ctx.p - 1:
-        raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={ctx.p}")
-    return Residue(_coeff_closed_int(n, ctx, k), ctx.p2)
+    p, p2 = ctx.p, ctx.p2
+    if not 0 <= k <= p - 1:
+        raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={p}")
+    h, s1, s2, inv3 = ctx.cached(_closed_form_tables)
+    q, r = divmod(k, 3)
+    if r == 0:
+        coef = (2 * inv3 * h[q] + s2[q]) % p
+        return (1 - n * p * coef) % p2
+    if r == 1:
+        coef = (2 * inv3 * h[q] + s1[q + 1]) % p
+        return (-1 + n * p * coef) % p2
+    coef = (s2[q + 1] - s1[q + 1]) % p
+    return n * p * coef % p2
 
 
 def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
-    """The closed forms of coeff_closed_mod_p2 for k = 0..p-1 as plain ints:
-    row n*p - 1 mod p**2, one list per (p, n) when read through ctx.cached."""
-    return [_coeff_closed_int(n, ctx, k) for k in range(ctx.p)]
+    """coeff_closed_mod_p2 for k = 0..p-1: row n*p - 1 mod p**2, one list
+    per (p, n) when read through ctx.cached."""
+    return [coeff_closed_mod_p2(n, ctx, k) for k in range(ctx.p)]
 
 
 def alt_fib_sum(n: int) -> int:

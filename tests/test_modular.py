@@ -9,11 +9,9 @@ from trinocheck.modular import (
     DivisibleBase,
     NotInvertible,
     PrimeContext,
-    Residue,
     fermat_quotient,
     inv_mod,
     is_prime,
-    pow_mod,
     rat_mod,
     sieve_primes,
 )
@@ -57,80 +55,35 @@ class TestIsPrime:
         assert not is_prime(2**61 + 1)
 
 
-class TestResidue:
-    def test_canonicalization(self):
-        assert Residue(-2, 11).value == 9
-        assert Residue(25, 12).value == 1
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            Residue(0, 1)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            Residue(1, 5) + Residue(1, 7)
-
-    @given(st.integers(-100, 100), st.integers(-100, 100), st.integers(2, 97))
-    def test_arithmetic(self, a, b, m):
-        x, y = Residue(a, m), Residue(b, m)
-        assert (x + y).value == (a + b) % m
-        assert (x - y).value == (a - b) % m
-        assert (x * y).value == (a * b) % m
-        assert (-x).value == -a % m
-        assert int(x) == a % m
-
-
-class TestPowMod:
-    def test_examples(self):
-        assert pow_mod(2, 4, 5).value == 1
-        # 3**5 = 243 = 2*121 + 1, so 3**10 == 1 mod 121
-        assert pow_mod(3, 10, 121).value == 1
-        # 4096 = 11*343 + 323
-        assert pow_mod(4, 6, 343).value == 323
-
-    @given(st.integers(-50, 50), st.integers(0, 64), st.integers(2, 10**6))
-    def test_matches_repeated_multiplication(self, base, exp, m):
-        acc = 1 % m
-        for _ in range(exp):
-            acc = acc * base % m
-        assert pow_mod(base, exp, m).value == acc
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            pow_mod(2, -1, 7)
-        with pytest.raises(ValueError):
-            pow_mod(2, 3, 1)
-
-
 class TestInvMod:
     def test_examples(self):
-        assert inv_mod(3, 7).value == 5
-        assert inv_mod(4, 13).value == 10
+        assert inv_mod(3, 7) == 5
+        assert inv_mod(4, 13) == 10
         with pytest.raises(NotInvertible):
             inv_mod(5, 25)
 
     @given(st.integers(-10**6, 10**6), st.integers(2, 10**6))
     def test_inverse_property(self, a, m):
         assume(math.gcd(a, m) == 1)
-        assert (inv_mod(a, m) * Residue(a, m)).value == 1
+        assert inv_mod(a, m) * a % m == 1
 
 
 class TestRatMod:
     def test_examples(self):
-        assert rat_mod(3, 2, 7).value == 5
-        assert rat_mod(0, 9, 13).value == 0
+        assert rat_mod(3, 2, 7) == 5
+        assert rat_mod(0, 9, 13) == 0
 
     def test_negative_numerator_matches_brute_force(self):
         # exhaustive oracle: the x with 3*x == -2 (mod 11)
         expected = [x for x in range(11) if 3 * x % 11 == -2 % 11]
         assert expected == [3]
-        assert rat_mod(-2, 3, 11).value == 3
+        assert rat_mod(-2, 3, 11) == 3
 
     @given(st.integers(-200, 200), st.integers(1, 50), st.integers(2, 50))
     def test_matches_exhaustive_search(self, num, den, m):
         assume(math.gcd(den, m) == 1)
         solutions = [x for x in range(m) if den * x % m == num % m]
-        assert [rat_mod(num, den, m).value] == solutions
+        assert [rat_mod(num, den, m)] == solutions
 
     def test_propagates_not_invertible(self):
         with pytest.raises(NotInvertible):
@@ -150,6 +103,12 @@ class TestPrimeContext:
         with pytest.raises(ValueError):
             PrimeContext(bad)
 
+    def test_fermat_quotient_fields(self):
+        for p in sieve_primes(5, 199):
+            ctx = PrimeContext(p)
+            assert ctx.q2 == fermat_quotient(2, ctx)
+            assert ctx.q3 == fermat_quotient(3, ctx)
+
     def test_rc6_determines_rc3(self):
         for p in sieve_primes(5, 2003):
             ctx = PrimeContext(p)
@@ -159,10 +118,10 @@ class TestPrimeContext:
 
 class TestFermatQuotient:
     def test_examples(self):
-        assert fermat_quotient(2, PrimeContext(5)).value == 3  # (16-1)/5
+        assert fermat_quotient(2, PrimeContext(5)) == 3  # (16-1)/5
         # 3**10 - 1 = 11 * 5368 and 5368 == 0 mod 11 (base-3 Wieferich-type)
-        assert fermat_quotient(3, PrimeContext(11)).value == 0
-        assert fermat_quotient(3, PrimeContext(7)).value == 6  # (729-1)/7 = 104
+        assert fermat_quotient(3, PrimeContext(11)) == 0
+        assert fermat_quotient(3, PrimeContext(7)) == 6  # (729-1)/7 = 104
 
     def test_rejects_divisible_base(self):
         with pytest.raises(DivisibleBase):
@@ -172,7 +131,7 @@ class TestFermatQuotient:
     def test_defining_congruence(self, p, a):
         assume(a % p != 0)
         ctx = PrimeContext(p)
-        q = fermat_quotient(a, ctx).value
+        q = fermat_quotient(a, ctx)
         # a**(p-1) == 1 + p*q_a holds exactly mod p**2
         assert pow(a, p - 1, ctx.p2) == (1 + p * q) % ctx.p2
 
@@ -183,6 +142,6 @@ class TestFermatQuotient:
             for p in sieve_primes(5, 2003):
                 ctx = PrimeContext(p)
                 assert (
-                    fermat_quotient(a * a, ctx).value
-                    == 2 * fermat_quotient(a, ctx).value % p
+                    fermat_quotient(a * a, ctx)
+                    == 2 * fermat_quotient(a, ctx) % p
                 )

@@ -14,6 +14,7 @@ from trinocheck.claims import ClaimId, record_sort_key, result
 from trinocheck.cli import main
 from trinocheck.congruences import CLAIM_REGISTRY, ClaimSpec
 from trinocheck.harmonic import ap_harmonic, inverse_table
+from trinocheck.modular import fermat_quotient
 from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
 from trinocheck.sweep import (
     ConfigError,
@@ -55,7 +56,6 @@ class TestSweepConfig:
             dict(nmax=0),
             dict(nmax=1000),
             dict(claims=()),
-            dict(fmt="xml"),
             dict(jobs=0),
         ],
     )
@@ -156,7 +156,8 @@ class TestSharedSpecs:
             return wrapped
 
         modules = [m for name, m in sys.modules.items() if name.startswith("trinocheck")]
-        for fn in (ap_harmonic, inverse_table, row_mod_p2_prefix, row_mod_prefix):
+        for fn in (ap_harmonic, fermat_quotient, inverse_table, row_mod_p2_prefix,
+                   row_mod_prefix):
             wrapped = counting(fn.__name__, fn)
             for module in modules:
                 for attr, value in list(vars(module).items()):
@@ -177,6 +178,8 @@ class TestSharedSpecs:
         assert calls["check_thm1_eq2"] == nmax
         assert calls["ap_harmonic"] == 5
         assert calls["inverse_table"] == 1
+        # q2 and q3, once each, when the prime's context is built
+        assert calls["fermat_quotient"] == 2
         # one row per distinct exponent: n*p - 1 and n*p**2 - 1 for n <= nmax;
         # schoolbook powering is a test oracle only
         assert calls["row_mod_p2_prefix"] == 2 * nmax
@@ -284,6 +287,11 @@ class TestRender:
         assert (report.records[0].lhs, report.records[0].rhs) == (5, 5)
         assert (report.records[1].lhs, report.records[1].rhs) == (7, 7)
         assert all(r.passed for r in report.records)
+
+    def test_rejects_unknown_format(self):
+        # the format is checked here and by the CLI's --format choices
+        with pytest.raises(ValueError, match="unknown format"):
+            render(run_sweep(_cfg()), "xml")
 
     def test_summary_only_keeps_single_instance_claims(self):
         cfg = _cfg(claims=(ClaimId.THM1_EQ2, ClaimId.GL0), summary_only=True)

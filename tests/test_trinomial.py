@@ -24,16 +24,16 @@ ROW_6 = [1, 6, 21, 50, 90, 126, 141, 126, 90, 50, 21, 6, 1]
 
 class TestRowExact:
     def test_examples(self):
-        assert row_exact(0).coeffs == [1]
-        assert row_exact(2).coeffs == [1, 2, 3, 2, 1]
+        assert row_exact(0) == [1]
+        assert row_exact(2) == [1, 2, 3, 2, 1]
         row = row_exact(6)
-        assert row.coeffs == ROW_6
+        assert row == ROW_6
         assert row[6] == 141  # 6th central trinomial number
         assert row[3] == 50
 
     @pytest.mark.parametrize("n", range(61))
     def test_structural_invariants(self, n):
-        row = row_exact(n).coeffs
+        row = row_exact(n)
         assert len(row) == 2 * n + 1
         assert row == row[::-1]
         assert sum(row) == 3**n
@@ -49,18 +49,14 @@ class TestRowExact:
 
 class TestRowModPrefix:
     def test_examples(self):
-        assert row_mod_prefix(6, 49, 7).coeffs == [1, 6, 21, 1, 41, 28, 43]
+        assert row_mod_prefix(6, 49, 7) == [1, 6, 21, 1, 41, 28, 43]
         # instance of the n*p**2 - 1 pattern at p=5: 1, -1, 0, 1, -1
-        assert row_mod_prefix(24, 25, 5).coeffs == [1, 24, 0, 1, 24]
-        assert row_mod_prefix(1, 17, 3).coeffs == [1, 1, 1]
+        assert row_mod_prefix(24, 25, 5) == [1, 24, 0, 1, 24]
+        assert row_mod_prefix(1, 17, 3) == [1, 1, 1]
 
     def test_zero_padding_past_row_end(self):
-        assert row_mod_prefix(1, 10, 6).coeffs == [1, 1, 1, 0, 0, 0]
-        assert row_mod_prefix(0, 10, 3).coeffs == [1, 0, 0]
-
-    def test_metadata(self):
-        row = row_mod_prefix(6, 49, 7)
-        assert (row.n, row.modulus, row.prefix_len) == (6, 49, 7)
+        assert row_mod_prefix(1, 10, 6) == [1, 1, 1, 0, 0, 0]
+        assert row_mod_prefix(0, 10, 3) == [1, 0, 0]
 
     @given(
         st.integers(0, 40),
@@ -69,10 +65,10 @@ class TestRowModPrefix:
     )
     @settings(max_examples=150)
     def test_matches_exact_row(self, n, m, length):
-        exact = row_exact(n).coeffs
+        exact = row_exact(n)
         expect = [c % m for c in exact[:length]]
         expect += [0] * (length - len(expect))
-        assert row_mod_prefix(n, m, length).coeffs == expect
+        assert row_mod_prefix(n, m, length) == expect
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -85,19 +81,19 @@ class TestRowModPrefix:
 
 class TestRowModP2Prefix:
     def test_examples(self):
-        assert row_mod_p2_prefix(6, PrimeContext(7)) == [1, 6, 21, 1, 41, 28, 43]
+        assert row_mod_p2_prefix(PrimeContext(7), 6) == [1, 6, 21, 1, 41, 28, 43]
         # the n*p**2 - 1 pattern at p=5: 1, -1, 0, 1, -1
-        assert row_mod_p2_prefix(24, PrimeContext(5)) == [1, 24, 0, 1, 24]
-        assert row_mod_p2_prefix(0, PrimeContext(5)) == [1, 0, 0, 0, 0]
+        assert row_mod_p2_prefix(PrimeContext(5), 24) == [1, 24, 0, 1, 24]
+        assert row_mod_p2_prefix(PrimeContext(5), 0) == [1, 0, 0, 0, 0]
 
     @pytest.mark.parametrize("p", [5, 7, 97])
     def test_short_rows_match_exact_row(self, p):
         # rows with 2N + 1 < p end inside the prefix and must come out zero-padded
         ctx = PrimeContext(p)
         for n in range(2 * p):
-            expect = [c % ctx.p2 for c in row_exact(n).coeffs[:p]]
+            expect = [c % ctx.p2 for c in row_exact(n)[:p]]
             expect += [0] * (p - len(expect))
-            assert row_mod_p2_prefix(n, ctx) == expect
+            assert row_mod_p2_prefix(ctx, n) == expect
 
     @given(st.sampled_from(sieve_primes(5, 97)), st.data())
     @settings(max_examples=150)
@@ -108,11 +104,11 @@ class TestRowModP2Prefix:
         n = data.draw(st.one_of(st.integers(0, p), st.integers(0, 3 * p * p)))
         expect = [coeff_via_convolution(n, k) % ctx.p2 for k in range(min(p, 2 * n + 1))]
         expect += [0] * (p - len(expect))
-        assert row_mod_p2_prefix(n, ctx) == expect
+        assert row_mod_p2_prefix(ctx, n) == expect
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
-            row_mod_p2_prefix(-1, PrimeContext(5))
+            row_mod_p2_prefix(PrimeContext(5), -1)
 
 
 class TestCoeffViaCosine:
@@ -146,11 +142,11 @@ class TestCoeffViaConvolution:
 
 class TestBinomClosedForm:
     def test_examples(self):
-        assert binom_np_minus1_mod_p2(1, PrimeContext(5), 0).value == 1
+        assert binom_np_minus1_mod_p2(1, PrimeContext(5), 0) == 1
         # (1 - 5*H_2) with H_2 = 3/2 mod 5 -> matches C(4,2) = 6 mod 25
-        assert binom_np_minus1_mod_p2(1, PrimeContext(5), 2).value == 6
+        assert binom_np_minus1_mod_p2(1, PrimeContext(5), 2) == 6
         ctx = PrimeContext(7)
-        assert binom_np_minus1_mod_p2(2, ctx, 6).value == math.comb(13, 6) % 49
+        assert binom_np_minus1_mod_p2(2, ctx, 6) == math.comb(13, 6) % 49
 
     def test_agrees_with_exact_binomial(self):
         for p in sieve_primes(5, 199):
@@ -158,7 +154,7 @@ class TestBinomClosedForm:
             for n in range(1, 4):
                 for k in range(p):
                     assert (
-                        binom_np_minus1_mod_p2(n, ctx, k).value
+                        binom_np_minus1_mod_p2(n, ctx, k)
                         == math.comb(n * p - 1, k) % ctx.p2
                     )
 
@@ -170,9 +166,9 @@ class TestBinomClosedForm:
 class TestCoeffClosedModP2:
     def test_examples(self):
         # all three residue classes of k
-        assert coeff_closed_mod_p2(1, PrimeContext(7), 6).value == 43  # 141 mod 49
-        assert coeff_closed_mod_p2(1, PrimeContext(5), 4).value == 19
-        assert coeff_closed_mod_p2(1, PrimeContext(5), 2).value == 10
+        assert coeff_closed_mod_p2(1, PrimeContext(7), 6) == 43  # 141 mod 49
+        assert coeff_closed_mod_p2(1, PrimeContext(5), 4) == 19
+        assert coeff_closed_mod_p2(1, PrimeContext(5), 2) == 10
 
     def test_agrees_with_row_engine(self):
         for p in sieve_primes(5, 61):
@@ -180,14 +176,14 @@ class TestCoeffClosedModP2:
             for n in range(1, 4):
                 row = row_mod_prefix(n * p - 1, ctx.p2, p)
                 for k in range(p):
-                    assert coeff_closed_mod_p2(n, ctx, k).value == row[k]
+                    assert coeff_closed_mod_p2(n, ctx, k) == row[k]
 
     def test_closed_row_is_the_closed_forms(self):
         for p in sieve_primes(5, 61):
             ctx = PrimeContext(p)
             for n in range(1, 4):
                 assert closed_row_mod_p2(ctx, n) == [
-                    coeff_closed_mod_p2(n, ctx, k).value for k in range(p)
+                    coeff_closed_mod_p2(n, ctx, k) for k in range(p)
                 ]
 
     def test_rejects_out_of_range_k(self):
