@@ -11,7 +11,7 @@ import errno
 import os
 import sys
 import tempfile
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from typing import BinaryIO
 
 from .claims import ClaimId
@@ -19,9 +19,9 @@ from .sweep import (
     FORMATS,
     ConfigError,
     SweepConfig,
+    iter_sweep,
     parse_claims,
-    render,
-    run_sweep,
+    write_report,
 )
 
 
@@ -89,17 +89,17 @@ def main(argv: list[str] | None = None) -> int:
             sink = nullcontext(sys.stdout.buffer)
         else:
             tmp, sink = _temp_beside(args.out)
-        with sink as out:
+        with sink as out, closing(iter_sweep(config)) as chunks:
             try:
-                report = run_sweep(config)
-                payload = render(report, args.fmt)
+                summary = write_report(chunks, args.fmt, out)
+            except OSError:
+                raise  # the report could not be written: reported below
             except Exception as exc:  # a checker bug or a dead worker pool
                 print(
                     f"trinocheck: error: internal error: {type(exc).__name__}: {exc}",
                     file=sys.stderr,
                 )
                 return 2
-            out.write(payload)
             out.flush()
         if tmp is not None:
             umask = os.umask(0)
@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if tmp is not None:
             os.unlink(tmp)
-    return 0 if report.summary.failed == 0 else 1
+    return 0 if summary.failed == 0 else 1
 
 
 def entry() -> None:  # console-script shim

@@ -1,4 +1,4 @@
-"""Batch sweeps over primes and report rendering.
+"""Batch sweeps over primes and report writing.
 
 Reports are byte-deterministic: record order is (p, n, claim, k) ascending
 regardless of worker count, residues are serialized as decimal strings so
@@ -8,12 +8,12 @@ run-dependent (timestamps, durations, host names) ever enters the output.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field
+from itertools import groupby, repeat
+from typing import BinaryIO
 
 from .claims import CheckResult, ClaimId, parse_claim, record_sort_key, result
 from .congruences import CLAIM_REGISTRY
@@ -23,10 +23,6 @@ from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 #: desk-scale time budget.
 MAX_NMAX = 64
 
-FORMATS = ("jsonl", "csv")
-
-_CSV_HEADER = ("claim", "p", "n", "k", "modulus", "lhs", "rhs", "pass")
-
 
 class ConfigError(ValueError):
     """Invalid sweep configuration; reported before any work begins."""
@@ -34,8 +30,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to sweep and how; render() takes the report format, and the
-    caller chooses where the report goes."""
+    """What to sweep and how; write_report() takes the report format, and
+    the caller chooses where the report goes."""
 
     pmin: int = 5
     pmax: int = 1009
@@ -82,34 +78,30 @@ class ClaimTally:
 
 
 @dataclass
-class Summary:
-    records: int
-    passed: int
-    failed: int
-    per_claim: dict[ClaimId, ClaimTally]
-    first_failure: CheckResult | None
+class Summary(ClaimTally):
+    """The tally over all claims, each claim's tally and the first failure."""
+
+    per_claim: dict[ClaimId, ClaimTally] = field(default_factory=dict)
+    first_failure: CheckResult | None = None
+
+    def add(self, records: list[CheckResult]) -> None:
+        """Tally the next records of the report, in report order."""
+        for r in records:
+            tally = self.per_claim.setdefault(r.claim, ClaimTally())
+            tally.records += 1
+            if r.passed:
+                tally.passed += 1
+            elif self.first_failure is None:
+                self.first_failure = r
+        self.records += len(records)
+        self.passed = sum(t.passed for t in self.per_claim.values())
+        self.per_claim = {c: self.per_claim[c] for c in ClaimId if c in self.per_claim}
 
 
 @dataclass
 class Report:
     records: list[CheckResult]
     summary: Summary
-
-
-def _summarize(records: list[CheckResult]) -> Summary:
-    per_claim: dict[ClaimId, ClaimTally] = {}
-    passed = 0
-    first_failure = None
-    for r in records:
-        tally = per_claim.setdefault(r.claim, ClaimTally())
-        tally.records += 1
-        if r.passed:
-            tally.passed += 1
-            passed += 1
-        elif first_failure is None:
-            first_failure = r
-    ordered = {c: per_claim[c] for c in ClaimId if c in per_claim}
-    return Summary(len(records), passed, len(records) - passed, ordered, first_failure)
 
 
 def _collapse(records: list[CheckResult]) -> list[CheckResult]:
@@ -120,27 +112,14 @@ def _collapse(records: list[CheckResult]) -> list[CheckResult]:
     CheckResult rule pass <=> lhs == rhs still holds.
     """
     out: list[CheckResult] = []
-    group: list[CheckResult] = []
-
-    def flush() -> None:
-        if not group:
-            return
-        head = group[0]
-        passed = sum(1 for g in group if g.passed)
-        out.append(
-            result(head.claim, head.p, head.modulus, passed, len(group), n=head.n)
-        )
-        group.clear()
-
-    for r in records:
-        if r.k is None:
-            flush()
-            out.append(r)
+    runs = groupby(records, key=lambda r: (r.claim, r.p, r.n, r.k is not None))
+    for (claim, p, n, per_k), run in runs:
+        if not per_k:
+            out.extend(run)
             continue
-        if group and (group[0].claim, group[0].p, group[0].n) != (r.claim, r.p, r.n):
-            flush()
-        group.append(r)
-    flush()
+        group = list(run)
+        passed = sum(g.passed for g in group)
+        out.append(result(claim, p, group[0].modulus, passed, len(group), n=n))
     return out
 
 
@@ -167,114 +146,116 @@ def _check_prime(
     return _collapse(records) if summary_only else records
 
 
-def run_sweep(config: SweepConfig) -> Report:
-    """Run every applicable (claim, p, n) instance and return a deterministic
-    report.
+def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
+    """Yield each prime's records (collapsed when summary_only) in prime
+    order, as soon as that prime is checked.
 
-    With fail_fast the record stream (the collapsed stream when
-    summary_only) is truncated immediately after the first failing record
-    (identical truncation point at any worker count).
+    With fail_fast the stream stops immediately after the first failing
+    record (identical truncation point at any worker count).  The process
+    pool, if any, lives as long as the generator; close it to cancel the
+    primes not yet checked.
     """
     primes = sieve_primes(config.pmin, config.pmax)
-    records: list[CheckResult] = []
     work_args = (config.claims, config.nmax, config.summary_only)
-
-    def consume(prime_records: list[CheckResult]) -> bool:
-        if config.fail_fast:
-            for i, r in enumerate(prime_records):
-                if not r.passed:
-                    records.extend(prime_records[: i + 1])
-                    return True
-        records.extend(prime_records)
-        return False
-
+    executor = None
     if config.jobs == 1 or len(primes) <= 1:
-        for p in primes:
-            if consume(_check_prime(p, *work_args)):
-                break
+        per_prime = (_check_prime(p, *work_args) for p in primes)
     else:
         executor = ProcessPoolExecutor(max_workers=config.jobs)
-        try:
-            work = executor.map(
-                _check_prime, primes, *(repeat(a) for a in work_args), chunksize=1
-            )
-            for prime_records in work:
-                if consume(prime_records):
-                    break
-        finally:
+        per_prime = executor.map(
+            _check_prime, primes, *(repeat(a) for a in work_args), chunksize=1
+        )
+    try:
+        for prime_records in per_prime:
+            if config.fail_fast:
+                for i, r in enumerate(prime_records):
+                    if not r.passed:
+                        yield prime_records[: i + 1]
+                        return
+            yield prime_records
+    finally:
+        if executor is not None:
             executor.shutdown(cancel_futures=True)
-    return Report(records, _summarize(records))
 
 
-def _record_obj(r: CheckResult) -> dict:
-    return {
-        "claim": r.claim.value,
-        "p": r.p,
-        "n": r.n,
-        "k": r.k,
-        "modulus": r.modulus,
-        "lhs": str(r.lhs),
-        "rhs": str(r.rhs),
-        "pass": r.passed,
-    }
+def run_sweep(config: SweepConfig) -> Report:
+    """All of iter_sweep(config) in memory, as one report."""
+    records = [r for prime_records in iter_sweep(config) for r in prime_records]
+    summary = Summary()
+    summary.add(records)
+    return Report(records, summary)
 
 
-def _summary_obj(s: Summary) -> dict:
-    return {
-        "records": s.records,
-        "passed": s.passed,
-        "failed": s.failed,
-        "per_claim": {
-            c.value: {"records": t.records, "passed": t.passed, "failed": t.failed}
-            for c, t in s.per_claim.items()
-        },
-        "first_failure": None if s.first_failure is None else _record_obj(s.first_failure),
-    }
+def _jsonl_record(r: CheckResult) -> str:
+    return (
+        f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},'
+        f'"k":{"null" if r.k is None else r.k},"modulus":{r.modulus},'
+        f'"lhs":"{r.lhs}","rhs":"{r.rhs}","pass":{"true" if r.passed else "false"}}}'
+    )
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+def _jsonl_trailer(s: Summary) -> str:
+    per_claim = ",".join(
+        f'"{c.value}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
+        for c, t in s.per_claim.items()
+    )
+    first = "null" if s.first_failure is None else _jsonl_record(s.first_failure)
+    return (
+        f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
+        f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
+    )
 
 
-def render(report: Report, fmt: str) -> bytes:
-    """Serialize a report.
+def _csv_record(r: CheckResult) -> str:
+    return (
+        f'{r.claim.value},{r.p},{"" if r.n is None else r.n},{"" if r.k is None else r.k},'
+        f'{r.modulus},{r.lhs},{r.rhs},{"true" if r.passed else "false"}'
+    )
+
+
+def _csv_trailer(s: Summary) -> str:
+    return f'summary,,,,,{s.passed},{s.records},{"true" if s.failed == 0 else "false"}'
+
+
+#: format -> (header, record line, trailer line); lines carry no newline
+FORMATS = {
+    "jsonl": ("", _jsonl_record, _jsonl_trailer),
+    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_record, _csv_trailer),
+}
+
+
+def write_report(
+    chunks: Iterable[list[CheckResult]], fmt: str, out: BinaryIO
+) -> Summary:
+    """Write each chunk of records to `out` as it arrives; return the summary.
 
     jsonl: one compact object per record with keys claim, p, n, k, modulus,
     lhs, rhs, pass (residues as decimal strings; absent n/k as null), then a
-    {"summary": ...} trailer object.
+    {"summary": ...} trailer object with per_claim in claim order.
 
     csv: same columns with a header row and empty cells for absent n/k, then
     a trailer row with claim "summary" carrying passed-count in the lhs
     column and record-count in the rhs column.
+
+    Every string field is a claim's wire name (a plain word) or a decimal
+    integer, so no field needs JSON escaping or CSV quoting.  The trailer is
+    written last, so a report without one is incomplete.
     """
-    if fmt == "jsonl":
-        lines = [_dumps(_record_obj(r)) for r in report.records]
-        lines.append(_dumps({"summary": _summary_obj(report.summary)}))
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for r in report.records:
-            writer.writerow(
-                [
-                    r.claim.value,
-                    r.p,
-                    "" if r.n is None else r.n,
-                    "" if r.k is None else r.k,
-                    r.modulus,
-                    r.lhs,
-                    r.rhs,
-                    "true" if r.passed else "false",
-                ]
-            )
-        s = report.summary
-        writer.writerow(
-            [
-                "summary", "", "", "", "",
-                s.passed, s.records,
-                "true" if s.failed == 0 else "false",
-            ]
-        )
-        return buf.getvalue().encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    header, line, trailer = FORMATS[fmt]
+    out.write(header.encode())
+    summary = Summary()
+    for chunk in chunks:
+        summary.add(chunk)
+        if chunk:
+            out.write(("\n".join(map(line, chunk)) + "\n").encode())
+    out.write((trailer(summary) + "\n").encode())
+    return summary
+
+
+def render(report: Report, fmt: str) -> bytes:
+    """The bytes write_report gives for the report's records."""
+    buf = io.BytesIO()
+    write_report([report.records], fmt, buf)
+    return buf.getvalue()

@@ -401,14 +401,44 @@ class TestCli:
             "integer division or modulo by zero"
         ]
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_internal_error_mid_stream(self, monkeypatch, capfdbinary, tmp_path, jobs, fmt):
+        # the records of p = 5 and 7 are streamed before p = 11 raises; the
+        # trailer, which marks a report complete, is never written
+        spec = CLAIM_REGISTRY[ClaimId.GL0]
+
+        def raises_at_11(ctx):
+            if ctx.p == 11:
+                raise ZeroDivisionError("p = 11")
+            return spec.run(ctx)
+
+        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL0, ClaimSpec(False, raises_at_11))
+        args = ["--claims", "GL0,Thm1_Eq2", "--nmax", "2", "--format", fmt, "--jobs", jobs]
+        assert main(args + ["--pmax", "7"]) == 0
+        complete = capfdbinary.readouterr().out
+        assert main(args + ["--pmax", "13"]) == 2
+        sys.stdout.flush()  # as the interpreter does at exit
+        captured = capfdbinary.readouterr()
+        assert captured.out == complete[: complete.rindex(b"\n", 0, -1) + 1]
+        assert b"summary" not in captured.out and b"GL0" in captured.out
+        assert captured.err.decode().splitlines() == [
+            "trinocheck: error: internal error: ZeroDivisionError: p = 11"
+        ]
+        out = tmp_path / "r.report"
+        out.write_bytes(b"previous report\n")
+        assert main(args + ["--pmax", "13", "--out", str(out)]) == 2
+        assert out.read_bytes() == b"previous report\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["r.report"]
+
     def test_bad_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys):
         swept = []
 
         def no_sweep(config):
             swept.append(config)
-            raise AssertionError("run_sweep called despite an unwritable --out")
+            raise AssertionError("iter_sweep called despite an unwritable --out")
 
-        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        monkeypatch.setattr(cli, "iter_sweep", no_sweep)
         rc = main(["--pmax", "1009", "--out", str(tmp_path / "missing" / "r.jsonl")])
         assert rc == 2
         assert swept == []
@@ -416,7 +446,7 @@ class TestCli:
 
     def test_directory_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys):
         swept = []
-        monkeypatch.setattr(cli, "run_sweep", swept.append)
+        monkeypatch.setattr(cli, "iter_sweep", swept.append)
         rc = main(["--pmax", "1009", "--out", str(tmp_path)])
         assert rc == 2
         assert swept == []
