@@ -52,15 +52,6 @@ class ClaimId(str, enum.Enum):
 CLAIM_ORDER: dict[ClaimId, int] = {c: i for i, c in enumerate(ClaimId)}
 
 
-def parse_claim(name: str) -> ClaimId:
-    """Look up a claim by its wire name; ValueError on unknown names."""
-    try:
-        return ClaimId(name)
-    except ValueError:
-        known = ", ".join(c.value for c in ClaimId)
-        raise ValueError(f"unknown claim {name!r}; known claims: {known}") from None
-
-
 @dataclass(slots=True)
 class CheckResult:
     """One congruence instance: lhs and rhs are canonical residues mod `modulus`.

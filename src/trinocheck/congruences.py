@@ -30,18 +30,21 @@ from .trinomial import (
 )
 
 
-def _binom_coprime_mod(a: int, k: int, m: int) -> int:
-    """C(a, k) mod m as a falling-factorial quotient.
+def _binom_coprime_mod(ctx: PrimeContext, a: int, k: int) -> int:
+    """C(a, k) mod p**4 as a falling-factorial quotient, read through
+    ctx.cached so each product is formed once per prime; every classical
+    claim reduces it to its own modulus.
 
-    Valid only when no prime factor of m divides any of a, a-1, ..., a-k+1
-    or k!; the classical claims below only ever call it that way.
+    Valid only when p divides none of a, a-1, ..., a-k+1 or k!; the
+    classical claims below only ever call it that way.
     """
+    p4 = ctx.p4
     num = 1
     den = 1
     for i in range(1, k + 1):
-        num = num * ((a - i + 1) % m) % m
-        den = den * i % m
-    return num * inv_mod(den, m) % m
+        num = num * (a - i + 1) % p4
+        den = den * i % p4
+    return num * inv_mod(den, p4) % p4
 
 
 def check_thm1_eq2(ctx: PrimeContext, n: int) -> list[CheckResult]:
@@ -155,26 +158,26 @@ def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
 
 def check_babbage(ctx: PrimeContext) -> list[CheckResult]:
     """C(2p-1, p-1) == 1 mod p**2."""
-    lhs = _binom_coprime_mod(2 * ctx.p - 1, ctx.p - 1, ctx.p2)
+    lhs = ctx.cached(_binom_coprime_mod, 2 * ctx.p - 1, ctx.p - 1) % ctx.p2
     return [result(ClaimId.BABBAGE, ctx.p, ctx.p2, lhs, 1)]
 
 
 def check_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
     """C(2p-1, p-1) == 1 mod p**3."""
-    lhs = _binom_coprime_mod(2 * ctx.p - 1, ctx.p - 1, ctx.p3)
+    lhs = ctx.cached(_binom_coprime_mod, 2 * ctx.p - 1, ctx.p - 1) % ctx.p3
     return [result(ClaimId.WOLSTENHOLME, ctx.p, ctx.p3, lhs, 1)]
 
 
 def check_glaisher(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """C(np-1, p-1) == 1 mod p**3 for every n >= 1."""
-    lhs = _binom_coprime_mod(n * ctx.p - 1, ctx.p - 1, ctx.p3)
+    lhs = ctx.cached(_binom_coprime_mod, n * ctx.p - 1, ctx.p - 1) % ctx.p3
     return [result(ClaimId.GLAISHER, ctx.p, ctx.p3, lhs, 1, n=n)]
 
 
 def check_morley(ctx: PrimeContext) -> list[CheckResult]:
     """C(p-1, (p-1)/2) vs (-1)**((p-1)/2) * 4**(p-1) mod p**3."""
     p, p3 = ctx.p, ctx.p3
-    lhs = _binom_coprime_mod(p - 1, (p - 1) // 2, p3)
+    lhs = ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2) % p3
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     rhs = sign * pow(4, p - 1, p3) % p3
     return [result(ClaimId.MORLEY, p, p3, lhs, rhs)]
@@ -190,7 +193,7 @@ def check_carlitz(ctx: PrimeContext) -> list[CheckResult]:
     """
     p, p4 = ctx.p, ctx.p4
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
-    lhs = sign * _binom_coprime_mod(p - 1, (p - 1) // 2, p4) % p4
+    lhs = sign * ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2) % p4
     rhs = (pow(4, p - 1, p4) + ctx.p3 * inv_mod(12, p4)) % p4
     return [result(ClaimId.CARLITZ, p, p4, lhs, rhs)]
 

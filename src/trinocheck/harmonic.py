@@ -10,7 +10,7 @@ the trinomial closed forms are built on.
 from __future__ import annotations
 
 from .claims import CheckResult, ClaimId, result
-from .modular import PrimeContext, inv_mod, rat_mod
+from .modular import NotInvertible, PrimeContext, rat_mod
 
 
 def inverse_table(ctx: PrimeContext) -> list[int]:
@@ -45,14 +45,19 @@ def harmonic_table(ctx: PrimeContext) -> list[int]:
 
 
 def ap_harmonic(m: int, d: int, r: int, ctx: PrimeContext) -> int:
-    """Sum_{k=0..m} 1/(d*k + r) mod p (empty when m < 0).
+    """Sum_{k=0..m} 1/(d*k + r) mod p (empty when m < 0), each inverse read
+    from the prime's inverse table.
 
     Raises NotInvertible if any term d*k + r hits a multiple of p.
     """
     p = ctx.p
+    inv = ctx.cached(inverse_table)
     acc = 0
     for k in range(m + 1):
-        acc += inv_mod(d * k + r, p)
+        t = (d * k + r) % p
+        if t == 0:
+            raise NotInvertible(f"{d * k + r} is not invertible mod {p}")
+        acc += inv[t]
     return acc % p
 
 

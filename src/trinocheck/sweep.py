@@ -15,13 +15,18 @@ from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from typing import BinaryIO
 
-from .claims import CheckResult, ClaimId, parse_claim, record_sort_key, result
+from .claims import CheckResult, ClaimId, record_sort_key, result
 from .congruences import CLAIM_REGISTRY
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 
 #: Upper bound on --nmax; keeps the n*p - 1 row computations inside a
 #: desk-scale time budget.
 MAX_NMAX = 64
+
+#: Upper bound on --jobs.  The pool forks all of its workers at the first
+#: task, so the bound keeps a typo from forking thousands of processes; the
+#: pool never gets more workers than there are primes.
+MAX_JOBS = 256
 
 
 class ConfigError(ValueError):
@@ -52,19 +57,20 @@ class SweepConfig:
             raise ConfigError(f"need 1 <= nmax <= {MAX_NMAX}, got {self.nmax}")
         if not self.claims:
             raise ConfigError("claim set must be nonempty")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ConfigError(f"need 1 <= jobs <= {MAX_JOBS}, got {self.jobs}")
 
 
 def parse_claims(text: str) -> tuple[ClaimId, ...]:
-    """Parse a comma-separated claim list into canonical order."""
-    try:
-        chosen = {parse_claim(name.strip()) for name in text.split(",") if name.strip()}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not chosen:
+    """Parse a comma-separated list of claim wire names into canonical order."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    known = [c.value for c in ClaimId]
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"unknown claim {name!r}; known claims: {', '.join(known)}")
+    if not names:
         raise ConfigError("claim set must be nonempty")
-    return tuple(c for c in ClaimId if c in chosen)
+    return tuple(c for c in ClaimId if c.value in names)
 
 
 @dataclass
@@ -161,7 +167,7 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
     if config.jobs == 1 or len(primes) <= 1:
         per_prime = (_check_prime(p, *work_args) for p in primes)
     else:
-        executor = ProcessPoolExecutor(max_workers=config.jobs)
+        executor = ProcessPoolExecutor(max_workers=min(config.jobs, len(primes)))
         per_prime = executor.map(
             _check_prime, primes, *(repeat(a) for a in work_args), chunksize=1
         )

@@ -176,60 +176,47 @@ def binom_np_minus1_mod_p2(n: int, ctx: PrimeContext, k: int) -> int:
     return -value % ctx.p2 if k & 1 else value
 
 
-def _closed_form_tables(ctx: PrimeContext) -> tuple[list[int], list[int], list[int], int]:
-    """(H mod p, prefix sums of 1/(3j+1), prefix sums of 1/(3j+2), inv(3)).
+def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
+    """Trinomial coefficients of x**k in row n*p - 1, mod p**2, for
+    k = 0..p-1, in closed form.
 
-    s1[t] = sum_{j<t} 1/(3j+1) and s2[t] = sum_{j<t} 1/(3j+2), built while
-    the term index stays below p so every inversion exists.
-    """
-    p = ctx.p
-    inv = ctx.cached(inverse_table)
-    h = ctx.cached(harmonic_table)
-    s1 = [0]
-    j = 0
-    while 3 * j + 1 <= p - 1:
-        s1.append((s1[-1] + inv[3 * j + 1]) % p)
-        j += 1
-    s2 = [0]
-    j = 0
-    while 3 * j + 2 <= p - 1:
-        s2.append((s2[-1] + inv[3 * j + 2]) % p)
-        j += 1
-    return h, s1, s2, inv[3]
-
-
-def coeff_closed_mod_p2(n: int, ctx: PrimeContext, k: int) -> int:
-    """Trinomial coefficient of x**k in row n*p - 1, mod p**2, in closed form.
-
-    Dispatch on k mod 3 (k = 3q, 3q+1, 3q+2):
+    By k mod 3 (k = 3q, 3q+1, 3q+2):
 
       3q:   1 - n*p*( (2/3)H_q + sum_{j<q} 1/(3j+2) )
       3q+1: -1 + n*p*( (2/3)H_q + sum_{j<=q} 1/(3j+1) )
       3q+2: n*p*( -sum_{j<=q} 1/(3j+1) + sum_{j<=q} 1/(3j+2) )
 
-    The harmonic pieces carry a factor p, so they are evaluated mod p; the
-    constant term is exact mod p**2.  This path shares nothing with the row
-    engines, which is what makes the cross-check meaningful.
+    One pass over k keeps the two progression sums running.  The harmonic
+    pieces carry a factor p, so mod-p values of them suffice; the constant
+    term is exact mod p**2.  This path shares nothing with the row engines, which
+    is what makes the cross-check meaningful.
     """
     p, p2 = ctx.p, ctx.p2
-    if not 0 <= k <= p - 1:
-        raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={p}")
-    h, s1, s2, inv3 = ctx.cached(_closed_form_tables)
-    q, r = divmod(k, 3)
-    if r == 0:
-        coef = (2 * inv3 * h[q] + s2[q]) % p
-        return (1 - n * p * coef) % p2
-    if r == 1:
-        coef = (2 * inv3 * h[q] + s1[q + 1]) % p
-        return (-1 + n * p * coef) % p2
-    coef = (s2[q + 1] - s1[q + 1]) % p
-    return n * p * coef % p2
+    inv = ctx.cached(inverse_table)
+    h = ctx.cached(harmonic_table)
+    two_thirds = 2 * inv[3]
+    n_p = n * p
+    s1 = s2 = 0  # sums of 1/(3j+1) and 1/(3j+2) over the terms up to k
+    row = []
+    for k in range(p):
+        r = k % 3
+        if r == 0:
+            row.append((1 - n_p * (two_thirds * h[k // 3] + s2)) % p2)
+        elif r == 1:
+            s1 = (s1 + inv[k]) % p
+            row.append((n_p * (two_thirds * h[k // 3] + s1) - 1) % p2)
+        else:
+            s2 = (s2 + inv[k]) % p
+            row.append(n_p * (s2 - s1) % p2)
+    return row
 
 
-def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
-    """coeff_closed_mod_p2 for k = 0..p-1: row n*p - 1 mod p**2, one list
-    per (p, n) when read through ctx.cached."""
-    return [coeff_closed_mod_p2(n, ctx, k) for k in range(ctx.p)]
+def coeff_closed_mod_p2(n: int, ctx: PrimeContext, k: int) -> int:
+    """Entry k of closed_row_mod_p2(ctx, n), one row per (p, n) through
+    ctx.cached."""
+    if not 0 <= k <= ctx.p - 1:
+        raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={ctx.p}")
+    return ctx.cached(closed_row_mod_p2, n)[k]
 
 
 def alt_fib_sum(n: int) -> int:

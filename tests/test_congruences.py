@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from trinocheck import congruences
 from trinocheck.congruences import (
     check_babbage,
     check_carlitz,
@@ -148,6 +149,28 @@ class TestClassical:
         assert (r.lhs, r.rhs) == (2381, 323)  # -20 vs 4096 + 343/12 mod 2401
         # both sides still agree mod p**3, consistent with Morley
         assert r.lhs % 343 == r.rhs % 343
+
+
+def test_binomial_memo_is_exact(monkeypatch):
+    # every C(a, k) the classical claims read, for p <= 199 and n <= 8,
+    # against math.comb reduced mod p**4
+    used = set()
+    memo = congruences._binom_coprime_mod
+
+    def recording(ctx, a, k):
+        used.add((ctx.p, a, k))
+        return memo(ctx, a, k)
+
+    monkeypatch.setattr(congruences, "_binom_coprime_mod", recording)
+    for p in sieve_primes(5, 199):
+        ctx = PrimeContext(p)
+        for checker in (check_babbage, check_wolstenholme, check_morley, check_carlitz):
+            checker(ctx)
+        for n in range(1, 9):
+            check_glaisher(ctx, n)
+    assert len(used) == 9 * len(sieve_primes(5, 199))
+    for p, a, k in used:
+        assert memo(PrimeContext(p), a, k) == math.comb(a, k) % p**4
 
 
 @pytest.mark.parametrize("p", sieve_primes(5, 97))

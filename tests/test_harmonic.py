@@ -66,6 +66,23 @@ class TestApHarmonic:
         ctx = PrimeContext(p)
         assert ap_harmonic(n - 1, 1, 1, ctx) == harmonic_table(ctx)[n]
 
+    @given(
+        st.sampled_from(sieve_primes(5, 47)),
+        st.integers(-1, 60),
+        st.integers(-12, 12),
+        st.integers(-60, 60),
+    )
+    def test_matches_per_term_inverses(self, p, m, d, r):
+        # the oracle inverts each term on its own, sharing no table with
+        # ap_harmonic; terms run past p and wrap around its multiples
+        terms = [d * k + r for k in range(m + 1)]
+        ctx = PrimeContext(p)
+        if any(t % p == 0 for t in terms):
+            with pytest.raises(NotInvertible):
+                ap_harmonic(m, d, r, ctx)
+        else:
+            assert ap_harmonic(m, d, r, ctx) == sum(pow(t, -1, p) for t in terms) % p
+
     def test_splitting_identity(self):
         # for p == 1 mod 3 the three progressions up to (p-4)/3 tile 1..p-1,
         # so their sum is H_{p-1} == 0

@@ -9,14 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinocheck import cli
+from trinocheck import cli, congruences, modular, sweep
 from trinocheck.claims import ClaimId, record_sort_key, result
 from trinocheck.cli import main
 from trinocheck.congruences import CLAIM_REGISTRY, ClaimSpec
 from trinocheck.harmonic import ap_harmonic, inverse_table
-from trinocheck.modular import fermat_quotient
-from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
+from trinocheck.modular import PrimeContext, fermat_quotient, inv_mod
+from trinocheck.trinomial import (
+    closed_row_mod_p2,
+    coeff_closed_mod_p2,
+    row_mod_p2_prefix,
+    row_mod_prefix,
+)
 from trinocheck.sweep import (
+    MAX_JOBS,
     ConfigError,
     SweepConfig,
     _collapse,
@@ -57,6 +63,7 @@ class TestSweepConfig:
             dict(nmax=1000),
             dict(claims=()),
             dict(jobs=0),
+            dict(jobs=MAX_JOBS + 1),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -136,6 +143,24 @@ class TestRunSweep:
         assert render(run_sweep(cfg), "csv") == render(run_sweep(cfg), "csv")
 
 
+def _counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _count_calls(monkeypatch, calls, modules, fns):
+    """Count each call of `fns` made through a reference `modules` hold."""
+    for fn in fns:
+        wrapped = _counting(calls, fn.__name__, fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapped)
+
+
 @cache
 def _all_claims_records():
     return run_sweep(SweepConfig(pmin=5, pmax=61, nmax=2)).records
@@ -147,26 +172,15 @@ class TestSharedSpecs:
 
     def test_work_counts_one_prime(self, monkeypatch):
         calls = Counter()
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
         modules = [m for name, m in sys.modules.items() if name.startswith("trinocheck")]
-        for fn in (ap_harmonic, fermat_quotient, inverse_table, row_mod_p2_prefix,
-                   row_mod_prefix):
-            wrapped = counting(fn.__name__, fn)
-            for module in modules:
-                for attr, value in list(vars(module).items()):
-                    if value is fn:
-                        monkeypatch.setattr(module, attr, wrapped)
+        _count_calls(monkeypatch, calls, modules,
+                     (ap_harmonic, fermat_quotient, inverse_table, row_mod_p2_prefix,
+                      row_mod_prefix))
         replaced = {}
         for claim, spec in list(CLAIM_REGISTRY.items()):
             if spec not in replaced:
-                replaced[spec] = ClaimSpec(spec.per_n, counting(spec.run.__name__, spec.run))
+                replaced[spec] = ClaimSpec(
+                    spec.per_n, _counting(calls, spec.run.__name__, spec.run))
             monkeypatch.setitem(CLAIM_REGISTRY, claim, replaced[spec])
 
         nmax = 8
@@ -184,6 +198,32 @@ class TestSharedSpecs:
         # schoolbook powering is a test oracle only
         assert calls["row_mod_p2_prefix"] == 2 * nmax
         assert calls["row_mod_prefix"] == 0
+
+    def test_per_prime_quantities_built_once(self, monkeypatch):
+        # the checkers' direct inversions, and their per-prime table lookups,
+        # do not grow with p: every inverse comes from the prime's tables
+        nmax = 8
+        calls = Counter()
+        checker_modules = [m for name, m in sys.modules.items()
+                           if name.startswith("trinocheck") and m is not modular]
+        _count_calls(monkeypatch, calls, checker_modules,
+                     (inv_mod, closed_row_mod_p2, coeff_closed_mod_p2,
+                      congruences._binom_coprime_mod))
+        monkeypatch.setattr(
+            PrimeContext, "cached", _counting(calls, "cached", PrimeContext.cached))
+        per_prime = {}
+        for p in (101, 1009):
+            calls.clear()
+            assert run_sweep(SweepConfig(pmin=p, pmax=p, nmax=nmax)).records
+            per_prime[p] = Counter(calls)
+        assert per_prime[101]["inv_mod"] == per_prime[1009]["inv_mod"]
+        assert per_prime[101]["cached"] == per_prime[1009]["cached"]
+        for calls in per_prime.values():
+            # one closed-form row per (p, n), read whole by the sweep
+            assert calls["closed_row_mod_p2"] == nmax
+            assert calls["coeff_closed_mod_p2"] == 0
+            # C(np - 1, p - 1) for n <= nmax, and C(p - 1, (p - 1)/2)
+            assert calls["_binom_coprime_mod"] == nmax + 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @settings(max_examples=15, deadline=None)
@@ -452,6 +492,38 @@ class TestCli:
         assert swept == []
         assert "Is a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_above_cap_starts_nothing(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built for a rejected --jobs")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "iter_sweep", no_pool)
+        rc = main(["--pmax", "11", "--jobs", str(MAX_JOBS + 1)])
+        assert rc == 2
+        assert f"jobs <= {MAX_JOBS}" in capsys.readouterr().err
+
+    def test_pool_has_no_more_workers_than_primes(self, monkeypatch, tmp_path):
+        sizes = []
+
+        class RecordingPool:
+            """Runs the work in this process; records the requested size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+        assert main(["--pmax", "11", "--out", str(serial)]) == 1
+        assert main(["--pmax", "11", "--jobs", "8", "--out", str(pooled)]) == 1
+        assert sizes == [3]  # the primes 5, 7 and 11
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_jobs_flag(self, tmp_path):
         serial = tmp_path / "serial.jsonl"

@@ -9,7 +9,6 @@ from trinocheck.modular import PrimeContext, sieve_primes
 from trinocheck.trinomial import (
     alt_fib_sum,
     binom_np_minus1_mod_p2,
-    closed_row_mod_p2,
     coeff_closed_mod_p2,
     coeff_via_convolution,
     coeff_via_cosine,
@@ -177,14 +176,6 @@ class TestCoeffClosedModP2:
                 row = row_mod_prefix(n * p - 1, ctx.p2, p)
                 for k in range(p):
                     assert coeff_closed_mod_p2(n, ctx, k) == row[k]
-
-    def test_closed_row_is_the_closed_forms(self):
-        for p in sieve_primes(5, 61):
-            ctx = PrimeContext(p)
-            for n in range(1, 4):
-                assert closed_row_mod_p2(ctx, n) == [
-                    coeff_closed_mod_p2(n, ctx, k) for k in range(p)
-                ]
 
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):
