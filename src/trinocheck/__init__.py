@@ -1,15 +1,15 @@
 """Exact verification of trinomial-coefficient and harmonic-sum congruences
 modulo prime powers."""
 
-from .claims import CheckResult, ClaimId
-from .harmonic import (
-    ap_harmonic,
+from .congruences import (
+    CheckResult,
+    ClaimId,
     check_half_third_sixth,
     check_progression_lemmas,
     check_reflections,
-    harmonic_table,
-    inverse_table,
+    halfrow_binomial_check,
 )
+from .harmonic import ap_harmonic, harmonic_table, inverse_table
 from .modular import (
     DivisibleBase,
     NotInvertible,
@@ -20,15 +20,13 @@ from .modular import (
     rat_mod,
     sieve_primes,
 )
-from .sweep import ConfigError, Report, SweepConfig, render, run_sweep
+from .sweep import ConfigError, SweepConfig, iter_sweep, write_report
 from .trinomial import (
     OddDoubledSum,
     alt_fib_sum,
     binom_np_minus1_mod_p2,
-    coeff_closed_mod_p2,
     coeff_via_convolution,
     coeff_via_cosine,
-    halfrow_binomial_check,
     row_exact,
     row_mod_p2_prefix,
     row_mod_prefix,
@@ -44,7 +42,6 @@ __all__ = [
     "NotInvertible",
     "OddDoubledSum",
     "PrimeContext",
-    "Report",
     "SweepConfig",
     "alt_fib_sum",
     "ap_harmonic",
@@ -52,7 +49,6 @@ __all__ = [
     "check_half_third_sixth",
     "check_progression_lemmas",
     "check_reflections",
-    "coeff_closed_mod_p2",
     "coeff_via_convolution",
     "coeff_via_cosine",
     "fermat_quotient",
@@ -61,11 +57,11 @@ __all__ = [
     "inv_mod",
     "inverse_table",
     "is_prime",
+    "iter_sweep",
     "rat_mod",
-    "render",
     "row_exact",
     "row_mod_p2_prefix",
     "row_mod_prefix",
-    "run_sweep",
     "sieve_primes",
+    "write_report",
 ]

@@ -14,7 +14,7 @@ import tempfile
 from contextlib import closing, nullcontext
 from typing import BinaryIO
 
-from .claims import ClaimId
+from .congruences import ClaimId
 from .sweep import (
     FORMATS,
     ConfigError,
@@ -58,6 +58,8 @@ def _temp_beside(path: str) -> tuple[str, BinaryIO]:
     """(name, binary file) of a new temporary file in `path`'s directory, to
     be renamed onto `path` once the report is complete, so an interrupted
     run never replaces a previous report."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory, name = os.path.split(os.path.abspath(path))
@@ -86,6 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # created before the sweep, so a bad path costs no work
         if args.out is None:
+            if sys.stdout is None:  # started with stdout closed
+                raise OSError(errno.EBADF, "stdout is closed")
             sink = nullcontext(sys.stdout.buffer)
         else:
             tmp, sink = _temp_beside(args.out)

@@ -1,33 +1,114 @@
-"""One checker per congruence claim.
+"""The claims layer: the claim catalog, the check record, and one checker
+per claim (or per group of claims that one function checks).
 
-Every checker computes its two sides by disjoint codepaths: the left side
-always comes from a counting engine (trinomial rows, binomial products,
-explicit summation), the right side from Fermat-quotient closed forms or
-plain constants.  Right-hand terms that carry an explicit factor p evaluate
-their quotient coefficient mod p and lift; constant terms are exact at the
-full claim modulus.
+The engine modules (harmonic, trinomial, modular) compute numbers only; this
+is the one module that builds records.  Every checker computes its two sides
+by disjoint codepaths: the left side always comes from a counting engine
+(trinomial rows, binomial products, explicit summation), the right side from
+Fermat-quotient closed forms or plain constants.  Right-hand terms that carry
+an explicit factor p evaluate their quotient coefficient mod p and lift;
+constant terms are exact at the full claim modulus.
 """
 
 from __future__ import annotations
 
+import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .claims import CheckResult, ClaimId, result
-from .harmonic import (
-    check_half_third_sixth,
-    check_progression_lemmas,
-    check_reflections,
-    harmonic_table,
-    inverse_table,
-)
+from .harmonic import ap_harmonic, harmonic_table, inverse_table
 from .modular import PrimeContext, inv_mod, rat_mod
-from .trinomial import (
-    central4_table,
-    closed_row_mod_p2,
-    halfrow_binomial_check,
-    row_mod_p2_prefix,
-)
+from .trinomial import central4_table, closed_row_mod_p2, row_mod_p2_prefix
+
+
+class ClaimId(str, enum.Enum):
+    """Closed catalog of verifiable congruence claims.
+
+    The string values are the stable wire names used by reports and the
+    --claims CLI flag.  Declaration order is the canonical claim order used
+    when sorting report records.
+    """
+
+    THM1_EQ2 = "Thm1_Eq2"
+    THM1_EQ4 = "Thm1_Eq4"
+    THM2_EQ6 = "Thm2_Eq6"
+    THM2_EQ7 = "Thm2_Eq7"
+    PROP3_EQ9 = "Prop3_Eq9"
+    PROP3_EQ10 = "Prop3_Eq10"
+    COR4_EQ11 = "Cor4_Eq11"
+    TRIPLE_SUM_A = "TripleSum_a"
+    BABBAGE = "Babbage"
+    WOLSTENHOLME = "Wolstenholme"
+    GLAISHER = "Glaisher"
+    MORLEY = "Morley"
+    CARLITZ = "Carlitz"
+    HALF_ROW_BINOM = "HalfRowBinom"
+    GL0 = "GL0"
+    GL = "GL"
+    GL2 = "GL2"
+    CONG0 = "Cong0"
+    CONG1 = "Cong1"
+    C1B = "C1b"
+    C1C = "C1c"
+    C2B = "C2b"
+    C2C = "C2c"
+    C3 = "C3"
+    C3B = "C3b"
+    H0 = "H0"
+    H1 = "H1"
+    H2 = "H2"
+    H3 = "H3"
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
+
+
+#: Canonical position of each claim in report ordering.
+CLAIM_ORDER: dict[ClaimId, int] = {c: i for i, c in enumerate(ClaimId)}
+
+
+@dataclass(slots=True)
+class CheckResult:
+    """One congruence instance: lhs and rhs are canonical residues mod `modulus`.
+
+    `passed` is total (never unknown) and holds iff lhs == rhs.  `n` and `k`
+    are None for claims that do not take that parameter.
+    """
+
+    claim: ClaimId
+    p: int
+    n: int | None
+    k: int | None
+    modulus: int
+    lhs: int
+    rhs: int
+    passed: bool
+
+
+def result(
+    claim: ClaimId,
+    p: int,
+    modulus: int,
+    lhs: int,
+    rhs: int,
+    *,
+    n: int | None = None,
+    k: int | None = None,
+) -> CheckResult:
+    """Build a CheckResult, deriving the pass flag from residue equality."""
+    lhs, rhs = lhs % modulus, rhs % modulus
+    return CheckResult(claim, p, n, k, modulus, lhs, rhs, lhs == rhs)
+
+
+def record_sort_key(r: CheckResult) -> tuple[int, int, int, int]:
+    """Deterministic report order: (p, n, claim, k), None sorting first."""
+    return (
+        r.p,
+        -1 if r.n is None else r.n,
+        CLAIM_ORDER[r.claim],
+        -1 if r.k is None else r.k,
+    )
 
 
 def _binom_coprime_mod(ctx: PrimeContext, a: int, k: int) -> int:
@@ -196,6 +277,94 @@ def check_carlitz(ctx: PrimeContext) -> list[CheckResult]:
     lhs = sign * ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2) % p4
     rhs = (pow(4, p - 1, p4) + ctx.p3 * inv_mod(12, p4)) % p4
     return [result(ClaimId.CARLITZ, p, p4, lhs, rhs)]
+
+
+def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
+    """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, one record per
+    k in 1..floor((p-1)/4).
+
+    The left side is an exact binomial reduced mod p; the right side is
+    central4_table, so the codepaths stay apart.
+    """
+    p = ctx.p
+    half = (p - 1) // 2
+    rhs = ctx.cached(central4_table)
+    out = []
+    for k in range(1, len(rhs)):
+        lhs = (-1) ** k * math.comb(half - k, k)
+        out.append(result(ClaimId.HALF_ROW_BINOM, p, p, lhs, rhs[k], k=k))
+    return out
+
+
+def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
+    """H at the floor(p/2), floor(p/3), floor(p/6) prefixes vs -2*q2, -(3/2)*q3
+    and their sum, all mod p."""
+    table = ctx.cached(harmonic_table)
+    p = ctx.p
+    half_rhs = -2 * ctx.q2 % p
+    third_rhs = rat_mod(-3 * ctx.q3, 2, p)
+    sixth_rhs = (half_rhs + third_rhs) % p
+    return [
+        result(ClaimId.GL0, p, p, table[p // 2], half_rhs),
+        result(ClaimId.GL, p, p, table[p // 3], third_rhs),
+        result(ClaimId.GL2, p, p, table[p // 6], sixth_rhs),
+    ]
+
+
+def check_reflections(ctx: PrimeContext) -> list[CheckResult]:
+    """Reflection rules, one record per index k:
+
+    H_{p-k} == H_{k-1} for 1 <= k <= p-1, and
+    H_{(p-1)/2 - k} == -2*q2 + 2*H_{2k} - H_k for 1 <= k <= (p-1)/2.
+    """
+    table = ctx.cached(harmonic_table)
+    p = ctx.p
+    out = []
+    for k in range(1, p):
+        out.append(result(ClaimId.CONG0, p, p, table[p - k], table[k - 1], k=k))
+    half = (p - 1) // 2
+    for k in range(1, half + 1):
+        rhs = (-2 * ctx.q2 + 2 * table[2 * k] - table[k]) % p
+        out.append(result(ClaimId.CONG1, p, p, table[half - k], rhs, k=k))
+    return out
+
+
+def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
+    """Arithmetic-progression harmonic sums against their closed forms mod p.
+
+    Emits only the claims applicable to ctx's residue class; inapplicable
+    claims contribute no record at all (no vacuous passes).  All term
+    indices stay below p, so every inversion exists.
+    """
+    p = ctx.p
+    half_q3 = rat_mod(ctx.q3, 2, p)
+    two_thirds_q2 = rat_mod(-2 * ctx.q2, 3, p)
+    # (claim, m, d, r, rhs): sum_{k=0..m} 1/(d*k + r) == rhs
+    if ctx.rc3 == 1:
+        m = (p - 4) // 3
+        sums = [(ClaimId.C1B, m, 3, 2, 0), (ClaimId.C1C, m, 3, 1, half_q3)]
+    else:
+        m = (p - 5) // 3
+        sums = [(ClaimId.C2B, m, 3, 1, 1), (ClaimId.C2C, m, 3, 2, half_q3)]
+    odd_rhs = ctx.q2 + rat_mod(-3 * ctx.q3, 4, p)
+    if ctx.rc6 == 1:
+        m = (p - 1) // 6
+        sums += [
+            (ClaimId.C3, m, 2, 1, odd_rhs + rat_mod(3, 2, p)),
+            (ClaimId.H0, m, 3, 1, two_thirds_q2 + 2),
+            (ClaimId.H1, m, 3, 2, two_thirds_q2 + half_q3 + rat_mod(2, 3, p)),
+        ]
+    else:
+        m = (p - 5) // 6
+        sums += [
+            (ClaimId.C3B, m, 2, 1, odd_rhs),
+            (ClaimId.H3, m, 3, 1, half_q3 + two_thirds_q2),
+            (ClaimId.H2, m, 3, 2, two_thirds_q2),
+        ]
+    return [
+        result(claim, p, p, ap_harmonic(m, d, r, ctx), rhs)
+        for claim, m, d, r, rhs in sums
+    ]
 
 
 @dataclass(frozen=True, eq=False)

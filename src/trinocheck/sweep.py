@@ -8,15 +8,13 @@ run-dependent (timestamps, durations, host names) ever enters the output.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from typing import BinaryIO
 
-from .claims import CheckResult, ClaimId, record_sort_key, result
-from .congruences import CLAIM_REGISTRY
+from .congruences import CLAIM_REGISTRY, CheckResult, ClaimId, record_sort_key, result
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 
 #: Upper bound on --nmax; keeps the n*p - 1 row computations inside a
@@ -104,12 +102,6 @@ class Summary(ClaimTally):
         self.per_claim = {c: self.per_claim[c] for c in ClaimId if c in self.per_claim}
 
 
-@dataclass
-class Report:
-    records: list[CheckResult]
-    summary: Summary
-
-
 def _collapse(records: list[CheckResult]) -> list[CheckResult]:
     """Fold runs of per-instance records (those with an index k) into one
     aggregate per (claim, p, n).
@@ -184,14 +176,6 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
             executor.shutdown(cancel_futures=True)
 
 
-def run_sweep(config: SweepConfig) -> Report:
-    """All of iter_sweep(config) in memory, as one report."""
-    records = [r for prime_records in iter_sweep(config) for r in prime_records]
-    summary = Summary()
-    summary.add(records)
-    return Report(records, summary)
-
-
 def _jsonl_record(r: CheckResult) -> str:
     return (
         f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},'
@@ -259,9 +243,3 @@ def write_report(
     out.write((trailer(summary) + "\n").encode())
     return summary
 
-
-def render(report: Report, fmt: str) -> bytes:
-    """The bytes write_report gives for the report's records."""
-    buf = io.BytesIO()
-    write_report([report.records], fmt, buf)
-    return buf.getvalue()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 
-from .claims import CheckResult, ClaimId, result
 from .harmonic import harmonic_table, inverse_table
 from .modular import PrimeContext
 
@@ -211,14 +210,6 @@ def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
     return row
 
 
-def coeff_closed_mod_p2(n: int, ctx: PrimeContext, k: int) -> int:
-    """Entry k of closed_row_mod_p2(ctx, n), one row per (p, n) through
-    ctx.cached."""
-    if not 0 <= k <= ctx.p - 1:
-        raise ValueError(f"need 0 <= k <= p-1, got k={k}, p={ctx.p}")
-    return ctx.cached(closed_row_mod_p2, n)[k]
-
-
 def alt_fib_sum(n: int) -> int:
     """sum_{k=0..floor(n/2)} (-1)**k * C(n-k, k), evaluated directly.
 
@@ -247,21 +238,4 @@ def central4_table(ctx: PrimeContext) -> list[int]:
         central4 = central4 * step % p * den % p * den % p
         inv4_pow = inv4_pow * inv[4] % p
         out.append(central4 * inv4_pow % p)
-    return out
-
-
-def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
-    """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, one record per
-    k in 1..floor((p-1)/4).
-
-    The left side is an exact binomial reduced mod p; the right side is
-    central4_table, so the codepaths stay apart.
-    """
-    p = ctx.p
-    half = (p - 1) // 2
-    rhs = ctx.cached(central4_table)
-    out = []
-    for k in range(1, len(rhs)):
-        lhs = (-1) ** k * math.comb(half - k, k)
-        out.append(result(ClaimId.HALF_ROW_BINOM, p, p, lhs, rhs[k], k=k))
     return out

@@ -18,9 +18,9 @@ import time
 from fractions import Fraction
 
 import trinocheck as tc
-from trinocheck.claims import ClaimId
 from trinocheck.congruences import (
     CLAIM_REGISTRY,
+    ClaimId,
     ClaimSpec,
     check_babbage,
     check_carlitz,
@@ -35,8 +35,9 @@ from trinocheck.congruences import (
     check_thm2_eq7,
     check_triple_sum,
     check_wolstenholme,
+    result,
 )
-from trinocheck.sweep import SweepConfig, render, run_sweep
+from trinocheck.trinomial import closed_row_mod_p2
 
 
 def _conclude(name, failures):
@@ -202,10 +203,8 @@ def test_criterion_7_engine_cross_equivalence():
                 schoolbook = tc.row_mod_prefix(exponent, ctx.p2, p)
                 if tc.row_mod_p2_prefix(ctx, exponent) != schoolbook:
                     failures.append((p, exponent, "recurrence vs schoolbook"))
-            row = tc.row_mod_p2_prefix(ctx, n * p - 1)
-            for k in range(p):
-                if tc.coeff_closed_mod_p2(n, ctx, k) != row[k]:
-                    failures.append((p, n, k))
+            if closed_row_mod_p2(ctx, n) != tc.row_mod_p2_prefix(ctx, n * p - 1):
+                failures.append((p, n, "closed forms vs recurrence"))
     _conclude(
         "7 engine cross-equivalence (n <= 60; recurrence, schoolbook and closed forms p <= 199)",
         failures,
@@ -251,17 +250,19 @@ def test_criterion_9_spot_fixtures():
 
 
 def test_criterion_10_cli_contract(monkeypatch, tmp_path, capsysbinary):
-    from trinocheck.claims import result
     from trinocheck.cli import main
 
     failures = []
 
     # exit 0 + byte determinism across runs and worker counts
-    base = SweepConfig(pmin=5, pmax=61, nmax=2,
-                       claims=(ClaimId.THM1_EQ2, ClaimId.COR4_EQ11, ClaimId.GL))
-    payloads = {render(run_sweep(base), "jsonl") for _ in range(2)}
-    payloads.add(render(run_sweep(SweepConfig(pmin=5, pmax=61, nmax=2, jobs=4,
-                                              claims=base.claims)), "jsonl"))
+    args = ["--pmin", "5", "--pmax", "61", "--nmax", "2",
+            "--claims", "Thm1_Eq2,Cor4_Eq11,GL"]
+    payloads = set()
+    for run, jobs in enumerate(("1", "1", "4")):
+        out = tmp_path / f"run{run}.jsonl"
+        if main(args + ["--jobs", jobs, "--out", str(out)]) != 0:
+            failures.append(f"run {run} (--jobs {jobs}) did not exit 0")
+        payloads.add(out.read_bytes())
     if len(payloads) != 1:
         failures.append("output not byte-deterministic")
 

@@ -2,15 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trinocheck.claims import ClaimId
-from trinocheck.harmonic import (
-    ap_harmonic,
+from trinocheck.congruences import (
+    ClaimId,
     check_half_third_sixth,
     check_progression_lemmas,
     check_reflections,
-    harmonic_table,
-    inverse_table,
 )
+from trinocheck.harmonic import ap_harmonic, harmonic_table, inverse_table
 from trinocheck.modular import NotInvertible, PrimeContext, inv_mod, rat_mod, sieve_primes
 
 PRIMES_TO_199 = sieve_primes(5, 199)

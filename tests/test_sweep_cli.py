@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -10,14 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinocheck import cli, congruences, modular, sweep
-from trinocheck.claims import ClaimId, record_sort_key, result
 from trinocheck.cli import main
-from trinocheck.congruences import CLAIM_REGISTRY, ClaimSpec
+from trinocheck.congruences import (
+    CLAIM_REGISTRY,
+    ClaimId,
+    ClaimSpec,
+    record_sort_key,
+    result,
+)
 from trinocheck.harmonic import ap_harmonic, inverse_table
 from trinocheck.modular import PrimeContext, fermat_quotient, inv_mod
 from trinocheck.trinomial import (
     closed_row_mod_p2,
-    coeff_closed_mod_p2,
     row_mod_p2_prefix,
     row_mod_prefix,
 )
@@ -26,9 +31,9 @@ from trinocheck.sweep import (
     ConfigError,
     SweepConfig,
     _collapse,
+    iter_sweep,
     parse_claims,
-    render,
-    run_sweep,
+    write_report,
 )
 
 
@@ -36,6 +41,23 @@ def _cfg(**kwargs):
     defaults = dict(pmin=5, pmax=7, nmax=1, claims=(ClaimId.THM1_EQ2,))
     defaults.update(kwargs)
     return SweepConfig(**defaults)
+
+
+def _records(config):
+    """Every record of the sweep, in report order."""
+    return [r for chunk in iter_sweep(config) for r in chunk]
+
+
+def _report(config, fmt="jsonl"):
+    """The report bytes, written as the CLI writes them: each prime's chunk
+    from iter_sweep as it arrives."""
+    out = io.BytesIO()
+    write_report(iter_sweep(config), fmt, out)
+    return out.getvalue()
+
+
+def _summary(config):
+    return write_report(iter_sweep(config), "jsonl", io.BytesIO())
 
 
 def _falsified(claim):
@@ -79,40 +101,41 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
+    """What a sweep yields: records from iter_sweep, the summary from
+    write_report."""
+
     def test_two_primes_one_claim(self):
-        report = run_sweep(_cfg())
-        assert len(report.records) == 2
-        assert all(r.passed for r in report.records)
-        assert [r.p for r in report.records] == [5, 7]
-        assert report.summary.records == 2
-        assert report.summary.failed == 0
-        assert report.summary.first_failure is None
+        records = _records(_cfg())
+        assert len(records) == 2
+        assert all(r.passed for r in records)
+        assert [r.p for r in records] == [5, 7]
+        summary = _summary(_cfg())
+        assert summary.records == 2
+        assert summary.failed == 0
+        assert summary.first_failure is None
 
     def test_all_claims_p5(self):
-        report = run_sweep(SweepConfig(pmin=5, pmax=5, nmax=1))
-        assert all(r.passed for r in report.records)
-        cor4 = [r for r in report.records if r.claim is ClaimId.COR4_EQ11]
+        records = _records(SweepConfig(pmin=5, pmax=5, nmax=1))
+        assert all(r.passed for r in records)
+        cor4 = [r for r in records if r.claim is ClaimId.COR4_EQ11]
         assert [r.k for r in cor4] == [0, 1, 2, 3, 4]
 
     def test_record_order(self):
-        report = run_sweep(SweepConfig(pmin=5, pmax=11, nmax=2))
-        keys = [record_sort_key(r) for r in report.records]
+        keys = [record_sort_key(r) for r in _records(SweepConfig(pmin=5, pmax=11, nmax=2))]
         assert keys == sorted(keys)
 
     def test_inapplicable_claim_emits_nothing(self):
         # C1b only applies to p == 1 mod 3; p = 5 contributes no record
-        report = run_sweep(_cfg(pmin=5, pmax=5, claims=(ClaimId.C1B,)))
-        assert report.records == []
-        assert report.summary.records == 0
+        cfg = _cfg(pmin=5, pmax=5, claims=(ClaimId.C1B,))
+        assert _records(cfg) == []
+        assert _summary(cfg).records == 0
 
     def test_summary_per_claim_counts(self):
-        report = run_sweep(
-            _cfg(pmax=11, claims=(ClaimId.THM1_EQ2, ClaimId.GL0))
-        )
-        per = {c.value: t for c, t in report.summary.per_claim.items()}
+        summary = _summary(_cfg(pmax=11, claims=(ClaimId.THM1_EQ2, ClaimId.GL0)))
+        per = {c.value: t for c, t in summary.per_claim.items()}
         assert per["Thm1_Eq2"].records == 3
         assert per["GL0"].records == 3
-        assert report.summary.passed == 6
+        assert summary.passed == 6
 
     def test_fail_fast_truncates_at_first_failure(self, monkeypatch):
         monkeypatch.setitem(
@@ -123,24 +146,22 @@ class TestRunSweep:
             claims=(ClaimId.THM1_EQ2, ClaimId.THM2_EQ6),
             fail_fast=True,
         )
-        report = run_sweep(cfg)
+        records = _records(cfg)
         # within p=5 the n-independent claim sorts first, so the stream is
         # exactly one failing record
-        assert len(report.records) == 1
-        assert not report.records[-1].passed
-        assert report.summary.first_failure is report.records[-1]
+        assert len(records) == 1
+        assert not records[-1].passed
+        assert _summary(cfg).first_failure == records[-1]
 
     def test_parallel_matches_serial(self):
         cfg_serial = SweepConfig(pmin=5, pmax=31, nmax=2, jobs=1)
         cfg_parallel = SweepConfig(pmin=5, pmax=31, nmax=2, jobs=3)
-        assert render(run_sweep(cfg_serial), "jsonl") == render(
-            run_sweep(cfg_parallel), "jsonl"
-        )
+        assert _report(cfg_serial) == _report(cfg_parallel)
 
     def test_byte_determinism_across_runs(self):
         cfg = SweepConfig(pmin=5, pmax=31, nmax=2)
-        assert render(run_sweep(cfg), "jsonl") == render(run_sweep(cfg), "jsonl")
-        assert render(run_sweep(cfg), "csv") == render(run_sweep(cfg), "csv")
+        assert _report(cfg) == _report(cfg)
+        assert _report(cfg, "csv") == _report(cfg, "csv")
 
 
 def _counting(calls, name, fn):
@@ -163,7 +184,7 @@ def _count_calls(monkeypatch, calls, modules, fns):
 
 @cache
 def _all_claims_records():
-    return run_sweep(SweepConfig(pmin=5, pmax=61, nmax=2)).records
+    return _records(SweepConfig(pmin=5, pmax=61, nmax=2))
 
 
 class TestSharedSpecs:
@@ -184,8 +205,7 @@ class TestSharedSpecs:
             monkeypatch.setitem(CLAIM_REGISTRY, claim, replaced[spec])
 
         nmax = 8
-        report = run_sweep(SweepConfig(pmin=101, pmax=101, nmax=nmax))
-        assert report.records
+        assert _records(SweepConfig(pmin=101, pmax=101, nmax=nmax))
         for grouped in ("check_progression_lemmas", "check_reflections",
                         "check_half_third_sixth"):
             assert calls[grouped] == 1, grouped
@@ -207,21 +227,19 @@ class TestSharedSpecs:
         checker_modules = [m for name, m in sys.modules.items()
                            if name.startswith("trinocheck") and m is not modular]
         _count_calls(monkeypatch, calls, checker_modules,
-                     (inv_mod, closed_row_mod_p2, coeff_closed_mod_p2,
-                      congruences._binom_coprime_mod))
+                     (inv_mod, closed_row_mod_p2, congruences._binom_coprime_mod))
         monkeypatch.setattr(
             PrimeContext, "cached", _counting(calls, "cached", PrimeContext.cached))
         per_prime = {}
         for p in (101, 1009):
             calls.clear()
-            assert run_sweep(SweepConfig(pmin=p, pmax=p, nmax=nmax)).records
+            assert _records(SweepConfig(pmin=p, pmax=p, nmax=nmax))
             per_prime[p] = Counter(calls)
         assert per_prime[101]["inv_mod"] == per_prime[1009]["inv_mod"]
         assert per_prime[101]["cached"] == per_prime[1009]["cached"]
         for calls in per_prime.values():
             # one closed-form row per (p, n), read whole by the sweep
             assert calls["closed_row_mod_p2"] == nmax
-            assert calls["coeff_closed_mod_p2"] == 0
             # C(np - 1, p - 1) for n <= nmax, and C(p - 1, (p - 1)/2)
             assert calls["_binom_coprime_mod"] == nmax + 1
 
@@ -233,9 +251,9 @@ class TestSharedSpecs:
     )
     def test_subset_equals_filtered_full_sweep(self, jobs, subset, pmax):
         claims = tuple(c for c in ClaimId if c in subset)
-        got = run_sweep(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs))
+        got = _records(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs))
         want = [r for r in _all_claims_records() if r.claim in subset and r.p <= pmax]
-        assert got.records == want
+        assert got == want
 
     @pytest.mark.parametrize("fail_fast", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -248,15 +266,15 @@ class TestSharedSpecs:
         # Carlitz fails at every p >= 7, so with pmax >= 7 fail_fast truncates
         chosen = subset | {ClaimId.CARLITZ, ClaimId.COR4_EQ11}
         claims = tuple(c for c in ClaimId if c in chosen)
-        got = run_sweep(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
-                                    fail_fast=fail_fast, summary_only=True))
+        got = _records(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
+                                   fail_fast=fail_fast, summary_only=True))
         want = _collapse(
             [r for r in _all_claims_records() if r.claim in chosen and r.p <= pmax]
         )
         if fail_fast:
             cut = next((i + 1 for i, r in enumerate(want) if not r.passed), len(want))
             want = want[:cut]
-        assert got.records == want
+        assert got == want
 
     def test_replacing_one_shared_claim(self, monkeypatch):
         def falsified_gl(ctx):
@@ -264,7 +282,7 @@ class TestSharedSpecs:
 
         untouched = [r for r in _all_claims_records() if r.claim is not ClaimId.GL]
         monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(False, falsified_gl))
-        records = run_sweep(SweepConfig(pmin=5, pmax=61, nmax=2)).records
+        records = _records(SweepConfig(pmin=5, pmax=61, nmax=2))
         gl = [r for r in records if r.claim is ClaimId.GL]
         assert [r.p for r in gl] == sorted({r.p for r in records})
         assert not any(r.passed for r in gl)
@@ -272,8 +290,10 @@ class TestSharedSpecs:
 
 
 class TestRender:
+    """The report bytes write_report gives."""
+
     def test_jsonl_record_schema(self):
-        payload = render(run_sweep(_cfg(pmin=7, pmax=7)), "jsonl")
+        payload = _report(_cfg(pmin=7, pmax=7))
         lines = payload.decode().splitlines()
         assert len(lines) == 2
         record = json.loads(lines[0])
@@ -293,7 +313,7 @@ class TestRender:
         assert '"modulus":49,"lhs":"43","rhs":"43","pass":true' in lines[0]
 
     def test_jsonl_summary_trailer(self):
-        payload = render(run_sweep(_cfg()), "jsonl")
+        payload = _report(_cfg())
         trailer = json.loads(payload.decode().splitlines()[-1])
         assert trailer["summary"]["records"] == 2
         assert trailer["summary"]["passed"] == 2
@@ -302,13 +322,12 @@ class TestRender:
         assert trailer["summary"]["first_failure"] is None
 
     def test_empty_record_set_is_summary_only(self):
-        report = run_sweep(_cfg(pmin=5, pmax=5, claims=(ClaimId.C1B,)))
-        lines = render(report, "jsonl").decode().splitlines()
+        lines = _report(_cfg(pmin=5, pmax=5, claims=(ClaimId.C1B,))).decode().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["summary"]["records"] == 0
 
     def test_csv_layout(self):
-        payload = render(run_sweep(_cfg(pmin=7, pmax=7)), "csv").decode()
+        payload = _report(_cfg(pmin=7, pmax=7), "csv").decode()
         lines = payload.splitlines()
         assert lines[0] == "claim,p,n,k,modulus,lhs,rhs,pass"
         assert lines[1] == "Thm1_Eq2,7,1,,49,43,43,true"
@@ -316,28 +335,26 @@ class TestRender:
 
     def test_csv_empty_cells_for_absent_n(self):
         # H_3 = 3 mod 7 on both sides
-        payload = render(run_sweep(_cfg(pmin=7, pmax=7, claims=(ClaimId.GL0,))), "csv")
+        payload = _report(_cfg(pmin=7, pmax=7, claims=(ClaimId.GL0,)), "csv")
         assert payload.decode().splitlines()[1] == "GL0,7,,,7,3,3,true"
 
     def test_summary_only_collapses_per_instance_claims(self):
         cfg = _cfg(claims=(ClaimId.COR4_EQ11,), summary_only=True)
-        report = run_sweep(cfg)
-        assert [(r.p, r.n, r.k) for r in report.records] == [(5, 1, None), (7, 1, None)]
+        records = _records(cfg)
+        assert [(r.p, r.n, r.k) for r in records] == [(5, 1, None), (7, 1, None)]
         # aggregates carry passed-count vs instance-count
-        assert (report.records[0].lhs, report.records[0].rhs) == (5, 5)
-        assert (report.records[1].lhs, report.records[1].rhs) == (7, 7)
-        assert all(r.passed for r in report.records)
+        assert (records[0].lhs, records[0].rhs) == (5, 5)
+        assert (records[1].lhs, records[1].rhs) == (7, 7)
+        assert all(r.passed for r in records)
 
     def test_rejects_unknown_format(self):
         # the format is checked here and by the CLI's --format choices
         with pytest.raises(ValueError, match="unknown format"):
-            render(run_sweep(_cfg()), "xml")
+            _report(_cfg(), "xml")
 
     def test_summary_only_keeps_single_instance_claims(self):
         cfg = _cfg(claims=(ClaimId.THM1_EQ2, ClaimId.GL0), summary_only=True)
-        assert render(run_sweep(cfg), "jsonl") == render(
-            run_sweep(_cfg(claims=(ClaimId.THM1_EQ2, ClaimId.GL0))), "jsonl"
-        )
+        assert _report(cfg) == _report(_cfg(claims=(ClaimId.THM1_EQ2, ClaimId.GL0)))
 
 
 class TestCli:
@@ -471,7 +488,8 @@ class TestCli:
         assert out.read_bytes() == b"previous report\n"
         assert [f.name for f in tmp_path.iterdir()] == ["r.report"]
 
-    def test_bad_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize("out", ["missing/r.jsonl", ""], ids=["missing-dir", "empty"])
+    def test_bad_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys, out):
         swept = []
 
         def no_sweep(config):
@@ -479,10 +497,33 @@ class TestCli:
             raise AssertionError("iter_sweep called despite an unwritable --out")
 
         monkeypatch.setattr(cli, "iter_sweep", no_sweep)
-        rc = main(["--pmax", "1009", "--out", str(tmp_path / "missing" / "r.jsonl")])
+        monkeypatch.chdir(tmp_path)
+        rc = main(["--pmax", "1009", "--out", out])
         assert rc == 2
         assert swept == []
-        assert "No such file or directory" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "No such file or directory" in err[0]
+
+    def test_closed_stdout_fails_before_sweep(self, monkeypatch, capsys):
+        def no_sweep(config):
+            raise AssertionError("iter_sweep called with no stdout to write to")
+
+        monkeypatch.setattr(cli, "iter_sweep", no_sweep)
+        monkeypatch.setattr(sys, "stdout", None)  # what Python sets when fd 1 is closed
+        assert main(["--pmax", "7", "--claims", "GL0"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "trinocheck: error: [Errno 9] stdout is closed"
+        ]
+
+    def test_closed_stdout_from_shell(self):
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m trinocheck --pmax 7 --claims GL0 >&-', sys.executable],
+            capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            "trinocheck: error: [Errno 9] stdout is closed"
+        ]
 
     def test_directory_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys):
         swept = []

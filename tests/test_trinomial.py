@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trinocheck.claims import ClaimId
+from trinocheck.congruences import ClaimId, halfrow_binomial_check
 from trinocheck.modular import PrimeContext, sieve_primes
 from trinocheck.trinomial import (
     alt_fib_sum,
     binom_np_minus1_mod_p2,
-    coeff_closed_mod_p2,
+    closed_row_mod_p2,
     coeff_via_convolution,
     coeff_via_cosine,
-    halfrow_binomial_check,
     row_exact,
     row_mod_p2_prefix,
     row_mod_prefix,
@@ -163,23 +162,19 @@ class TestBinomClosedForm:
 
 
 class TestCoeffClosedModP2:
+    """closed_row_mod_p2: row n*p - 1 mod p**2 from the closed forms."""
+
     def test_examples(self):
         # all three residue classes of k
-        assert coeff_closed_mod_p2(1, PrimeContext(7), 6) == 43  # 141 mod 49
-        assert coeff_closed_mod_p2(1, PrimeContext(5), 4) == 19
-        assert coeff_closed_mod_p2(1, PrimeContext(5), 2) == 10
+        assert closed_row_mod_p2(PrimeContext(7), 1)[6] == 43  # 141 mod 49
+        assert closed_row_mod_p2(PrimeContext(5), 1)[4] == 19
+        assert closed_row_mod_p2(PrimeContext(5), 1)[2] == 10
 
     def test_agrees_with_row_engine(self):
         for p in sieve_primes(5, 61):
             ctx = PrimeContext(p)
             for n in range(1, 4):
-                row = row_mod_prefix(n * p - 1, ctx.p2, p)
-                for k in range(p):
-                    assert coeff_closed_mod_p2(n, ctx, k) == row[k]
-
-    def test_rejects_out_of_range_k(self):
-        with pytest.raises(ValueError):
-            coeff_closed_mod_p2(1, PrimeContext(5), -1)
+                assert closed_row_mod_p2(ctx, n) == row_mod_prefix(n * p - 1, ctx.p2, p)
 
 
 class TestAltFibSum:
