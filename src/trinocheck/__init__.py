@@ -1,14 +1,7 @@
 """Exact verification of trinomial-coefficient and harmonic-sum congruences
 modulo prime powers."""
 
-from .congruences import (
-    CheckResult,
-    ClaimId,
-    check_half_third_sixth,
-    check_progression_lemmas,
-    check_reflections,
-    halfrow_binomial_check,
-)
+from .congruences import CheckResult, ClaimId
 from .harmonic import ap_harmonic, harmonic_table, inverse_table
 from .modular import (
     DivisibleBase,
@@ -46,13 +39,9 @@ __all__ = [
     "alt_fib_sum",
     "ap_harmonic",
     "binom_np_minus1_mod_p2",
-    "check_half_third_sixth",
-    "check_progression_lemmas",
-    "check_reflections",
     "coeff_via_convolution",
     "coeff_via_cosine",
     "fermat_quotient",
-    "halfrow_binomial_check",
     "harmonic_table",
     "inv_mod",
     "inverse_table",

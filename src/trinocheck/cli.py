@@ -33,9 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
             "range of primes, reporting every instance and any counterexample."
         ),
     )
-    parser.add_argument("--pmin", type=int, default=5, help="smallest prime to check (>= 5)")
-    parser.add_argument("--pmax", type=int, default=1009, help="largest prime to check")
-    parser.add_argument("--nmax", type=int, default=8, help="check n = 1..nmax for n-parametrized claims")
+    parser.add_argument("--pmin", type=int, default=SweepConfig.pmin, help="smallest prime to check (>= 5)")
+    parser.add_argument("--pmax", type=int, default=SweepConfig.pmax, help="largest prime to check")
+    parser.add_argument("--nmax", type=int, default=SweepConfig.nmax, help="check n = 1..nmax for n-parametrized claims")
     parser.add_argument(
         "--claims",
         default=None,
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=FORMATS, default="jsonl", dest="fmt")
     parser.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes, one prime per task")
+    parser.add_argument("--jobs", type=int, default=SweepConfig.jobs, metavar="N", help="worker processes, one prime per task")
     parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing record")
     parser.add_argument(
         "--summary-only",

@@ -1,5 +1,5 @@
 """The claims layer: the claim catalog, the check record, and one checker
-per claim (or per group of claims that one function checks).
+per counted quantity, emitting every claim whose left side reads it.
 
 The engine modules (harmonic, trinomial, modular) compute numbers only; this
 is the one module that builds records.  Every checker computes its two sides
@@ -128,28 +128,29 @@ def _binom_coprime_mod(ctx: PrimeContext, a: int, k: int) -> int:
     return num * inv_mod(den, p4) % p4
 
 
-def check_thm1_eq2(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """Trinomial C(np-1, p-1)_2 mod p**2 vs +-(1 + n*p*q3) per p mod 3."""
-    p, p2 = ctx.p, ctx.p2
-    lhs = ctx.cached(row_mod_p2_prefix, n * p - 1)[p - 1]
-    if ctx.rc3 == 1:
-        rhs = (1 + n * p * ctx.q3) % p2
-    else:
-        rhs = (-1 - n * p * ctx.q3) % p2
-    return [result(ClaimId.THM1_EQ2, p, p2, lhs, rhs, n=n)]
+def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
+    """Row C(np-1, k)_2 mod p**2, k <= p-1, read once for four claims:
+    Thm1 Eq2 (k = p-1), Thm1 Eq4 (k = (p-1)/2), Prop3 Eq9 (sum over k) and
+    Prop3 Eq10 (sum over k <= (p-1)/2).
 
-
-def check_thm1_eq4(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """Trinomial C(np-1, (p-1)/2)_2 mod p**2 vs the half-row closed form."""
+    Each right side is constant + n*p*coefficient, per p mod 6 (which fixes
+    p mod 3); the pairs are the README's closed forms.
+    """
     p, p2 = ctx.p, ctx.p2
-    lhs = ctx.cached(row_mod_p2_prefix, n * p - 1)[(p - 1) // 2]
+    row = ctx.cached(row_mod_p2_prefix, n * p - 1)
+    half = (p - 1) // 2
     half_q3 = rat_mod(ctx.q3, 2, p)
     if ctx.rc6 == 1:
-        coef = (2 * ctx.q2 + half_q3) % p
-        rhs = (1 + n * p * coef) % p2
+        forms = ((1, ctx.q3), (1, 2 * ctx.q2 + half_q3),
+                 (1, ctx.q3), (1, rat_mod(4 * ctx.q2, 3, p) + ctx.q3))
     else:
-        rhs = -n * p * half_q3 % p2
-    return [result(ClaimId.THM1_EQ4, p, p2, lhs, rhs, n=n)]
+        forms = ((-1, -ctx.q3), (0, -half_q3), (0, 0), (0, -rat_mod(2 * ctx.q2, 3, p)))
+    claims = (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)
+    lhs = (row[p - 1], row[half], sum(row), sum(row[: half + 1]))
+    return [
+        result(claim, p, p2, left, const + n * p * coef, n=n)
+        for claim, left, (const, coef) in zip(claims, lhs, forms)
+    ]
 
 
 def check_thm2_eq6(ctx: PrimeContext) -> list[CheckResult]:
@@ -185,30 +186,6 @@ def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
     return [result(ClaimId.THM2_EQ7, p, p, acc, rhs)]
 
 
-def check_prop3_eq9(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """sum_{k=0..p-1} C(np-1,k)_2 mod p**2 vs 1 + n*p*q3 or 0 per p mod 3."""
-    p, p2 = ctx.p, ctx.p2
-    lhs = sum(ctx.cached(row_mod_p2_prefix, n * p - 1)) % p2
-    if ctx.rc3 == 1:
-        rhs = (1 + n * p * ctx.q3) % p2
-    else:
-        rhs = 0
-    return [result(ClaimId.PROP3_EQ9, p, p2, lhs, rhs, n=n)]
-
-
-def check_prop3_eq10(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """sum_{k=0..(p-1)/2} C(np-1,k)_2 mod p**2 vs the half-range closed form."""
-    p, p2 = ctx.p, ctx.p2
-    row = ctx.cached(row_mod_p2_prefix, n * p - 1)
-    lhs = sum(row[: (p - 1) // 2 + 1]) % p2
-    if ctx.rc6 == 1:
-        coef = (rat_mod(4 * ctx.q2, 3, p) + ctx.q3) % p
-        rhs = (1 + n * p * coef) % p2
-    else:
-        rhs = -n * p * rat_mod(2 * ctx.q2, 3, p) % p2
-    return [result(ClaimId.PROP3_EQ10, p, p2, lhs, rhs, n=n)]
-
-
 def check_cor4_eq11(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3,
     one record per k in 0..p-1."""
@@ -237,16 +214,14 @@ def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
     return out
 
 
-def check_babbage(ctx: PrimeContext) -> list[CheckResult]:
-    """C(2p-1, p-1) == 1 mod p**2."""
-    lhs = ctx.cached(_binom_coprime_mod, 2 * ctx.p - 1, ctx.p - 1) % ctx.p2
-    return [result(ClaimId.BABBAGE, ctx.p, ctx.p2, lhs, 1)]
-
-
-def check_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
-    """C(2p-1, p-1) == 1 mod p**3."""
-    lhs = ctx.cached(_binom_coprime_mod, 2 * ctx.p - 1, ctx.p - 1) % ctx.p3
-    return [result(ClaimId.WOLSTENHOLME, ctx.p, ctx.p3, lhs, 1)]
+def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
+    """C(2p-1, p-1) == 1 mod p**2 (Babbage) and mod p**3 (Wolstenholme)."""
+    p = ctx.p
+    lhs = ctx.cached(_binom_coprime_mod, 2 * p - 1, p - 1)
+    return [
+        result(ClaimId.BABBAGE, p, ctx.p2, lhs, 1),
+        result(ClaimId.WOLSTENHOLME, p, ctx.p3, lhs, 1),
+    ]
 
 
 def check_glaisher(ctx: PrimeContext, n: int) -> list[CheckResult]:
@@ -255,28 +230,23 @@ def check_glaisher(ctx: PrimeContext, n: int) -> list[CheckResult]:
     return [result(ClaimId.GLAISHER, ctx.p, ctx.p3, lhs, 1, n=n)]
 
 
-def check_morley(ctx: PrimeContext) -> list[CheckResult]:
-    """C(p-1, (p-1)/2) vs (-1)**((p-1)/2) * 4**(p-1) mod p**3."""
-    p, p3 = ctx.p, ctx.p3
-    lhs = ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2) % p3
-    sign = 1 if (p - 1) // 2 % 2 == 0 else -1
-    rhs = sign * pow(4, p - 1, p3) % p3
-    return [result(ClaimId.MORLEY, p, p3, lhs, rhs)]
+def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
+    """C(p-1, (p-1)/2) vs (-1)**((p-1)/2) * 4**(p-1) mod p**3 (Morley), and
+    (-1)**((p-1)/2) * C(p-1, (p-1)/2) vs 4**(p-1) + p**3/12 mod p**4 (Carlitz).
 
-
-def check_carlitz(ctx: PrimeContext) -> list[CheckResult]:
-    """(-1)**((p-1)/2) * C(p-1, (p-1)/2) vs 4**(p-1) + p**3/12 mod p**4.
-
-    Checked exactly as cataloged, and that form is false for every p >= 7:
-    Carlitz's congruence is 4**(p-1) + p**3 * B_{p-3}/12 (mod p**4), with
-    B_{p-3} a Bernoulli number, and B_2 = 1/6 == 1 (mod 5) makes p = 5 the
-    only pass.  See the Carlitz note in the README.
+    Carlitz is checked exactly as cataloged, and that form is false for every
+    p >= 7: Carlitz's congruence is 4**(p-1) + p**3 * B_{p-3}/12 (mod p**4),
+    with B_{p-3} a Bernoulli number, and B_2 = 1/6 == 1 (mod 5) makes p = 5
+    the only pass.  See the Carlitz note in the README.
     """
-    p, p4 = ctx.p, ctx.p4
+    p, p3, p4 = ctx.p, ctx.p3, ctx.p4
+    central = ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2)
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
-    lhs = sign * ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2) % p4
-    rhs = (pow(4, p - 1, p4) + ctx.p3 * inv_mod(12, p4)) % p4
-    return [result(ClaimId.CARLITZ, p, p4, lhs, rhs)]
+    four = pow(4, p - 1, p4)
+    return [
+        result(ClaimId.MORLEY, p, p3, central, sign * four),
+        result(ClaimId.CARLITZ, p, p4, sign * central, four + p3 * inv_mod(12, p4)),
+    ]
 
 
 def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
@@ -381,28 +351,25 @@ class ClaimSpec:
     run: Callable[..., list[CheckResult]]
 
 
+#: Each checker once, with the claims it emits.
 CLAIM_REGISTRY: dict[ClaimId, ClaimSpec] = {
-    ClaimId.THM1_EQ2: ClaimSpec(True, check_thm1_eq2),
-    ClaimId.THM1_EQ4: ClaimSpec(True, check_thm1_eq4),
-    ClaimId.THM2_EQ6: ClaimSpec(False, check_thm2_eq6),
-    ClaimId.THM2_EQ7: ClaimSpec(False, check_thm2_eq7),
-    ClaimId.PROP3_EQ9: ClaimSpec(True, check_prop3_eq9),
-    ClaimId.PROP3_EQ10: ClaimSpec(True, check_prop3_eq10),
-    ClaimId.COR4_EQ11: ClaimSpec(True, check_cor4_eq11),
-    ClaimId.TRIPLE_SUM_A: ClaimSpec(True, check_triple_sum),
-    ClaimId.BABBAGE: ClaimSpec(False, check_babbage),
-    ClaimId.WOLSTENHOLME: ClaimSpec(False, check_wolstenholme),
-    ClaimId.GLAISHER: ClaimSpec(True, check_glaisher),
-    ClaimId.MORLEY: ClaimSpec(False, check_morley),
-    ClaimId.CARLITZ: ClaimSpec(False, check_carlitz),
-    ClaimId.HALF_ROW_BINOM: ClaimSpec(False, halfrow_binomial_check),
-    **dict.fromkeys(
-        (ClaimId.GL0, ClaimId.GL, ClaimId.GL2), ClaimSpec(False, check_half_third_sixth)
-    ),
-    **dict.fromkeys((ClaimId.CONG0, ClaimId.CONG1), ClaimSpec(False, check_reflections)),
-    **dict.fromkeys(
-        (ClaimId.C1B, ClaimId.C1C, ClaimId.C2B, ClaimId.C2C, ClaimId.C3, ClaimId.C3B,
-         ClaimId.H0, ClaimId.H1, ClaimId.H2, ClaimId.H3),
-        ClaimSpec(False, check_progression_lemmas),
-    ),
+    claim: spec
+    for spec, claims in (
+        (ClaimSpec(True, check_row_np_minus1),
+         (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)),
+        (ClaimSpec(False, check_thm2_eq6), (ClaimId.THM2_EQ6,)),
+        (ClaimSpec(False, check_thm2_eq7), (ClaimId.THM2_EQ7,)),
+        (ClaimSpec(True, check_cor4_eq11), (ClaimId.COR4_EQ11,)),
+        (ClaimSpec(True, check_triple_sum), (ClaimId.TRIPLE_SUM_A,)),
+        (ClaimSpec(False, check_babbage_wolstenholme), (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME)),
+        (ClaimSpec(True, check_glaisher), (ClaimId.GLAISHER,)),
+        (ClaimSpec(False, check_morley_carlitz), (ClaimId.MORLEY, ClaimId.CARLITZ)),
+        (ClaimSpec(False, halfrow_binomial_check), (ClaimId.HALF_ROW_BINOM,)),
+        (ClaimSpec(False, check_half_third_sixth), (ClaimId.GL0, ClaimId.GL, ClaimId.GL2)),
+        (ClaimSpec(False, check_reflections), (ClaimId.CONG0, ClaimId.CONG1)),
+        (ClaimSpec(False, check_progression_lemmas),
+         (ClaimId.C1B, ClaimId.C1C, ClaimId.C2B, ClaimId.C2C, ClaimId.C3, ClaimId.C3B,
+          ClaimId.H0, ClaimId.H1, ClaimId.H2, ClaimId.H3)),
+    )
+    for claim in claims
 }

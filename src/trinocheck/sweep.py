@@ -55,6 +55,12 @@ class SweepConfig:
             raise ConfigError(f"need 1 <= nmax <= {MAX_NMAX}, got {self.nmax}")
         if not self.claims:
             raise ConfigError("claim set must be nonempty")
+        for claim in self.claims:
+            if not isinstance(claim, ClaimId):
+                raise ConfigError(
+                    f"unknown claim {claim!r}; claims are ClaimId members "
+                    "(parse_claims reads wire names)"
+                )
         if not 1 <= self.jobs <= MAX_JOBS:
             raise ConfigError(f"need 1 <= jobs <= {MAX_JOBS}, got {self.jobs}")
 

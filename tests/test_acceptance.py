@@ -22,22 +22,18 @@ from trinocheck.congruences import (
     CLAIM_REGISTRY,
     ClaimId,
     ClaimSpec,
-    check_babbage,
-    check_carlitz,
-    check_cor4_eq11,
-    check_glaisher,
-    check_morley,
-    check_prop3_eq9,
-    check_prop3_eq10,
-    check_thm1_eq2,
-    check_thm1_eq4,
-    check_thm2_eq6,
-    check_thm2_eq7,
-    check_triple_sum,
-    check_wolstenholme,
+    check_half_third_sixth,
+    check_progression_lemmas,
+    check_reflections,
     result,
 )
 from trinocheck.trinomial import closed_row_mod_p2
+
+
+def _check(claim, ctx, n=None):
+    """The records of `claim` alone, from the checker its registry spec runs."""
+    run = CLAIM_REGISTRY[claim].run
+    return [r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim]
 
 
 def _conclude(name, failures):
@@ -56,7 +52,8 @@ def test_criterion_1_theorem1_sweep():
     for p in tc.sieve_primes(5, 1009):
         ctx = tc.PrimeContext(p)
         for n in range(1, 9):
-            _collect(check_thm1_eq2(ctx, n) + check_thm1_eq4(ctx, n), failures)
+            for claim in (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4):
+                _collect(_check(claim, ctx, n), failures)
     elapsed = time.monotonic() - start
     if elapsed > 300:
         failures.append(f"runtime {elapsed:.0f}s exceeds 5-minute budget")
@@ -68,7 +65,7 @@ def test_criterion_2_theorem2_sweep():
     start = time.monotonic()
     for p in tc.sieve_primes(5, 2003):
         ctx = tc.PrimeContext(p)
-        _collect(check_thm2_eq6(ctx) + check_thm2_eq7(ctx), failures)
+        _collect(_check(ClaimId.THM2_EQ6, ctx) + _check(ClaimId.THM2_EQ7, ctx), failures)
     elapsed = time.monotonic() - start
     if elapsed > 60:
         failures.append(f"runtime {elapsed:.0f}s exceeds 1-minute budget")
@@ -80,7 +77,8 @@ def test_criterion_3_proposition3_sweep():
     for p in tc.sieve_primes(5, 1009):
         ctx = tc.PrimeContext(p)
         for n in range(1, 9):
-            _collect(check_prop3_eq9(ctx, n) + check_prop3_eq10(ctx, n), failures)
+            for claim in (ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10):
+                _collect(_check(claim, ctx, n), failures)
     _conclude("3 proposition-3 sweep (p <= 1009, n <= 8, mod p^2)", failures)
 
 
@@ -89,7 +87,7 @@ def test_criterion_4_corollary4_sweep():
     for p in tc.sieve_primes(5, 499):
         ctx = tc.PrimeContext(p)
         for n in range(1, 4):
-            _collect(check_cor4_eq11(ctx, n), failures)
+            _collect(_check(ClaimId.COR4_EQ11, ctx, n), failures)
     _conclude("4 corollary-4 sweep (p <= 499, n <= 3, k <= p-1)", failures)
 
 
@@ -97,9 +95,9 @@ def test_criterion_5_lemma_sweep():
     failures = []
     for p in tc.sieve_primes(5, 2003):
         ctx = tc.PrimeContext(p)
-        _collect(tc.check_half_third_sixth(ctx), failures)
-        _collect(tc.check_reflections(ctx), failures)
-        _collect(tc.check_progression_lemmas(ctx), failures)
+        _collect(check_half_third_sixth(ctx), failures)
+        _collect(check_reflections(ctx), failures)
+        _collect(check_progression_lemmas(ctx), failures)
     _conclude("5 harmonic-lemma sweep (p <= 2003, mod p)", failures)
 
 
@@ -136,10 +134,11 @@ def test_criterion_6_classical_sweep():
     carlitz = []
     for p in tc.sieve_primes(5, 499):
         ctx = tc.PrimeContext(p)
-        _collect(check_babbage(ctx) + check_wolstenholme(ctx) + check_morley(ctx), failures)
+        for claim in (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME, ClaimId.MORLEY):
+            _collect(_check(claim, ctx), failures)
         for n in range(1, 9):
-            _collect(check_glaisher(ctx, n), failures)
-        carlitz.extend(check_carlitz(ctx))
+            _collect(_check(ClaimId.GLAISHER, ctx, n), failures)
+        carlitz.extend(_check(ClaimId.CARLITZ, ctx))
 
     # the checker must report exactly what independent big-integer arithmetic says
     for r in carlitz:
@@ -224,7 +223,7 @@ def test_criterion_8_structural_invariants():
     for p in tc.sieve_primes(5, 499):
         ctx = tc.PrimeContext(p)
         for n in range(1, 4):
-            _collect(check_triple_sum(ctx, n), failures)
+            _collect(_check(ClaimId.TRIPLE_SUM_A, ctx, n), failures)
     _conclude("8 structural invariants (rows n <= 200; triple sums p <= 499)", failures)
 
 
@@ -240,10 +239,11 @@ def test_criterion_9_spot_fixtures():
     check("C(4,2)_2", tc.row_exact(4)[2], 10)
     q3_5 = tc.fermat_quotient(3, tc.PrimeContext(5))
     check("-(5/2)q3(5) mod 25", tc.rat_mod(-5 * q3_5, 2, 25), 10)
-    check("central-binomial harmonic sum mod 5", check_thm2_eq6(tc.PrimeContext(5))[0].lhs, 1)
+    [eq6] = _check(ClaimId.THM2_EQ6, tc.PrimeContext(5))
+    check("central-binomial harmonic sum mod 5", eq6.lhs, 1)
     check("q3(11)", tc.fermat_quotient(3, tc.PrimeContext(11)), 0)
     check("C(10,10)_2 mod 121", tc.row_exact(10)[10] % 121, 121 - 1)
-    [eq7] = check_thm2_eq7(tc.PrimeContext(13))
+    [eq7] = _check(ClaimId.THM2_EQ7, tc.PrimeContext(13))
     check("quarter-row sum p=13 lhs", eq7.lhs, 9)
     check("quarter-row sum p=13 rhs", eq7.rhs, 9)
     _conclude("9 spot-value regression fixtures", failures)

@@ -3,54 +3,46 @@ import math
 import pytest
 
 from trinocheck import congruences
-from trinocheck.congruences import (
-    check_babbage,
-    check_carlitz,
-    check_cor4_eq11,
-    check_glaisher,
-    check_morley,
-    check_prop3_eq9,
-    check_prop3_eq10,
-    check_thm1_eq2,
-    check_thm1_eq4,
-    check_thm2_eq6,
-    check_thm2_eq7,
-    check_triple_sum,
-    check_wolstenholme,
-)
+from trinocheck.congruences import CLAIM_REGISTRY, ClaimId
 from trinocheck.modular import PrimeContext, sieve_primes
+
+
+def _check(claim, ctx, n=None):
+    """The records of `claim` alone, from the checker its registry spec runs."""
+    run = CLAIM_REGISTRY[claim].run
+    return [r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim]
 
 
 class TestThm1Eq2:
     def test_spot_values(self):
-        [r] = check_thm1_eq2(PrimeContext(7), 1)
+        [r] = _check(ClaimId.THM1_EQ2, PrimeContext(7), 1)
         assert (r.lhs, r.rhs, r.passed, r.modulus) == (43, 43, True, 49)
-        [r] = check_thm1_eq2(PrimeContext(5), 1)
+        [r] = _check(ClaimId.THM1_EQ2, PrimeContext(5), 1)
         assert (r.lhs, r.rhs, r.passed) == (19, 19, True)
         # q_3(11) = 0, so the closed form degenerates to -1
-        [r] = check_thm1_eq2(PrimeContext(11), 1)
+        [r] = _check(ClaimId.THM1_EQ2, PrimeContext(11), 1)
         assert (r.lhs, r.rhs, r.passed) == (120, 120, True)
 
 
 class TestThm1Eq4:
     def test_spot_values(self):
-        [r] = check_thm1_eq4(PrimeContext(7), 1)
+        [r] = _check(ClaimId.THM1_EQ4, PrimeContext(7), 1)
         assert (r.lhs, r.rhs, r.passed) == (1, 1, True)  # C(6,3)_2 = 50 mod 49
-        [r] = check_thm1_eq4(PrimeContext(5), 1)
+        [r] = _check(ClaimId.THM1_EQ4, PrimeContext(5), 1)
         assert (r.lhs, r.rhs, r.passed) == (10, 10, True)
-        assert check_thm1_eq4(PrimeContext(11), 2)[0].passed
+        assert _check(ClaimId.THM1_EQ4, PrimeContext(11), 2)[0].passed
 
 
 class TestThm2Eq6:
     def test_spot_values(self):
-        [r] = check_thm2_eq6(PrimeContext(5))
+        [r] = _check(ClaimId.THM2_EQ6, PrimeContext(5))
         assert (r.lhs, r.rhs, r.passed, r.modulus) == (1, 1, True, 5)
-        assert check_thm2_eq6(PrimeContext(7))[0].passed
-        assert check_thm2_eq6(PrimeContext(13))[0].passed
+        assert _check(ClaimId.THM2_EQ6, PrimeContext(7))[0].passed
+        assert _check(ClaimId.THM2_EQ6, PrimeContext(13))[0].passed
 
     def test_direct_summation_oracle(self):
         for p in sieve_primes(5, 61):
-            [r] = check_thm2_eq6(PrimeContext(p))
+            [r] = _check(ClaimId.THM2_EQ6, PrimeContext(p))
             table = [0]
             for n in range(1, p):
                 table.append((table[-1] + pow(n, -1, p)) % p)
@@ -60,15 +52,15 @@ class TestThm2Eq6:
 
 class TestThm2Eq7:
     def test_spot_values(self):
-        [r] = check_thm2_eq7(PrimeContext(5))
+        [r] = _check(ClaimId.THM2_EQ7, PrimeContext(5))
         assert (r.lhs, r.rhs, r.passed) == (3, 3, True)
-        [r] = check_thm2_eq7(PrimeContext(13))
+        [r] = _check(ClaimId.THM2_EQ7, PrimeContext(13))
         assert (r.lhs, r.rhs, r.passed) == (9, 9, True)
-        assert check_thm2_eq7(PrimeContext(7))[0].passed
+        assert _check(ClaimId.THM2_EQ7, PrimeContext(7))[0].passed
 
     def test_direct_summation_oracle(self):
         for p in sieve_primes(5, 61):
-            [r] = check_thm2_eq7(PrimeContext(p))
+            [r] = _check(ClaimId.THM2_EQ7, PrimeContext(p))
             table = [0]
             for n in range(1, p):
                 table.append((table[-1] + pow(n, -1, p)) % p)
@@ -81,23 +73,23 @@ class TestThm2Eq7:
 
 class TestProp3:
     def test_spot_values(self):
-        [r] = check_prop3_eq9(PrimeContext(7), 1)
+        [r] = _check(ClaimId.PROP3_EQ9, PrimeContext(7), 1)
         assert (r.lhs, r.rhs, r.passed) == (43, 43, True)  # 435 mod 49
-        [r] = check_prop3_eq10(PrimeContext(7), 1)
+        [r] = _check(ClaimId.PROP3_EQ10, PrimeContext(7), 1)
         assert (r.lhs, r.rhs, r.passed) == (29, 29, True)  # 78 mod 49
-        [r] = check_prop3_eq10(PrimeContext(5), 1)
+        [r] = _check(ClaimId.PROP3_EQ10, PrimeContext(5), 1)
         assert (r.lhs, r.rhs, r.passed) == (15, 15, True)
 
 
 class TestCor4Eq11:
     def test_p5_row(self):
-        results = check_cor4_eq11(PrimeContext(5), 1)
+        results = _check(ClaimId.COR4_EQ11, PrimeContext(5), 1)
         assert [r.k for r in results] == [0, 1, 2, 3, 4]
         assert [r.lhs for r in results] == [1, 24, 0, 1, 24]
         assert all(r.passed for r in results)
 
     def test_pattern_positions(self):
-        results = {r.k: r for r in check_cor4_eq11(PrimeContext(7), 1)}
+        results = {r.k: r for r in _check(ClaimId.COR4_EQ11, PrimeContext(7), 1)}
         assert results[0].rhs == 1
         assert results[2].lhs == results[2].rhs == 0
         assert results[1].rhs == 49 - 1
@@ -105,7 +97,7 @@ class TestCor4Eq11:
 
 class TestTripleSum:
     def test_p7_first_group(self):
-        results = check_triple_sum(PrimeContext(7), 1)
+        results = _check(ClaimId.TRIPLE_SUM_A, PrimeContext(7), 1)
         # 3k+2 <= 6 allows k = 0, 1
         assert [r.k for r in results] == [0, 1]
         assert (results[0].lhs, results[0].rhs) == (28, 28)  # 1+6+21 vs 7/2 mod 49
@@ -115,28 +107,28 @@ class TestTripleSum:
         for p in sieve_primes(5, 61):
             ctx = PrimeContext(p)
             for n in (1, 2):
-                assert all(r.passed for r in check_triple_sum(ctx, n))
+                assert all(r.passed for r in _check(ClaimId.TRIPLE_SUM_A, ctx, n))
 
 
 class TestClassical:
     def test_babbage(self):
-        [r] = check_babbage(PrimeContext(5))
+        [r] = _check(ClaimId.BABBAGE, PrimeContext(5))
         assert (r.lhs, r.rhs, r.passed, r.modulus) == (1, 1, True, 25)  # C(9,4) = 126
 
     def test_wolstenholme(self):
-        [r] = check_wolstenholme(PrimeContext(7))
+        [r] = _check(ClaimId.WOLSTENHOLME, PrimeContext(7))
         assert (r.lhs, r.rhs, r.passed, r.modulus) == (1, 1, True, 343)  # 1716 = 5*343 + 1
 
     def test_glaisher(self):
-        [r] = check_glaisher(PrimeContext(5), 3)
+        [r] = _check(ClaimId.GLAISHER, PrimeContext(5), 3)
         assert (r.lhs, r.passed, r.modulus) == (1, True, 125)  # C(14,4) = 1001
 
     def test_morley(self):
-        [r] = check_morley(PrimeContext(7))
+        [r] = _check(ClaimId.MORLEY, PrimeContext(7))
         assert (r.lhs, r.rhs, r.passed) == (20, 20, True)  # C(6,3) vs -4**6 mod 343
 
     def test_carlitz_p5(self):
-        [r] = check_carlitz(PrimeContext(5))
+        [r] = _check(ClaimId.CARLITZ, PrimeContext(5))
         assert (r.lhs, r.rhs, r.passed, r.modulus) == (6, 6, True, 625)
 
     def test_carlitz_counterexample_p7(self):
@@ -144,7 +136,7 @@ class TestClassical:
         # true p**3 coefficient carries a Bernoulli factor B_{p-3}/12, and
         # B_2 = 1/6 == 1 (mod 5) makes p=5 the lone coincidental pass.  A
         # correct verifier must report the counterexample, not hide it.
-        [r] = check_carlitz(PrimeContext(7))
+        [r] = _check(ClaimId.CARLITZ, PrimeContext(7))
         assert not r.passed
         assert (r.lhs, r.rhs) == (2381, 323)  # -20 vs 4096 + 343/12 mod 2401
         # both sides still agree mod p**3, consistent with Morley
@@ -164,10 +156,10 @@ def test_binomial_memo_is_exact(monkeypatch):
     monkeypatch.setattr(congruences, "_binom_coprime_mod", recording)
     for p in sieve_primes(5, 199):
         ctx = PrimeContext(p)
-        for checker in (check_babbage, check_wolstenholme, check_morley, check_carlitz):
-            checker(ctx)
+        for claim in (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME, ClaimId.MORLEY, ClaimId.CARLITZ):
+            _check(claim, ctx)
         for n in range(1, 9):
-            check_glaisher(ctx, n)
+            _check(ClaimId.GLAISHER, ctx, n)
     assert len(used) == 9 * len(sieve_primes(5, 199))
     for p, a, k in used:
         assert memo(PrimeContext(p), a, k) == math.comb(a, k) % p**4
@@ -178,16 +170,16 @@ def test_rhs_affine_in_n(p):
     # the closed forms are constant-plus-n*p*c mod p**2: consecutive rhs
     # differences must not depend on n
     ctx = PrimeContext(p)
-    for checker in (check_thm1_eq2, check_thm1_eq4, check_prop3_eq9, check_prop3_eq10):
-        rhs = [checker(ctx, n)[0].rhs for n in range(1, 9)]
+    for claim in (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10):
+        rhs = [_check(claim, ctx, n)[0].rhs for n in range(1, 9)]
         diffs = {(b - a) % ctx.p2 for a, b in zip(rhs, rhs[1:])}
         assert len(diffs) == 1
 
 
 def test_moduli_match_claims():
     ctx = PrimeContext(13)
-    assert check_thm1_eq2(ctx, 1)[0].modulus == ctx.p2
-    assert check_thm2_eq6(ctx)[0].modulus == ctx.p
-    assert check_wolstenholme(ctx)[0].modulus == ctx.p3
-    assert check_carlitz(ctx)[0].modulus == ctx.p4
-    assert all(r.modulus == ctx.p2 for r in check_cor4_eq11(ctx, 1))
+    assert _check(ClaimId.THM1_EQ2, ctx, 1)[0].modulus == ctx.p2
+    assert _check(ClaimId.THM2_EQ6, ctx)[0].modulus == ctx.p
+    assert _check(ClaimId.WOLSTENHOLME, ctx)[0].modulus == ctx.p3
+    assert _check(ClaimId.CARLITZ, ctx)[0].modulus == ctx.p4
+    assert all(r.modulus == ctx.p2 for r in _check(ClaimId.COR4_EQ11, ctx, 1))

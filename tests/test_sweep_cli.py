@@ -86,6 +86,7 @@ class TestSweepConfig:
             dict(claims=()),
             dict(jobs=0),
             dict(jobs=MAX_JOBS + 1),
+            dict(claims=("NoSuch",)),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -207,9 +208,14 @@ class TestSharedSpecs:
         nmax = 8
         assert _records(SweepConfig(pmin=101, pmax=101, nmax=nmax))
         for grouped in ("check_progression_lemmas", "check_reflections",
-                        "check_half_third_sixth"):
+                        "check_half_third_sixth", "check_babbage_wolstenholme",
+                        "check_morley_carlitz"):
             assert calls[grouped] == 1, grouped
-        assert calls["check_thm1_eq2"] == nmax
+        assert calls["check_row_np_minus1"] == nmax
+        # each checker once in the registry: 4 of the 12 run once per n (32
+        # calls), the other 8 once per prime
+        assert len(replaced) == 12
+        assert sum(calls[spec.run.__name__] for spec in replaced) == 40
         assert calls["ap_harmonic"] == 5
         assert calls["inverse_table"] == 1
         # q2 and q3, once each, when the prime's context is built
@@ -400,6 +406,29 @@ class TestCli:
     def test_exit_two_on_unknown_claim(self, capsys):
         rc = main(["--pmax", "7", "--claims", "Bogus"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["--claims", "GL0"], 0), (["--claims", "Carlitz"], 1), (["--jobs", "0"], 2)],
+    )
+    def test_entry_exit_codes(self, monkeypatch, capsysbinary, args, code):
+        monkeypatch.setattr(sys, "argv", ["trinocheck", "--pmax", "7", *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == code
+
+    def test_parser_defaults_are_sweep_defaults(self):
+        args = cli.build_parser().parse_args([])
+        assert args.claims is None  # main reads None as every claim
+        config = SweepConfig(
+            pmin=args.pmin,
+            pmax=args.pmax,
+            nmax=args.nmax,
+            jobs=args.jobs,
+            fail_fast=args.fail_fast,
+            summary_only=args.summary_only,
+        )
+        assert config == SweepConfig()
 
     def test_exit_two_on_bad_flag(self):
         with pytest.raises(SystemExit) as exc:
