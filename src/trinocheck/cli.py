@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--summary-only",
         action="store_true",
-        help="collapse per-k records into one aggregate per (claim, p, n)",
+        help="report a claim over k as one aggregate per (claim, p, n)",
     )
     return parser
 

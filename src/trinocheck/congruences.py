@@ -70,10 +70,13 @@ CLAIM_ORDER: dict[ClaimId, int] = {c: i for i, c in enumerate(ClaimId)}
 
 @dataclass(slots=True)
 class CheckResult:
-    """One congruence instance: lhs and rhs are canonical residues mod `modulus`.
+    """One claim's instances at (p, n): instance i passes iff lhs[i] == rhs[i],
+    canonical residues mod `modulus`.
 
-    `passed` is total (never unknown) and holds iff lhs == rhs.  `n` and `k`
-    are None for claims that do not take that parameter.
+    `k` is the index of instance 0 (instance i has k + i), or None for a
+    claim without an index, which has exactly one instance; `n` is None for
+    claims without n.  The lists are never empty, and a side may be a
+    ctx.cached table, so nothing may mutate them.
     """
 
     claim: ClaimId
@@ -81,33 +84,23 @@ class CheckResult:
     n: int | None
     k: int | None
     modulus: int
-    lhs: int
-    rhs: int
-    passed: bool
+    lhs: list[int]
+    rhs: list[int]
 
 
 def result(
     claim: ClaimId,
     p: int,
     modulus: int,
-    lhs: int,
-    rhs: int,
+    lhs: list[int],
+    rhs: list[int],
     *,
     n: int | None = None,
     k: int | None = None,
 ) -> CheckResult:
-    """Build a CheckResult, deriving the pass flag from residue equality."""
-    lhs, rhs = lhs % modulus, rhs % modulus
-    return CheckResult(claim, p, n, k, modulus, lhs, rhs, lhs == rhs)
-
-
-def record_sort_key(r: CheckResult) -> tuple[int, int, int, int]:
-    """Deterministic report order: (p, n, claim, k), None sorting first."""
-    return (
-        r.p,
-        -1 if r.n is None else r.n,
-        CLAIM_ORDER[r.claim],
-        -1 if r.k is None else r.k,
+    """Build a CheckResult, reducing both sides mod `modulus`."""
+    return CheckResult(
+        claim, p, n, k, modulus, [a % modulus for a in lhs], [b % modulus for b in rhs]
     )
 
 
@@ -137,7 +130,7 @@ def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
     p mod 3); the pairs are the README's closed forms.
     """
     p, p2 = ctx.p, ctx.p2
-    row = ctx.cached(row_mod_p2_prefix, n * p - 1)
+    row = ctx.cached(row_mod_p2_prefix, (n * p - 1) % p2)
     half = (p - 1) // 2
     half_q3 = rat_mod(ctx.q3, 2, p)
     if ctx.rc6 == 1:
@@ -148,7 +141,7 @@ def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
     claims = (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)
     lhs = (row[p - 1], row[half], sum(row), sum(row[: half + 1]))
     return [
-        result(claim, p, p2, left, const + n * p * coef, n=n)
+        result(claim, p, p2, [left], [const + n * p * coef], n=n)
         for claim, left, (const, coef) in zip(claims, lhs, forms)
     ]
 
@@ -168,7 +161,7 @@ def check_thm2_eq6(ctx: PrimeContext) -> list[CheckResult]:
         central = central * (2 * (2 * k - 1)) % p * inv[k] % p
         acc = (acc + central * table[k]) % p
     rhs = -ctx.q3 % p if ctx.rc3 == 1 else ctx.q3
-    return [result(ClaimId.THM2_EQ6, p, p, acc, rhs)]
+    return [result(ClaimId.THM2_EQ6, p, p, [acc], [rhs])]
 
 
 def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
@@ -183,35 +176,29 @@ def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     half_q3 = rat_mod(ctx.q3, 2, p)
     rhs = -sign * half_q3 % p if ctx.rc6 == 1 else sign * half_q3 % p
-    return [result(ClaimId.THM2_EQ7, p, p, acc, rhs)]
+    return [result(ClaimId.THM2_EQ7, p, p, [acc], [rhs])]
 
 
 def check_cor4_eq11(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3,
-    one record per k in 0..p-1."""
+    """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3, for
+    k in 0..p-1.  The exponent is p**2 - 1 mod p**2 at every n, so every n
+    reads one row, which is the lhs as cached (already reduced)."""
     p, p2 = ctx.p, ctx.p2
-    row = ctx.cached(row_mod_p2_prefix, n * p2 - 1)
-    pattern = (1, p2 - 1, 0)
-    return [
-        result(ClaimId.COR4_EQ11, p, p2, row[k], pattern[k % 3], n=n, k=k)
-        for k in range(p)
-    ]
+    row = ctx.cached(row_mod_p2_prefix, (n * p2 - 1) % p2)
+    pattern = [1, p2 - 1, 0] * (p // 3 + 1)
+    return [CheckResult(ClaimId.COR4_EQ11, p, n, 0, p2, row, pattern[:p])]
 
 
 def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """Sum of the three closed forms at 3k, 3k+1, 3k+2 vs n*p/(3k+2) mod p**2,
-    one record per k with 3k+2 <= p-1."""
-    p, p2 = ctx.p, ctx.p2
+    for every k with 3k+2 <= p-1."""
+    p = ctx.p
     inv = ctx.cached(inverse_table)
     row = ctx.cached(closed_row_mod_p2, n)
-    out = []
-    k = 0
-    while 3 * k + 2 <= p - 1:
-        lhs = (row[3 * k] + row[3 * k + 1] + row[3 * k + 2]) % p2
-        rhs = n * p * inv[3 * k + 2] % p2
-        out.append(result(ClaimId.TRIPLE_SUM_A, p, p2, lhs, rhs, n=n, k=k))
-        k += 1
-    return out
+    ends = range(2, p, 3)  # 3k + 2
+    lhs = [row[j - 2] + row[j - 1] + row[j] for j in ends]
+    rhs = [n * p * inv[j] for j in ends]
+    return [result(ClaimId.TRIPLE_SUM_A, p, ctx.p2, lhs, rhs, n=n, k=0)]
 
 
 def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
@@ -219,15 +206,15 @@ def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
     p = ctx.p
     lhs = ctx.cached(_binom_coprime_mod, 2 * p - 1, p - 1)
     return [
-        result(ClaimId.BABBAGE, p, ctx.p2, lhs, 1),
-        result(ClaimId.WOLSTENHOLME, p, ctx.p3, lhs, 1),
+        result(ClaimId.BABBAGE, p, ctx.p2, [lhs], [1]),
+        result(ClaimId.WOLSTENHOLME, p, ctx.p3, [lhs], [1]),
     ]
 
 
 def check_glaisher(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """C(np-1, p-1) == 1 mod p**3 for every n >= 1."""
-    lhs = ctx.cached(_binom_coprime_mod, n * ctx.p - 1, ctx.p - 1) % ctx.p3
-    return [result(ClaimId.GLAISHER, ctx.p, ctx.p3, lhs, 1, n=n)]
+    lhs = ctx.cached(_binom_coprime_mod, n * ctx.p - 1, ctx.p - 1)
+    return [result(ClaimId.GLAISHER, ctx.p, ctx.p3, [lhs], [1], n=n)]
 
 
 def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
@@ -244,26 +231,23 @@ def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     four = pow(4, p - 1, p4)
     return [
-        result(ClaimId.MORLEY, p, p3, central, sign * four),
-        result(ClaimId.CARLITZ, p, p4, sign * central, four + p3 * inv_mod(12, p4)),
+        result(ClaimId.MORLEY, p, p3, [central], [sign * four]),
+        result(ClaimId.CARLITZ, p, p4, [sign * central], [four + p3 * inv_mod(12, p4)]),
     ]
 
 
 def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
-    """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, one record per
-    k in 1..floor((p-1)/4).
+    """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, for k in
+    1..floor((p-1)/4).
 
     The left side is an exact binomial reduced mod p; the right side is
     central4_table, so the codepaths stay apart.
     """
     p = ctx.p
     half = (p - 1) // 2
-    rhs = ctx.cached(central4_table)
-    out = []
-    for k in range(1, len(rhs)):
-        lhs = (-1) ** k * math.comb(half - k, k)
-        out.append(result(ClaimId.HALF_ROW_BINOM, p, p, lhs, rhs[k], k=k))
-    return out
+    central4 = ctx.cached(central4_table)
+    lhs = [(-1) ** k * math.comb(half - k, k) for k in range(1, len(central4))]
+    return [result(ClaimId.HALF_ROW_BINOM, p, p, lhs, central4[1:], k=1)]
 
 
 def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
@@ -275,28 +259,28 @@ def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
     third_rhs = rat_mod(-3 * ctx.q3, 2, p)
     sixth_rhs = (half_rhs + third_rhs) % p
     return [
-        result(ClaimId.GL0, p, p, table[p // 2], half_rhs),
-        result(ClaimId.GL, p, p, table[p // 3], third_rhs),
-        result(ClaimId.GL2, p, p, table[p // 6], sixth_rhs),
+        result(ClaimId.GL0, p, p, [table[p // 2]], [half_rhs]),
+        result(ClaimId.GL, p, p, [table[p // 3]], [third_rhs]),
+        result(ClaimId.GL2, p, p, [table[p // 6]], [sixth_rhs]),
     ]
 
 
 def check_reflections(ctx: PrimeContext) -> list[CheckResult]:
-    """Reflection rules, one record per index k:
+    """Reflection rules, over the index k:
 
     H_{p-k} == H_{k-1} for 1 <= k <= p-1, and
     H_{(p-1)/2 - k} == -2*q2 + 2*H_{2k} - H_k for 1 <= k <= (p-1)/2.
+
+    Cong0's sides are two slices of the harmonic table, already reduced.
     """
     table = ctx.cached(harmonic_table)
     p = ctx.p
-    out = []
-    for k in range(1, p):
-        out.append(result(ClaimId.CONG0, p, p, table[p - k], table[k - 1], k=k))
     half = (p - 1) // 2
-    for k in range(1, half + 1):
-        rhs = (-2 * ctx.q2 + 2 * table[2 * k] - table[k]) % p
-        out.append(result(ClaimId.CONG1, p, p, table[half - k], rhs, k=k))
-    return out
+    cong1_rhs = [-2 * ctx.q2 + 2 * table[2 * k] - table[k] for k in range(1, half + 1)]
+    return [
+        CheckResult(ClaimId.CONG0, p, None, 1, p, table[:0:-1], table[: p - 1]),
+        result(ClaimId.CONG1, p, p, table[half - 1 :: -1], cong1_rhs, k=1),
+    ]
 
 
 def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
@@ -332,7 +316,7 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
             (ClaimId.H2, m, 3, 2, two_thirds_q2),
         ]
     return [
-        result(claim, p, p, ap_harmonic(m, d, r, ctx), rhs)
+        result(claim, p, p, [ap_harmonic(m, d, r, ctx)], [rhs])
         for claim, m, d, r, rhs in sums
     ]
 
@@ -340,7 +324,8 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
 @dataclass(frozen=True, eq=False)
 class ClaimSpec:
     """How a claim is swept: whether its checker takes the n parameter, and
-    the checker, run(ctx) or run(ctx, n), returning a list of records.
+    the checker, run(ctx) or run(ctx, n), returning a list of records, one
+    per claim it emits (a claim over k holds all its instances in one).
 
     Claims checked by one function share one spec, and the sweep runs each
     distinct spec once per prime (per (p, n) when per_n).  Specs compare by

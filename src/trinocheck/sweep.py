@@ -8,13 +8,14 @@ run-dependent (timestamps, durations, host names) ever enters the output.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby, repeat
+from itertools import compress, count, repeat
 from typing import BinaryIO
 
-from .congruences import CLAIM_REGISTRY, CheckResult, ClaimId, record_sort_key, result
+from .congruences import CLAIM_ORDER, CLAIM_REGISTRY, CheckResult, ClaimId, result
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 
 #: Upper bound on --nmax; keeps the n*p - 1 row computations inside a
@@ -87,9 +88,21 @@ class ClaimTally:
         return self.records - self.passed
 
 
+def _first_mismatch(r: CheckResult) -> int | None:
+    """The position of r's first failing instance, or None if all pass."""
+    return next(compress(count(), map(operator.ne, r.lhs, r.rhs)), None)
+
+
+def _slice(r: CheckResult, start: int, stop: int) -> CheckResult:
+    """r's instances start..stop-1 as a record of their own."""
+    k = None if r.k is None else r.k + start
+    return CheckResult(r.claim, r.p, r.n, k, r.modulus, r.lhs[start:stop], r.rhs[start:stop])
+
+
 @dataclass
 class Summary(ClaimTally):
-    """The tally over all claims, each claim's tally and the first failure."""
+    """The tally over all claims, each claim's tally and the first failing
+    instance, as a one-instance record."""
 
     per_claim: dict[ClaimId, ClaimTally] = field(default_factory=dict)
     first_failure: CheckResult | None = None
@@ -98,46 +111,27 @@ class Summary(ClaimTally):
         """Tally the next records of the report, in report order."""
         for r in records:
             tally = self.per_claim.setdefault(r.claim, ClaimTally())
-            tally.records += 1
-            if r.passed:
-                tally.passed += 1
-            elif self.first_failure is None:
-                self.first_failure = r
-        self.records += len(records)
-        self.passed = sum(t.passed for t in self.per_claim.values())
-        self.per_claim = {c: self.per_claim[c] for c in ClaimId if c in self.per_claim}
-
-
-def _collapse(records: list[CheckResult]) -> list[CheckResult]:
-    """Fold runs of per-instance records (those with an index k) into one
-    aggregate per (claim, p, n).
-
-    Aggregates carry passed-count in lhs and instance-count in rhs, so the
-    CheckResult rule pass <=> lhs == rhs still holds.
-    """
-    out: list[CheckResult] = []
-    runs = groupby(records, key=lambda r: (r.claim, r.p, r.n, r.k is not None))
-    for (claim, p, n, per_k), run in runs:
-        if not per_k:
-            out.extend(run)
-            continue
-        group = list(run)
-        passed = sum(g.passed for g in group)
-        out.append(result(claim, p, group[0].modulus, passed, len(group), n=n))
-    return out
+            passed = sum(map(operator.eq, r.lhs, r.rhs))
+            tally.records += len(r.lhs)
+            tally.passed += passed
+            self.records += len(r.lhs)
+            self.passed += passed
+            if passed < len(r.lhs) and self.first_failure is None:
+                i = _first_mismatch(r)
+                self.first_failure = _slice(r, i, i + 1)
 
 
 def _check_prime(
     p: int, claims: tuple[ClaimId, ...], nmax: int, summary_only: bool
 ) -> list[CheckResult]:
-    """All records for one prime, sorted (collapsed when summary_only); this
-    is the parallel work unit, so a worker sends back only what the report
-    keeps.
+    """All records for one prime in report order; this is the parallel work
+    unit, so a worker sends back only what the report keeps.
 
     Each distinct registry spec runs once (once per n when per_n), and a
     record is kept only if its claim is selected and is registered to the
-    spec that produced it.  Collapsing one prime at a time is exact because
-    every aggregate belongs to a single (claim, p, n).
+    spec that produced it.  With summary_only, each record over k becomes
+    one aggregate carrying its passed-count in lhs and its instance-count in
+    rhs, so an aggregate passes iff every instance does.
     """
     ctx = PrimeContext(p)
     records: list[CheckResult] = []
@@ -146,18 +140,23 @@ def _check_prime(
         calls = [(ctx, n) for n in range(1, nmax + 1)] if spec.per_n else [(ctx,)]
         for args in calls:
             records.extend(r for r in spec.run(*args) if r.claim in keep)
-    records.sort(key=record_sort_key)
-    return _collapse(records) if summary_only else records
+    records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
+    if summary_only:
+        for i, r in enumerate(records):
+            if r.k is not None:
+                passed = sum(map(operator.eq, r.lhs, r.rhs))
+                records[i] = result(r.claim, p, r.modulus, [passed], [len(r.lhs)], n=r.n)
+    return records
 
 
 def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
-    """Yield each prime's records (collapsed when summary_only) in prime
+    """Yield each prime's records (aggregated when summary_only) in prime
     order, as soon as that prime is checked.
 
     With fail_fast the stream stops immediately after the first failing
-    record (identical truncation point at any worker count).  The process
-    pool, if any, lives as long as the generator; close it to cancel the
-    primes not yet checked.
+    instance: the record holding it is cut after it (identical truncation
+    point at any worker count).  The process pool, if any, lives as long as
+    the generator; close it to cancel the primes not yet checked.
     """
     primes = sieve_primes(config.pmin, config.pmax)
     work_args = (config.claims, config.nmax, config.summary_only)
@@ -173,8 +172,9 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
         for prime_records in per_prime:
             if config.fail_fast:
                 for i, r in enumerate(prime_records):
-                    if not r.passed:
-                        yield prime_records[: i + 1]
+                    j = _first_mismatch(r)
+                    if j is not None:
+                        yield prime_records[:i] + [_slice(r, 0, j + 1)]
                         return
             yield prime_records
     finally:
@@ -182,11 +182,14 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
             executor.shutdown(cancel_futures=True)
 
 
-def _jsonl_record(r: CheckResult) -> str:
-    return (
-        f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},'
-        f'"k":{"null" if r.k is None else r.k},"modulus":{r.modulus},'
-        f'"lhs":"{r.lhs}","rhs":"{r.rhs}","pass":{"true" if r.passed else "false"}}}'
+def _jsonl_lines(r: CheckResult) -> str:
+    """One JSONL line per instance of r, joined by newlines."""
+    head = f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
+    mid = f',"modulus":{r.modulus},"lhs":"'
+    ks = repeat("null") if r.k is None else count(r.k)
+    return "\n".join(
+        f'{head}{k}{mid}{a}","rhs":"{b}","pass":{"true" if a == b else "false"}}}'
+        for k, a, b in zip(ks, r.lhs, r.rhs)
     )
 
 
@@ -195,17 +198,20 @@ def _jsonl_trailer(s: Summary) -> str:
         f'"{c.value}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
         for c, t in s.per_claim.items()
     )
-    first = "null" if s.first_failure is None else _jsonl_record(s.first_failure)
+    first = "null" if s.first_failure is None else _jsonl_lines(s.first_failure)
     return (
         f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
         f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
     )
 
 
-def _csv_record(r: CheckResult) -> str:
-    return (
-        f'{r.claim.value},{r.p},{"" if r.n is None else r.n},{"" if r.k is None else r.k},'
-        f'{r.modulus},{r.lhs},{r.rhs},{"true" if r.passed else "false"}'
+def _csv_lines(r: CheckResult) -> str:
+    """One CSV row per instance of r, joined by newlines."""
+    head = f'{r.claim.value},{r.p},{"" if r.n is None else r.n},'
+    ks = repeat("") if r.k is None else count(r.k)
+    return "\n".join(
+        f'{head}{k},{r.modulus},{a},{b},{"true" if a == b else "false"}'
+        for k, a, b in zip(ks, r.lhs, r.rhs)
     )
 
 
@@ -213,10 +219,10 @@ def _csv_trailer(s: Summary) -> str:
     return f'summary,,,,,{s.passed},{s.records},{"true" if s.failed == 0 else "false"}'
 
 
-#: format -> (header, record line, trailer line); lines carry no newline
+#: format -> (header, record lines, trailer line); lines carry no final newline
 FORMATS = {
-    "jsonl": ("", _jsonl_record, _jsonl_trailer),
-    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_record, _csv_trailer),
+    "jsonl": ("", _jsonl_lines, _jsonl_trailer),
+    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_lines, _csv_trailer),
 }
 
 
@@ -225,9 +231,10 @@ def write_report(
 ) -> Summary:
     """Write each chunk of records to `out` as it arrives; return the summary.
 
-    jsonl: one compact object per record with keys claim, p, n, k, modulus,
-    lhs, rhs, pass (residues as decimal strings; absent n/k as null), then a
-    {"summary": ...} trailer object with per_claim in claim order.
+    jsonl: one compact object per instance (a record over k gives one line
+    per k) with keys claim, p, n, k, modulus, lhs, rhs, pass (residues as
+    decimal strings; absent n/k as null), then a {"summary": ...} trailer
+    object with per_claim in claim order and the first failing instance.
 
     csv: same columns with a header row and empty cells for absent n/k, then
     a trailer row with claim "summary" carrying passed-count in the lhs
@@ -239,13 +246,14 @@ def write_report(
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    header, line, trailer = FORMATS[fmt]
+    header, lines, trailer = FORMATS[fmt]
     out.write(header.encode())
     summary = Summary()
     for chunk in chunks:
         summary.add(chunk)
         if chunk:
-            out.write(("\n".join(map(line, chunk)) + "\n").encode())
+            out.write(("\n".join(map(lines, chunk)) + "\n").encode())
+    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
     out.write((trailer(summary) + "\n").encode())
     return summary
 

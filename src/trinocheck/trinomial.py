@@ -118,6 +118,12 @@ def row_mod_p2_prefix(ctx: PrimeContext, exponent: int) -> list[int]:
     shorter than p come out zero-padded, because the recurrence itself
     yields a_k = 0 for k > 2N.  The checkers read it through ctx.cached, so
     one computation serves every claim that reads the row.
+
+    The prefix depends only on N mod p**2, so the recurrence runs on the
+    reduced exponent and the checkers key the memo by it: from
+    (1 + x + x**2)**N = sum_j C(N, j) * x**j * (1 + x)**j, C(N, k)_2 is
+    sum_{j <= k} C(N, j) * C(j, k - j), an integer polynomial in N over
+    denominators j! with j <= k < p, all units mod p**2.
     """
     if exponent < 0:
         raise ValueError(f"exponent must be nonnegative, got {exponent}")

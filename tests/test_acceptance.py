@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 
 import trinocheck as tc
+from instances import expand
 from trinocheck.congruences import (
     CLAIM_REGISTRY,
     ClaimId,
@@ -31,9 +32,9 @@ from trinocheck.trinomial import closed_row_mod_p2
 
 
 def _check(claim, ctx, n=None):
-    """The records of `claim` alone, from the checker its registry spec runs."""
+    """The instances of `claim` alone, from the checker its registry spec runs."""
     run = CLAIM_REGISTRY[claim].run
-    return [r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim]
+    return expand(r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim)
 
 
 def _conclude(name, failures):
@@ -42,8 +43,8 @@ def _conclude(name, failures):
     assert not failures, f"{name}: {len(failures)} failures, first: {failures[0]}"
 
 
-def _collect(records, failures):
-    failures.extend(r for r in records if not r.passed)
+def _collect(instances, failures):
+    failures.extend(r for r in instances if not r.passed)
 
 
 def test_criterion_1_theorem1_sweep():
@@ -95,9 +96,9 @@ def test_criterion_5_lemma_sweep():
     failures = []
     for p in tc.sieve_primes(5, 2003):
         ctx = tc.PrimeContext(p)
-        _collect(check_half_third_sixth(ctx), failures)
-        _collect(check_reflections(ctx), failures)
-        _collect(check_progression_lemmas(ctx), failures)
+        _collect(expand(check_half_third_sixth(ctx)), failures)
+        _collect(expand(check_reflections(ctx)), failures)
+        _collect(expand(check_progression_lemmas(ctx)), failures)
     _conclude("5 harmonic-lemma sweep (p <= 2003, mod p)", failures)
 
 
@@ -278,7 +279,7 @@ def test_criterion_10_cli_contract(monkeypatch, tmp_path, capsysbinary):
 
     # fault injection: a deliberately falsified claim must yield exit 1
     def broken(ctx):
-        return [result(ClaimId.GL, ctx.p, ctx.p, 0, 1)]
+        return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1])]
 
     monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(False, broken))
     out = tmp_path / "injected.jsonl"

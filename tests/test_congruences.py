@@ -2,15 +2,22 @@ import math
 
 import pytest
 
+from instances import expand
 from trinocheck import congruences
 from trinocheck.congruences import CLAIM_REGISTRY, ClaimId
 from trinocheck.modular import PrimeContext, sieve_primes
+from trinocheck.trinomial import row_mod_p2_prefix
 
 
-def _check(claim, ctx, n=None):
+def _records(claim, ctx, n=None):
     """The records of `claim` alone, from the checker its registry spec runs."""
     run = CLAIM_REGISTRY[claim].run
     return [r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim]
+
+
+def _check(claim, ctx, n=None):
+    """The instances of `claim` alone, one per k."""
+    return expand(_records(claim, ctx, n))
 
 
 class TestThm1Eq2:
@@ -93,6 +100,16 @@ class TestCor4Eq11:
         assert results[0].rhs == 1
         assert results[2].lhs == results[2].rhs == 0
         assert results[1].rhs == 49 - 1
+
+    def test_one_record_reads_the_cached_row(self):
+        # every n reads the one row p**2 - 1, as cached, with no copy
+        ctx = PrimeContext(11)
+        row = ctx.cached(row_mod_p2_prefix, ctx.p2 - 1)
+        for n in (1, 2, 8):
+            [r] = _records(ClaimId.COR4_EQ11, ctx, n)
+            assert (r.n, r.k, r.modulus) == (n, 0, ctx.p2)
+            assert r.lhs is row
+            assert r.rhs == [(1, ctx.p2 - 1, 0)[k % 3] for k in range(ctx.p)]
 
 
 class TestTripleSum:
@@ -183,3 +200,37 @@ def test_moduli_match_claims():
     assert _check(ClaimId.WOLSTENHOLME, ctx)[0].modulus == ctx.p3
     assert _check(ClaimId.CARLITZ, ctx)[0].modulus == ctx.p4
     assert all(r.modulus == ctx.p2 for r in _check(ClaimId.COR4_EQ11, ctx, 1))
+
+
+#: the first index and the instance count at p of each claim over k
+PER_K = {
+    ClaimId.COR4_EQ11: (0, lambda p: p),
+    ClaimId.TRIPLE_SUM_A: (0, lambda p: p // 3),
+    ClaimId.HALF_ROW_BINOM: (1, lambda p: (p - 1) // 4),
+    ClaimId.CONG0: (1, lambda p: p - 1),
+    ClaimId.CONG1: (1, lambda p: (p - 1) // 2),
+}
+
+
+@pytest.mark.parametrize("claim", PER_K)
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
+def test_per_k_claims_emit_one_record(claim, p):
+    # a claim over k is one record per (p, n): its first index and all its
+    # instances, canonical residues mod the claim's modulus
+    first_k, count = PER_K[claim]
+    [r] = _records(claim, PrimeContext(p), 1 if CLAIM_REGISTRY[claim].per_n else None)
+    assert r.k == first_k
+    assert len(r.lhs) == len(r.rhs) == count(p)
+    assert all(0 <= v < r.modulus for v in r.lhs + r.rhs)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_one_record_per_claim_and_n(p):
+    # at most one record per (claim, p, n); a claim without an index k has
+    # exactly one instance
+    ctx = PrimeContext(p)
+    for claim, spec in CLAIM_REGISTRY.items():
+        records = _records(claim, ctx, 2 if spec.per_n else None)
+        assert len(records) <= 1, claim
+        for r in records:
+            assert r.k is not None or len(r.lhs) == len(r.rhs) == 1, claim

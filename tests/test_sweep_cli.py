@@ -5,18 +5,21 @@ import subprocess
 import sys
 from collections import Counter
 from functools import cache
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import Instance, expand
 from trinocheck import cli, congruences, modular, sweep
 from trinocheck.cli import main
 from trinocheck.congruences import (
+    CLAIM_ORDER,
     CLAIM_REGISTRY,
+    CheckResult,
     ClaimId,
     ClaimSpec,
-    record_sort_key,
     result,
 )
 from trinocheck.harmonic import ap_harmonic, inverse_table
@@ -30,7 +33,6 @@ from trinocheck.sweep import (
     MAX_JOBS,
     ConfigError,
     SweepConfig,
-    _collapse,
     iter_sweep,
     parse_claims,
     write_report,
@@ -46,6 +48,27 @@ def _cfg(**kwargs):
 def _records(config):
     """Every record of the sweep, in report order."""
     return [r for chunk in iter_sweep(config) for r in chunk]
+
+
+def _instances(config):
+    """Every instance of the sweep, one per report line."""
+    return expand(_records(config))
+
+
+def _collapsed(instances):
+    """What --summary-only should report for these instances of a full
+    sweep: each run of one (claim, p, n) over k becomes one aggregate of
+    passed-count vs instance-count."""
+    out = []
+    runs = groupby(instances, key=lambda i: (i.claim, i.p, i.n, i.k is not None))
+    for (claim, p, n, per_k), run in runs:
+        run = list(run)
+        if per_k:
+            passed = sum(i.passed for i in run)
+            out.append(Instance(claim, p, n, None, run[0].modulus, passed, len(run)))
+        else:
+            out.extend(run)
+    return out
 
 
 def _report(config, fmt="jsonl"):
@@ -64,9 +87,26 @@ def _falsified(claim):
     """A deliberately broken runner: every record fails."""
 
     def run(ctx, n=None):
-        return [result(claim, ctx.p, ctx.p2, 0, 1, n=n)]
+        return [result(claim, ctx.p, ctx.p2, [0], [1], n=n)]
 
     return ClaimSpec(CLAIM_REGISTRY[claim].per_n, run)
+
+
+def _failing_at_k3(claim):
+    """The registry's checker for `claim`, with its instance k = 3 broken."""
+    spec = CLAIM_REGISTRY[claim]
+
+    def run(*args):
+        out = []
+        for r in spec.run(*args):
+            if r.claim is claim:
+                rhs = list(r.rhs)
+                rhs[3 - r.k] = (rhs[3 - r.k] + 1) % r.modulus
+                r = CheckResult(r.claim, r.p, r.n, r.k, r.modulus, r.lhs, rhs)
+            out.append(r)
+        return out
+
+    return ClaimSpec(spec.per_n, run)
 
 
 class TestSweepConfig:
@@ -106,7 +146,7 @@ class TestRunSweep:
     write_report."""
 
     def test_two_primes_one_claim(self):
-        records = _records(_cfg())
+        records = _instances(_cfg())
         assert len(records) == 2
         assert all(r.passed for r in records)
         assert [r.p for r in records] == [5, 7]
@@ -116,13 +156,17 @@ class TestRunSweep:
         assert summary.first_failure is None
 
     def test_all_claims_p5(self):
-        records = _records(SweepConfig(pmin=5, pmax=5, nmax=1))
+        records = _instances(SweepConfig(pmin=5, pmax=5, nmax=1))
         assert all(r.passed for r in records)
         cor4 = [r for r in records if r.claim is ClaimId.COR4_EQ11]
         assert [r.k for r in cor4] == [0, 1, 2, 3, 4]
 
     def test_record_order(self):
-        keys = [record_sort_key(r) for r in _records(SweepConfig(pmin=5, pmax=11, nmax=2))]
+        # (p, n, claim, k) ascending, None first
+        keys = [
+            (r.p, -1 if r.n is None else r.n, CLAIM_ORDER[r.claim], -1 if r.k is None else r.k)
+            for r in _instances(SweepConfig(pmin=5, pmax=11, nmax=2))
+        ]
         assert keys == sorted(keys)
 
     def test_inapplicable_claim_emits_nothing(self):
@@ -147,12 +191,12 @@ class TestRunSweep:
             claims=(ClaimId.THM1_EQ2, ClaimId.THM2_EQ6),
             fail_fast=True,
         )
-        records = _records(cfg)
+        records = _instances(cfg)
         # within p=5 the n-independent claim sorts first, so the stream is
         # exactly one failing record
         assert len(records) == 1
         assert not records[-1].passed
-        assert _summary(cfg).first_failure == records[-1]
+        assert expand([_summary(cfg).first_failure]) == records
 
     def test_parallel_matches_serial(self):
         cfg_serial = SweepConfig(pmin=5, pmax=31, nmax=2, jobs=1)
@@ -220,9 +264,10 @@ class TestSharedSpecs:
         assert calls["inverse_table"] == 1
         # q2 and q3, once each, when the prime's context is built
         assert calls["fermat_quotient"] == 2
-        # one row per distinct exponent: n*p - 1 and n*p**2 - 1 for n <= nmax;
-        # schoolbook powering is a test oracle only
-        assert calls["row_mod_p2_prefix"] == 2 * nmax
+        # one row per distinct exponent mod p**2: n*p - 1 for n <= nmax, and
+        # n*p**2 - 1, which is p**2 - 1 at every n; schoolbook powering is a
+        # test oracle only
+        assert calls["row_mod_p2_prefix"] == nmax + 1
         assert calls["row_mod_prefix"] == 0
 
     def test_per_prime_quantities_built_once(self, monkeypatch):
@@ -272,11 +317,11 @@ class TestSharedSpecs:
         # Carlitz fails at every p >= 7, so with pmax >= 7 fail_fast truncates
         chosen = subset | {ClaimId.CARLITZ, ClaimId.COR4_EQ11}
         claims = tuple(c for c in ClaimId if c in chosen)
-        got = _records(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
-                                   fail_fast=fail_fast, summary_only=True))
-        want = _collapse(
-            [r for r in _all_claims_records() if r.claim in chosen and r.p <= pmax]
-        )
+        got = _instances(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
+                                     fail_fast=fail_fast, summary_only=True))
+        want = _collapsed(expand(
+            r for r in _all_claims_records() if r.claim in chosen and r.p <= pmax
+        ))
         if fail_fast:
             cut = next((i + 1 for i, r in enumerate(want) if not r.passed), len(want))
             want = want[:cut]
@@ -284,15 +329,61 @@ class TestSharedSpecs:
 
     def test_replacing_one_shared_claim(self, monkeypatch):
         def falsified_gl(ctx):
-            return [result(ClaimId.GL, ctx.p, ctx.p, 0, 1)]
+            return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1])]
 
         untouched = [r for r in _all_claims_records() if r.claim is not ClaimId.GL]
         monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(False, falsified_gl))
         records = _records(SweepConfig(pmin=5, pmax=61, nmax=2))
-        gl = [r for r in records if r.claim is ClaimId.GL]
+        gl = expand(r for r in records if r.claim is ClaimId.GL)
         assert [r.p for r in gl] == sorted({r.p for r in records})
         assert not any(r.passed for r in gl)
         assert [r for r in records if r.claim is not ClaimId.GL] == untouched
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("claim", [ClaimId.CONG0, ClaimId.COR4_EQ11])
+class TestFailureInsideRecord:
+    """A claim over k whose instance k = 3 fails, in the middle of its
+    record, at every prime (and every n)."""
+
+    @pytest.fixture(autouse=True)
+    def _broken(self, monkeypatch, claim):
+        monkeypatch.setitem(CLAIM_REGISTRY, claim, _failing_at_k3(claim))
+
+    def _cfg(self, claim, jobs, **kwargs):
+        return _cfg(pmax=13, nmax=2, claims=(ClaimId.THM1_EQ2, claim), jobs=jobs, **kwargs)
+
+    def test_fail_fast_stops_at_the_instance(self, claim, jobs):
+        full = _instances(self._cfg(claim, jobs))
+        cut = next(i for i, r in enumerate(full) if not r.passed) + 1
+        assert (full[cut - 1].claim, full[cut - 1].p, full[cut - 1].k) == (claim, 5, 3)
+        cfg = self._cfg(claim, jobs, fail_fast=True)
+        assert _instances(cfg) == full[:cut]
+        lines = _report(cfg).decode().splitlines()
+        assert len(lines) == cut + 1
+        last = json.loads(lines[-2])
+        assert (last["claim"], last["p"], last["k"], last["pass"]) == (claim.value, 5, 3, False)
+        assert json.loads(lines[-1])["summary"]["first_failure"] == last
+
+    def test_trailer_first_failure(self, claim, jobs):
+        cfg = self._cfg(claim, jobs)
+        summary = json.loads(_report(cfg).decode().splitlines()[-1])["summary"]
+        first = summary["first_failure"]
+        assert (first["claim"], first["p"], first["k"], first["pass"]) == (
+            claim.value, 5, 3, False)
+        # one failure per prime, and per n for a claim that takes n
+        per_n = 2 if CLAIM_REGISTRY[claim].per_n else 1
+        assert summary["per_claim"][claim.value]["failed"] == 4 * per_n
+        assert summary["failed"] == 4 * per_n
+
+    def test_summary_only_aggregate_fails(self, claim, jobs):
+        cfg = self._cfg(claim, jobs, summary_only=True)
+        aggregates = [r for r in _instances(cfg) if r.claim is claim]
+        assert len(aggregates) == 4 * (2 if CLAIM_REGISTRY[claim].per_n else 1)
+        for r in aggregates:
+            assert r.k is None
+            assert r.lhs == r.rhs - 1  # every instance but k = 3 passes
+            assert not r.passed
 
 
 class TestRender:
@@ -346,7 +437,7 @@ class TestRender:
 
     def test_summary_only_collapses_per_instance_claims(self):
         cfg = _cfg(claims=(ClaimId.COR4_EQ11,), summary_only=True)
-        records = _records(cfg)
+        records = _instances(cfg)
         assert [(r.p, r.n, r.k) for r in records] == [(5, 1, None), (7, 1, None)]
         # aggregates carry passed-count vs instance-count
         assert (records[0].lhs, records[0].rhs) == (5, 5)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import expand
 from trinocheck.congruences import ClaimId, halfrow_binomial_check
 from trinocheck.modular import PrimeContext, sieve_primes
 from trinocheck.trinomial import (
@@ -108,6 +109,17 @@ class TestRowModP2Prefix:
         with pytest.raises(ValueError):
             row_mod_p2_prefix(PrimeContext(5), -1)
 
+    @given(st.sampled_from(sieve_primes(5, 97)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_depends_on_exponent_mod_p2(self, p, data):
+        # why the sweep may key its row memo by N mod p**2: for k < p,
+        # C(N, k)_2 mod p**2 depends only on N mod p**2.  Checked on the
+        # schoolbook oracle, which powers the full exponent, so the check
+        # shares nothing with the recurrence that reduces N itself.
+        p2 = p * p
+        n = data.draw(st.integers(0, 8 * p2))
+        assert row_mod_prefix(n, p2, p) == row_mod_prefix(n % p2, p2, p)
+
 
 class TestCoeffViaCosine:
     def test_examples(self):
@@ -191,18 +203,18 @@ class TestAltFibSum:
 
 class TestHalfrowBinomialCheck:
     def test_p5(self):
-        results = halfrow_binomial_check(PrimeContext(5))
+        results = expand(halfrow_binomial_check(PrimeContext(5)))
         assert len(results) == 1  # k ranges over 1..floor((p-1)/4)
         r = results[0]
         assert (r.claim, r.k) == (ClaimId.HALF_ROW_BINOM, 1)
         assert (r.lhs, r.rhs, r.passed) == (4, 4, True)  # -C(1,1) vs 6/4 mod 5
 
     def test_p13_spot(self):
-        results = {r.k: r for r in halfrow_binomial_check(PrimeContext(13))}
+        results = {r.k: r for r in expand(halfrow_binomial_check(PrimeContext(13)))}
         assert (results[3].lhs, results[3].rhs) == (12, 12)
 
     @pytest.mark.parametrize("p", sieve_primes(5, 199))
     def test_sweep(self, p):
-        results = halfrow_binomial_check(PrimeContext(p))
+        results = expand(halfrow_binomial_check(PrimeContext(p)))
         assert len(results) == (p - 1) // 4
         assert all(r.passed for r in results)
