@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=FORMATS, default="jsonl", dest="fmt")
     parser.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
     parser.add_argument("--jobs", type=int, default=SweepConfig.jobs, metavar="N", help="worker processes, one prime per task")
-    parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing record")
+    parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing instance (one report line)")
     parser.add_argument(
         "--summary-only",
         action="store_true",

@@ -13,7 +13,6 @@ constant terms are exact at the full claim modulus.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -240,13 +239,20 @@ def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
     """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, for k in
     1..floor((p-1)/4).
 
-    The left side is an exact binomial reduced mod p; the right side is
-    central4_table, so the codepaths stay apart.
+    The left side comes from the mod-p recurrence C(h-k, k) =
+    C(h-k+1, k-1) * (h-2k+2)(h-2k+1) / (k*(h-k+1)) with h = (p-1)/2, whose
+    factors stay below p and invert by pow; the right side is central4_table,
+    read from inverse_table, so the codepaths stay apart.
     """
     p = ctx.p
     half = (p - 1) // 2
     central4 = ctx.cached(central4_table)
-    lhs = [(-1) ** k * math.comb(half - k, k) for k in range(1, len(central4))]
+    binom = 1
+    lhs = []
+    for k in range(1, len(central4)):
+        binom = (binom * (half - 2 * k + 2) * (half - 2 * k + 1)
+                 * pow(k * (half - k + 1), -1, p) % p)
+        lhs.append(-binom if k % 2 else binom)
     return [result(ClaimId.HALF_ROW_BINOM, p, p, lhs, central4[1:], k=1)]
 
 
@@ -321,40 +327,23 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class ClaimSpec:
-    """How a claim is swept: whether its checker takes the n parameter, and
-    the checker, run(ctx) or run(ctx, n), returning a list of records, one
-    per claim it emits (a claim over k holds all its instances in one).
-
-    Claims checked by one function share one spec, and the sweep runs each
-    distinct spec once per prime (per (p, n) when per_n).  Specs compare by
-    identity, so a replaced entry is never merged with the spec it replaced.
-    """
-
-    per_n: bool
-    run: Callable[..., list[CheckResult]]
-
-
-#: Each checker once, with the claims it emits.
-CLAIM_REGISTRY: dict[ClaimId, ClaimSpec] = {
-    claim: spec
-    for spec, claims in (
-        (ClaimSpec(True, check_row_np_minus1),
-         (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)),
-        (ClaimSpec(False, check_thm2_eq6), (ClaimId.THM2_EQ6,)),
-        (ClaimSpec(False, check_thm2_eq7), (ClaimId.THM2_EQ7,)),
-        (ClaimSpec(True, check_cor4_eq11), (ClaimId.COR4_EQ11,)),
-        (ClaimSpec(True, check_triple_sum), (ClaimId.TRIPLE_SUM_A,)),
-        (ClaimSpec(False, check_babbage_wolstenholme), (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME)),
-        (ClaimSpec(True, check_glaisher), (ClaimId.GLAISHER,)),
-        (ClaimSpec(False, check_morley_carlitz), (ClaimId.MORLEY, ClaimId.CARLITZ)),
-        (ClaimSpec(False, halfrow_binomial_check), (ClaimId.HALF_ROW_BINOM,)),
-        (ClaimSpec(False, check_half_third_sixth), (ClaimId.GL0, ClaimId.GL, ClaimId.GL2)),
-        (ClaimSpec(False, check_reflections), (ClaimId.CONG0, ClaimId.CONG1)),
-        (ClaimSpec(False, check_progression_lemmas),
-         (ClaimId.C1B, ClaimId.C1C, ClaimId.C2B, ClaimId.C2C, ClaimId.C3, ClaimId.C3B,
-          ClaimId.H0, ClaimId.H1, ClaimId.H2, ClaimId.H3)),
-    )
-    for claim in claims
+#: Each checker once: whether it takes n, and the claims it emits.  A checker
+#: is run(ctx) or run(ctx, n) returning one record per claim it emits at
+#: that (p, n); a claim over k holds all its instances in one record.
+CHECKERS: dict[Callable[..., list[CheckResult]], tuple[bool, tuple[ClaimId, ...]]] = {
+    check_row_np_minus1:
+        (True, (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)),
+    check_thm2_eq6: (False, (ClaimId.THM2_EQ6,)),
+    check_thm2_eq7: (False, (ClaimId.THM2_EQ7,)),
+    check_cor4_eq11: (True, (ClaimId.COR4_EQ11,)),
+    check_triple_sum: (True, (ClaimId.TRIPLE_SUM_A,)),
+    check_babbage_wolstenholme: (False, (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME)),
+    check_glaisher: (True, (ClaimId.GLAISHER,)),
+    check_morley_carlitz: (False, (ClaimId.MORLEY, ClaimId.CARLITZ)),
+    halfrow_binomial_check: (False, (ClaimId.HALF_ROW_BINOM,)),
+    check_half_third_sixth: (False, (ClaimId.GL0, ClaimId.GL, ClaimId.GL2)),
+    check_reflections: (False, (ClaimId.CONG0, ClaimId.CONG1)),
+    check_progression_lemmas:
+        (False, (ClaimId.C1B, ClaimId.C1C, ClaimId.C2B, ClaimId.C2C, ClaimId.C3, ClaimId.C3B,
+                 ClaimId.H0, ClaimId.H1, ClaimId.H2, ClaimId.H3)),
 }

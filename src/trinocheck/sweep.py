@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from typing import BinaryIO
 
-from .congruences import CLAIM_ORDER, CLAIM_REGISTRY, CheckResult, ClaimId, result
+from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId, result
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 
 #: Upper bound on --nmax; keeps the n*p - 1 row computations inside a
@@ -127,19 +127,20 @@ def _check_prime(
     """All records for one prime in report order; this is the parallel work
     unit, so a worker sends back only what the report keeps.
 
-    Each distinct registry spec runs once (once per n when per_n), and a
-    record is kept only if its claim is selected and is registered to the
-    spec that produced it.  With summary_only, each record over k becomes
-    one aggregate carrying its passed-count in lhs and its instance-count in
-    rhs, so an aggregate passes iff every instance does.
+    Each checker in CHECKERS runs once (once per n when it takes n) if it
+    emits a selected claim, and only the selected claims' records are kept.
+    With summary_only, each record over k becomes one aggregate carrying its
+    passed-count in lhs and its instance-count in rhs, so an aggregate passes
+    iff every instance does.
     """
     ctx = PrimeContext(p)
+    selected = set(claims)
     records: list[CheckResult] = []
-    for spec in dict.fromkeys(CLAIM_REGISTRY[c] for c in claims):
-        keep = {c for c in claims if CLAIM_REGISTRY[c] is spec}
-        calls = [(ctx, n) for n in range(1, nmax + 1)] if spec.per_n else [(ctx,)]
-        for args in calls:
-            records.extend(r for r in spec.run(*args) if r.claim in keep)
+    for run, (per_n, emits) in CHECKERS.items():
+        if selected.isdisjoint(emits):
+            continue
+        for args in [(ctx, n) for n in range(1, nmax + 1)] if per_n else [(ctx,)]:
+            records.extend(r for r in run(*args) if r.claim in selected)
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
     if summary_only:
         for i, r in enumerate(records):

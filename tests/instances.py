@@ -2,10 +2,13 @@
 
 A CheckResult holds all instances of one (claim, p, n) in its lhs/rhs lists;
 the tests read them one instance at a time, with k counted from the
-record's first index, exactly as the report prints them.
+record's first index, exactly as the report prints them.  The checker
+helpers look claims up in, and swap fakes into, the checker table.
 """
 
 from typing import NamedTuple
+
+from trinocheck.congruences import CHECKERS
 
 
 class Instance(NamedTuple):
@@ -29,3 +32,17 @@ def expand(records):
         for r in records
         for i, (a, b) in enumerate(zip(r.lhs, r.rhs, strict=True))
     ]
+
+
+def checker_of(claim):
+    """(checker, per_n) of the CHECKERS entry that emits `claim`."""
+    [entry] = [(run, per_n) for run, (per_n, claims) in CHECKERS.items() if claim in claims]
+    return entry
+
+
+def replace_checker(monkeypatch, checker, fake):
+    """Run `fake` in `checker`'s place, with its entry's per_n and claims,
+    until the test ends."""
+    entry = CHECKERS[checker]
+    monkeypatch.delitem(CHECKERS, checker)
+    monkeypatch.setitem(CHECKERS, fake, entry)

@@ -18,11 +18,9 @@ import time
 from fractions import Fraction
 
 import trinocheck as tc
-from instances import expand
+from instances import checker_of, expand, replace_checker
 from trinocheck.congruences import (
-    CLAIM_REGISTRY,
     ClaimId,
-    ClaimSpec,
     check_half_third_sixth,
     check_progression_lemmas,
     check_reflections,
@@ -32,8 +30,8 @@ from trinocheck.trinomial import closed_row_mod_p2
 
 
 def _check(claim, ctx, n=None):
-    """The instances of `claim` alone, from the checker its registry spec runs."""
-    run = CLAIM_REGISTRY[claim].run
+    """The instances of `claim` alone, from the checker that emits it."""
+    run, _ = checker_of(claim)
     return expand(r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim)
 
 
@@ -281,7 +279,7 @@ def test_criterion_10_cli_contract(monkeypatch, tmp_path, capsysbinary):
     def broken(ctx):
         return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1])]
 
-    monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(False, broken))
+    replace_checker(monkeypatch, check_half_third_sixth, broken)
     out = tmp_path / "injected.jsonl"
     rc = main(["--pmin", "5", "--pmax", "11", "--claims", "GL", "--out", str(out)])
     if rc != 1:

@@ -2,16 +2,16 @@ import math
 
 import pytest
 
-from instances import expand
+from instances import checker_of, expand
 from trinocheck import congruences
-from trinocheck.congruences import CLAIM_REGISTRY, ClaimId
+from trinocheck.congruences import CHECKERS, ClaimId
 from trinocheck.modular import PrimeContext, sieve_primes
 from trinocheck.trinomial import row_mod_p2_prefix
 
 
 def _records(claim, ctx, n=None):
-    """The records of `claim` alone, from the checker its registry spec runs."""
-    run = CLAIM_REGISTRY[claim].run
+    """The records of `claim` alone, from the checker that emits it."""
+    run, _ = checker_of(claim)
     return [r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim]
 
 
@@ -218,7 +218,7 @@ def test_per_k_claims_emit_one_record(claim, p):
     # a claim over k is one record per (p, n): its first index and all its
     # instances, canonical residues mod the claim's modulus
     first_k, count = PER_K[claim]
-    [r] = _records(claim, PrimeContext(p), 1 if CLAIM_REGISTRY[claim].per_n else None)
+    [r] = _records(claim, PrimeContext(p), 1 if checker_of(claim)[1] else None)
     assert r.k == first_k
     assert len(r.lhs) == len(r.rhs) == count(p)
     assert all(0 <= v < r.modulus for v in r.lhs + r.rhs)
@@ -229,8 +229,30 @@ def test_one_record_per_claim_and_n(p):
     # at most one record per (claim, p, n); a claim without an index k has
     # exactly one instance
     ctx = PrimeContext(p)
-    for claim, spec in CLAIM_REGISTRY.items():
-        records = _records(claim, ctx, 2 if spec.per_n else None)
+    for claim in ClaimId:
+        records = _records(claim, ctx, 2 if checker_of(claim)[1] else None)
         assert len(records) <= 1, claim
         for r in records:
             assert r.k is not None or len(r.lhs) == len(r.rhs) == 1, claim
+
+
+class TestCheckerTable:
+    """CHECKERS lists each checker once, with the claims it emits."""
+
+    def test_each_claim_in_exactly_one_entry(self):
+        listed = [c for _, claims in CHECKERS.values() for c in claims]
+        assert sorted(listed) == sorted(ClaimId)
+        assert len(CHECKERS) == 12
+
+    def test_checkers_emit_their_entries(self):
+        # p = 11 and p = 13 are 5 and 1 mod 6, so between them every claim
+        # of the residue-class lemmas applies; n-free records carry n None
+        for run, (per_n, claims) in CHECKERS.items():
+            emitted = set()
+            for p in (11, 13):
+                ctx = PrimeContext(p)
+                records = run(ctx, 2) if per_n else run(ctx)
+                assert {r.claim for r in records} <= set(claims), run.__name__
+                assert {r.n for r in records} == ({2} if per_n else {None}), run.__name__
+                emitted |= {r.claim for r in records}
+            assert emitted == set(claims), run.__name__

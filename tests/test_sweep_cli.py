@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import Instance, expand
+from instances import Instance, checker_of, expand, replace_checker
 from trinocheck import cli, congruences, modular, sweep
 from trinocheck.cli import main
 from trinocheck.congruences import (
+    CHECKERS,
     CLAIM_ORDER,
-    CLAIM_REGISTRY,
     CheckResult,
     ClaimId,
-    ClaimSpec,
+    check_half_third_sixth,
     result,
 )
 from trinocheck.harmonic import ap_harmonic, inverse_table
@@ -83,22 +83,24 @@ def _summary(config):
     return write_report(iter_sweep(config), "jsonl", io.BytesIO())
 
 
-def _falsified(claim):
-    """A deliberately broken runner: every record fails."""
+def _falsified(monkeypatch, claim):
+    """Replace the checker that emits `claim` with one whose only record, of
+    `claim`, fails."""
 
     def run(ctx, n=None):
         return [result(claim, ctx.p, ctx.p2, [0], [1], n=n)]
 
-    return ClaimSpec(CLAIM_REGISTRY[claim].per_n, run)
+    replace_checker(monkeypatch, checker_of(claim)[0], run)
 
 
-def _failing_at_k3(claim):
-    """The registry's checker for `claim`, with its instance k = 3 broken."""
-    spec = CLAIM_REGISTRY[claim]
+def _failing_at_k3(monkeypatch, claim):
+    """Replace the checker that emits `claim` with itself, but with the
+    instance k = 3 of `claim` broken."""
+    checker, _ = checker_of(claim)
 
     def run(*args):
         out = []
-        for r in spec.run(*args):
+        for r in checker(*args):
             if r.claim is claim:
                 rhs = list(r.rhs)
                 rhs[3 - r.k] = (rhs[3 - r.k] + 1) % r.modulus
@@ -106,7 +108,7 @@ def _failing_at_k3(claim):
             out.append(r)
         return out
 
-    return ClaimSpec(spec.per_n, run)
+    replace_checker(monkeypatch, checker, run)
 
 
 class TestSweepConfig:
@@ -183,9 +185,7 @@ class TestRunSweep:
         assert summary.passed == 6
 
     def test_fail_fast_truncates_at_first_failure(self, monkeypatch):
-        monkeypatch.setitem(
-            CLAIM_REGISTRY, ClaimId.THM2_EQ6, _falsified(ClaimId.THM2_EQ6)
-        )
+        _falsified(monkeypatch, ClaimId.THM2_EQ6)
         cfg = _cfg(
             pmax=11,
             claims=(ClaimId.THM1_EQ2, ClaimId.THM2_EQ6),
@@ -233,7 +233,7 @@ def _all_claims_records():
 
 
 class TestSharedSpecs:
-    """Claims checked by one function share one registry spec, which runs
+    """Claims checked by one function share its one CHECKERS entry, which runs
     once per prime (per (p, n) when per_n)."""
 
     def test_work_counts_one_prime(self, monkeypatch):
@@ -242,12 +242,9 @@ class TestSharedSpecs:
         _count_calls(monkeypatch, calls, modules,
                      (ap_harmonic, fermat_quotient, inverse_table, row_mod_p2_prefix,
                       row_mod_prefix))
-        replaced = {}
-        for claim, spec in list(CLAIM_REGISTRY.items()):
-            if spec not in replaced:
-                replaced[spec] = ClaimSpec(
-                    spec.per_n, _counting(calls, spec.run.__name__, spec.run))
-            monkeypatch.setitem(CLAIM_REGISTRY, claim, replaced[spec])
+        checkers = list(CHECKERS)
+        for run in checkers:
+            replace_checker(monkeypatch, run, _counting(calls, run.__name__, run))
 
         nmax = 8
         assert _records(SweepConfig(pmin=101, pmax=101, nmax=nmax))
@@ -256,10 +253,10 @@ class TestSharedSpecs:
                         "check_morley_carlitz"):
             assert calls[grouped] == 1, grouped
         assert calls["check_row_np_minus1"] == nmax
-        # each checker once in the registry: 4 of the 12 run once per n (32
+        # each checker once in the table: 4 of the 12 run once per n (32
         # calls), the other 8 once per prime
-        assert len(replaced) == 12
-        assert sum(calls[spec.run.__name__] for spec in replaced) == 40
+        assert len(checkers) == 12
+        assert sum(calls[run.__name__] for run in checkers) == 40
         assert calls["ap_harmonic"] == 5
         assert calls["inverse_table"] == 1
         # q2 and q3, once each, when the prime's context is built
@@ -271,8 +268,10 @@ class TestSharedSpecs:
         assert calls["row_mod_prefix"] == 0
 
     def test_per_prime_quantities_built_once(self, monkeypatch):
-        # the checkers' direct inversions, and their per-prime table lookups,
-        # do not grow with p: every inverse comes from the prime's tables
+        # the checkers' inv_mod calls, and their per-prime table lookups, do
+        # not grow with p: inverses come from the prime's tables, except the
+        # half-row binomials' own pow inverses, kept apart from the table
+        # their right side reads
         nmax = 8
         calls = Counter()
         checker_modules = [m for name, m in sys.modules.items()
@@ -329,10 +328,11 @@ class TestSharedSpecs:
 
     def test_replacing_one_shared_claim(self, monkeypatch):
         def falsified_gl(ctx):
-            return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1])]
+            return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1]) if r.claim is ClaimId.GL else r
+                    for r in check_half_third_sixth(ctx)]
 
         untouched = [r for r in _all_claims_records() if r.claim is not ClaimId.GL]
-        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL, ClaimSpec(False, falsified_gl))
+        replace_checker(monkeypatch, check_half_third_sixth, falsified_gl)
         records = _records(SweepConfig(pmin=5, pmax=61, nmax=2))
         gl = expand(r for r in records if r.claim is ClaimId.GL)
         assert [r.p for r in gl] == sorted({r.p for r in records})
@@ -348,7 +348,7 @@ class TestFailureInsideRecord:
 
     @pytest.fixture(autouse=True)
     def _broken(self, monkeypatch, claim):
-        monkeypatch.setitem(CLAIM_REGISTRY, claim, _failing_at_k3(claim))
+        _failing_at_k3(monkeypatch, claim)
 
     def _cfg(self, claim, jobs, **kwargs):
         return _cfg(pmax=13, nmax=2, claims=(ClaimId.THM1_EQ2, claim), jobs=jobs, **kwargs)
@@ -372,14 +372,14 @@ class TestFailureInsideRecord:
         assert (first["claim"], first["p"], first["k"], first["pass"]) == (
             claim.value, 5, 3, False)
         # one failure per prime, and per n for a claim that takes n
-        per_n = 2 if CLAIM_REGISTRY[claim].per_n else 1
+        per_n = 2 if checker_of(claim)[1] else 1
         assert summary["per_claim"][claim.value]["failed"] == 4 * per_n
         assert summary["failed"] == 4 * per_n
 
     def test_summary_only_aggregate_fails(self, claim, jobs):
         cfg = self._cfg(claim, jobs, summary_only=True)
         aggregates = [r for r in _instances(cfg) if r.claim is claim]
-        assert len(aggregates) == 4 * (2 if CLAIM_REGISTRY[claim].per_n else 1)
+        assert len(aggregates) == 4 * (2 if checker_of(claim)[1] else 1)
         for r in aggregates:
             assert r.k is None
             assert r.lhs == r.rhs - 1  # every instance but k = 3 passes
@@ -462,9 +462,7 @@ class TestCli:
         assert b'"claim":"Thm1_Eq2"' in out
 
     def test_exit_one_on_injected_failure(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(
-            CLAIM_REGISTRY, ClaimId.THM1_EQ2, _falsified(ClaimId.THM1_EQ2)
-        )
+        _falsified(monkeypatch, ClaimId.THM1_EQ2)
         out = tmp_path / "report.jsonl"
         rc = main(
             ["--pmin", "5", "--pmax", "7", "--nmax", "1",
@@ -543,7 +541,7 @@ class TestCli:
         def raises(ctx):
             return [1 // 0]
 
-        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL0, ClaimSpec(False, raises))
+        replace_checker(monkeypatch, check_half_third_sixth, raises)
         out = tmp_path / "r.jsonl"
         previous = b'{"summary":"an earlier run"}\n'
         out.write_bytes(previous)
@@ -566,8 +564,8 @@ class TestCli:
         def raises(ctx):
             return [1 // 0]
 
-        # pool workers are forked, so they see the patched registry too
-        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL0, ClaimSpec(False, raises))
+        # pool workers are forked, so they see the patched table too
+        replace_checker(monkeypatch, check_half_third_sixth, raises)
         rc = main(["--pmin", "5", "--pmax", "13", "--claims", "GL0,Thm1_Eq2",
                    "--jobs", jobs])
         assert rc == 2
@@ -583,14 +581,12 @@ class TestCli:
     def test_internal_error_mid_stream(self, monkeypatch, capfdbinary, tmp_path, jobs, fmt):
         # the records of p = 5 and 7 are streamed before p = 11 raises; the
         # trailer, which marks a report complete, is never written
-        spec = CLAIM_REGISTRY[ClaimId.GL0]
-
         def raises_at_11(ctx):
             if ctx.p == 11:
                 raise ZeroDivisionError("p = 11")
-            return spec.run(ctx)
+            return check_half_third_sixth(ctx)
 
-        monkeypatch.setitem(CLAIM_REGISTRY, ClaimId.GL0, ClaimSpec(False, raises_at_11))
+        replace_checker(monkeypatch, check_half_third_sixth, raises_at_11)
         args = ["--claims", "GL0,Thm1_Eq2", "--nmax", "2", "--format", fmt, "--jobs", jobs]
         assert main(args + ["--pmax", "7"]) == 0
         complete = capfdbinary.readouterr().out

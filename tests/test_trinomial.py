@@ -218,3 +218,11 @@ class TestHalfrowBinomialCheck:
         results = expand(halfrow_binomial_check(PrimeContext(p)))
         assert len(results) == (p - 1) // 4
         assert all(r.passed for r in results)
+
+    @pytest.mark.parametrize("p", sieve_primes(5, 199) + [4999])
+    def test_lhs_matches_exact_binomials(self, p):
+        # the left side's mod-p recurrence against exact big-integer binomials
+        half = (p - 1) // 2
+        [r] = halfrow_binomial_check(PrimeContext(p))
+        assert r.lhs == [(-1) ** k * math.comb(half - k, k) % p
+                         for k in range(1, (p - 1) // 4 + 1)]
