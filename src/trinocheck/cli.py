@@ -1,6 +1,6 @@
 """Batch CLI: sweep primes, run claim checkers, write a deterministic report.
 
-Exit codes: 0 all checks passed, 1 at least one failed, 2 usage or
+Exit codes: 0 all checks passed, 1 at least one failed, 2 usage, I/O or
 internal error.
 """
 
@@ -11,10 +11,10 @@ import errno
 import os
 import sys
 import tempfile
-from contextlib import closing, nullcontext
+from collections.abc import Iterator
+from contextlib import closing, contextmanager
 from typing import BinaryIO
 
-from .congruences import ClaimId
 from .sweep import (
     FORMATS,
     ConfigError,
@@ -54,69 +54,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _temp_beside(path: str) -> tuple[str, BinaryIO]:
-    """(name, binary file) of a new temporary file in `path`'s directory, to
-    be renamed onto `path` once the report is complete, so an interrupted
-    run never replaces a previous report."""
+@contextmanager
+def _report_sink(path: str | None) -> Iterator[BinaryIO]:
+    """The binary file the report goes to: stdout, or a new temporary file in
+    `path`'s directory that is renamed onto `path` once the report is
+    complete, and removed on any exception (Ctrl-C too), so an interrupted
+    run never replaces a previous report.  Opened before the sweep starts,
+    so a bad destination costs no work."""
+    if path is None:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, "stdout is closed")
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+        return
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
-    return tmp, os.fdopen(fd, "wb")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            yield out
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() gives
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        claims = tuple(ClaimId) if args.claims is None else parse_claims(args.claims)
         config = SweepConfig(
             pmin=args.pmin,
             pmax=args.pmax,
             nmax=args.nmax,
-            claims=claims,
+            claims=SweepConfig.claims if args.claims is None else parse_claims(args.claims),
             jobs=args.jobs,
             fail_fast=args.fail_fast,
             summary_only=args.summary_only,
         )
-    except ConfigError as exc:
+        with _report_sink(args.out) as out, closing(iter_sweep(config)) as chunks:
+            summary = write_report(chunks, args.fmt, out)
+    except (ConfigError, OSError) as exc:  # bad input, or the report could not be written
         print(f"trinocheck: error: {exc}", file=sys.stderr)
         return 2
-
-    tmp = None
-    try:
-        # created before the sweep, so a bad path costs no work
-        if args.out is None:
-            if sys.stdout is None:  # started with stdout closed
-                raise OSError(errno.EBADF, "stdout is closed")
-            sink = nullcontext(sys.stdout.buffer)
-        else:
-            tmp, sink = _temp_beside(args.out)
-        with sink as out, closing(iter_sweep(config)) as chunks:
-            try:
-                summary = write_report(chunks, args.fmt, out)
-            except OSError:
-                raise  # the report could not be written: reported below
-            except Exception as exc:  # a checker bug or a dead worker pool
-                print(
-                    f"trinocheck: error: internal error: {type(exc).__name__}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            out.flush()
-        if tmp is not None:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() gives
-            os.replace(tmp, args.out)
-            tmp = None
-    except OSError as exc:
-        print(f"trinocheck: error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a checker bug or a dead worker pool
+        print(f"trinocheck: error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if tmp is not None:
-            os.unlink(tmp)
     return 0 if summary.failed == 0 else 1
 
 

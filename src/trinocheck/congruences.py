@@ -59,9 +59,6 @@ class ClaimId(str, enum.Enum):
     H2 = "H2"
     H3 = "H3"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 #: Canonical position of each claim in report ordering.
 CLAIM_ORDER: dict[ClaimId, int] = {c: i for i, c in enumerate(ClaimId)}
@@ -159,7 +156,7 @@ def check_thm2_eq6(ctx: PrimeContext) -> list[CheckResult]:
     for k in range(1, (p - 1) // 2 + 1):
         central = central * (2 * (2 * k - 1)) % p * inv[k] % p
         acc = (acc + central * table[k]) % p
-    rhs = -ctx.q3 % p if ctx.rc3 == 1 else ctx.q3
+    rhs = -ctx.q3 % p if ctx.rc6 == 1 else ctx.q3  # rc6 == 1 iff p == 1 (mod 3)
     return [result(ClaimId.THM2_EQ6, p, p, [acc], [rhs])]
 
 
@@ -220,10 +217,11 @@ def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
     """C(p-1, (p-1)/2) vs (-1)**((p-1)/2) * 4**(p-1) mod p**3 (Morley), and
     (-1)**((p-1)/2) * C(p-1, (p-1)/2) vs 4**(p-1) + p**3/12 mod p**4 (Carlitz).
 
-    Carlitz is checked exactly as cataloged, and that form is false for every
-    p >= 7: Carlitz's congruence is 4**(p-1) + p**3 * B_{p-3}/12 (mod p**4),
-    with B_{p-3} a Bernoulli number, and B_2 = 1/6 == 1 (mod 5) makes p = 5
-    the only pass.  See the Carlitz note in the README.
+    Carlitz is checked exactly as cataloged, and that form is false for most
+    p: Carlitz's congruence is 4**(p-1) + p**3 * B_{p-3}/12 (mod p**4), with
+    B_{p-3} a Bernoulli number, so the cataloged form passes only where
+    B_{p-3} == 1 (mod p): p = 5 (B_2 = 1/6) and p = 557 up to 1009.  See the
+    Carlitz note in the README.
     """
     p, p3, p4 = ctx.p, ctx.p3, ctx.p4
     central = ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2)
@@ -300,7 +298,7 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     half_q3 = rat_mod(ctx.q3, 2, p)
     two_thirds_q2 = rat_mod(-2 * ctx.q2, 3, p)
     # (claim, m, d, r, rhs): sum_{k=0..m} 1/(d*k + r) == rhs
-    if ctx.rc3 == 1:
+    if ctx.rc6 == 1:  # p == 1 (mod 3)
         m = (p - 4) // 3
         sums = [(ClaimId.C1B, m, 3, 2, 0), (ClaimId.C1C, m, 3, 1, half_q3)]
     else:

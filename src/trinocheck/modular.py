@@ -8,7 +8,6 @@ capacity limits below are about time and memory, never precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 from typing import Callable, TypeVar
 
@@ -31,38 +30,27 @@ class DivisibleBase(ValueError):
     """A Fermat-quotient base is divisible by the prime."""
 
 
-@dataclass(frozen=True)
 class PrimeContext:
-    """A verified odd prime p >= 5 with cached powers, residue classes, the
-    Fermat quotients q2 and q3 and a memo of per-prime tables.
+    """A verified odd prime p >= 5 with cached powers, its residue class
+    rc6 = p mod 6, the Fermat quotients q2 and q3 and a memo of per-prime
+    tables.
 
-    Hashable by p alone.  rc6 determines rc3 (1 -> 1, 5 -> 2), which the
+    rc6 is 1 or 5, so it decides p mod 3 as well (1 -> 1, 5 -> 2), which the
     congruence checkers rely on when dispatching per residue class.  Tables
     built through cached() live exactly as long as the context, so a sweep
     that builds one context per prime never keeps a finished prime's tables.
     """
 
-    p: int
-    p2: int = field(init=False, repr=False, compare=False)
-    p3: int = field(init=False, repr=False, compare=False)
-    p4: int = field(init=False, repr=False, compare=False)
-    rc3: int = field(init=False, compare=False)
-    rc6: int = field(init=False, compare=False)
-    q2: int = field(init=False, repr=False, compare=False)
-    q3: int = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = ("p", "p2", "p3", "p4", "rc6", "q2", "q3", "_memo")
 
-    def __post_init__(self) -> None:
-        p = self.p
+    def __init__(self, p: int) -> None:
         if p < 5 or not is_prime(p):
             raise ValueError(f"need a prime >= 5, got {p}")
-        object.__setattr__(self, "p2", p * p)
-        object.__setattr__(self, "p3", p * p * p)
-        object.__setattr__(self, "p4", p * p * p * p)
-        object.__setattr__(self, "rc3", p % 3)
-        object.__setattr__(self, "rc6", p % 6)
-        object.__setattr__(self, "q2", fermat_quotient(2, self))
-        object.__setattr__(self, "q3", fermat_quotient(3, self))
+        self.p, self.p2, self.p3, self.p4 = p, p * p, p * p * p, p * p * p * p
+        self.rc6 = p % 6
+        self._memo: dict = {}
+        self.q2 = fermat_quotient(2, self)
+        self.q3 = fermat_quotient(3, self)
 
     def cached(self, build: Callable[..., _T], *args: object) -> _T:
         """build(self, *args), computed once per context and argument tuple."""

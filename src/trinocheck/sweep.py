@@ -18,8 +18,8 @@ from typing import BinaryIO
 from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId, result
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 
-#: Upper bound on --nmax; keeps the n*p - 1 row computations inside a
-#: desk-scale time budget.
+#: Upper bound on --nmax; bounds per-prime work and report size, both linear
+#: in nmax (a row prefix costs O(p) at any exponent, reduced mod p^2 first).
 MAX_NMAX = 64
 
 #: Upper bound on --jobs.  The pool forks all of its workers at the first

@@ -4,12 +4,14 @@ All comparisons are exact residue equality (zero tolerance).  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 
 The cataloged Carlitz claim 4**(p-1) + p**3/12 (mod p**4) is false for
-every prime except p = 5: the true p**3 coefficient is B_{p-3}/12, and
-B_2 = 1/6 == 1 (mod 5) only by coincidence.  The checker implements the
-claim exactly as cataloged, so sweeps that include it report failures.
-Criterion 6 asserts exactly those counterexamples: every Carlitz record
-must equal what an independent big-integer oracle computes, p = 5 must be
-the only pass, and the error must be exactly the Bernoulli p**3 digit.
+most primes: the true p**3 coefficient is B_{p-3}/12, so the claim holds
+only where B_{p-3} == 1 (mod p), which up to 1009 means p = 5 (B_2 = 1/6)
+and p = 557.  The checker implements the claim exactly as cataloged, so
+sweeps that include it report failures.  Criterion 6 asserts exactly those
+counterexamples: every Carlitz record must equal what an independent
+big-integer oracle computes, p = 5 must be the only pass up to 499, and the
+error must be exactly the Bernoulli p**3 digit.  A separate test pins the
+pass set {5, 557} up to 1009.
 """
 
 import json
@@ -176,6 +178,14 @@ def test_criterion_6_classical_sweep():
         f"6 classical sweep (Babbage/Wolstenholme/Glaisher/Morley exact, p <= 499; {finding})",
         failures,
     )
+
+
+def test_carlitz_passes_exactly_where_bernoulli_digit_is_one():
+    # beyond criterion 6's range: the cataloged form holds exactly where
+    # B_{p-3} == 1 (mod p), which for p <= 1009 means p = 5 and p = 557
+    primes = tc.sieve_primes(5, 1009)
+    passing = {r.p for p in primes for r in _check(ClaimId.CARLITZ, tc.PrimeContext(p)) if r.passed}
+    assert passing == {p for p in primes if _bernoulli_mod_p(p) == 1} == {5, 557}
 
 
 def test_criterion_7_engine_cross_equivalence():

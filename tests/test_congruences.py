@@ -149,10 +149,10 @@ class TestClassical:
         assert (r.lhs, r.rhs, r.passed, r.modulus) == (6, 6, True, 625)
 
     def test_carlitz_counterexample_p7(self):
-        # The cataloged form 4**(p-1) + p**3/12 is false from p=7 on: the
-        # true p**3 coefficient carries a Bernoulli factor B_{p-3}/12, and
-        # B_2 = 1/6 == 1 (mod 5) makes p=5 the lone coincidental pass.  A
-        # correct verifier must report the counterexample, not hide it.
+        # The cataloged form 4**(p-1) + p**3/12 is false at p=7: the true
+        # p**3 coefficient carries a Bernoulli factor B_{p-3}/12, and it
+        # passes only where B_{p-3} == 1 (mod p), as at p=5 (B_2 = 1/6) and
+        # p=557.  A correct verifier must report the counterexample, not hide it.
         [r] = _check(ClaimId.CARLITZ, PrimeContext(7))
         assert not r.passed
         assert (r.lhs, r.rhs) == (2381, 323)  # -20 vs 4096 + 343/12 mod 2401

@@ -94,9 +94,9 @@ class TestPrimeContext:
     def test_fields(self):
         ctx = PrimeContext(7)
         assert (ctx.p, ctx.p2, ctx.p3, ctx.p4) == (7, 49, 343, 2401)
-        assert (ctx.rc3, ctx.rc6) == (1, 1)
+        assert ctx.rc6 == 1
         ctx = PrimeContext(11)
-        assert (ctx.rc3, ctx.rc6) == (2, 5)
+        assert ctx.rc6 == 5
 
     @pytest.mark.parametrize("bad", [2, 3, 4, 9, 15, 1, 0, -5, 1009 * 1013])
     def test_rejects_non_primes_and_tiny_primes(self, bad):
@@ -113,7 +113,6 @@ class TestPrimeContext:
         for p in sieve_primes(5, 2003):
             ctx = PrimeContext(p)
             assert ctx.rc6 in (1, 5)
-            assert ctx.rc3 == (1 if ctx.rc6 == 1 else 2)
 
 
 class TestFermatQuotient:

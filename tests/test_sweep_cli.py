@@ -313,7 +313,7 @@ class TestSharedSpecs:
         pmax=st.integers(5, 61),
     )
     def test_summary_only_collapses_in_workers(self, jobs, fail_fast, subset, pmax):
-        # Carlitz fails at every p >= 7, so with pmax >= 7 fail_fast truncates
+        # Carlitz fails at every 7 <= p <= 61, so with pmax >= 7 fail_fast truncates
         chosen = subset | {ClaimId.CARLITZ, ClaimId.COR4_EQ11}
         claims = tuple(c for c in ClaimId if c in chosen)
         got = _instances(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
@@ -603,6 +603,37 @@ class TestCli:
         assert main(args + ["--pmax", "13", "--out", str(out)]) == 2
         assert out.read_bytes() == b"previous report\n"
         assert [f.name for f in tmp_path.iterdir()] == ["r.report"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ctrl_c_keeps_previous_out_file(self, monkeypatch, tmp_path, jobs):
+        # Ctrl-C is not an error to report: it leaves main, and the partial
+        # report is removed, never renamed onto the previous one
+        def interrupted_at_11(ctx):
+            if ctx.p == 11:
+                raise KeyboardInterrupt
+            return check_half_third_sixth(ctx)
+
+        replace_checker(monkeypatch, check_half_third_sixth, interrupted_at_11)
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"previous report\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["--pmax", "13", "--claims", "GL0,Thm1_Eq2", "--jobs", jobs, "--out", str(out)])
+        assert out.read_bytes() == b"previous report\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["r.jsonl"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_broken_pipe(self, tmp_path, jobs):
+        # the reader goes away after 100 bytes of a report of several MB
+        err = tmp_path / "stderr"
+        with err.open("wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "trinocheck", "--pmax", "300", "--jobs", jobs],
+                stdout=subprocess.PIPE, stderr=stderr,
+            )
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 2
+        assert err.read_text().splitlines() == ["trinocheck: error: [Errno 32] Broken pipe"]
 
     @pytest.mark.parametrize("out", ["missing/r.jsonl", ""], ids=["missing-dir", "empty"])
     def test_bad_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys, out):
