@@ -13,12 +13,13 @@ constant terms are exact at the full claim modulus.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .harmonic import ap_harmonic, harmonic_table, inverse_table
 from .modular import PrimeContext, inv_mod, rat_mod
-from .trinomial import central4_table, closed_row_mod_p2, row_mod_p2_prefix
+from .trinomial import central4_table, closed_row_parts, row_mod_p2_prefix
 
 
 class ClaimId(str, enum.Enum):
@@ -100,21 +101,50 @@ def result(
     )
 
 
-def _binom_coprime_mod(ctx: PrimeContext, a: int, k: int) -> int:
-    """C(a, k) mod p**4 as a falling-factorial quotient, read through
-    ctx.cached so each product is formed once per prime; every classical
-    claim reduces it to its own modulus.
+#: Factors per exact product in _product_mod: enough that most of the work
+#: runs inside math.prod, few enough that a partial product stays a few
+#: hundred bits at the sweep's sizes.
+_CHUNK = 32
 
-    Valid only when p divides none of a, a-1, ..., a-k+1 or k!; the
-    classical claims below only ever call it that way.
+
+def _product_mod(lo: int, hi: int, m: int) -> int:
+    """lo * (lo + 1) * ... * (hi - 1) mod m (1 when lo >= hi), multiplied
+    exactly in chunks of _CHUNK factors and reduced once per chunk."""
+    acc = 1
+    for j in range(lo, hi, _CHUNK):
+        acc = acc * math.prod(range(j, min(j + _CHUNK, hi))) % m
+    return acc
+
+
+def _factorial_inverse(ctx: PrimeContext, k: int) -> int:
+    """1 / k! mod p**4, for k < p, read through ctx.cached."""
+    return inv_mod(_product_mod(1, k + 1, ctx.p4), ctx.p4)
+
+
+def _binom_coprime_mod(ctx: PrimeContext, a: int, k: int) -> int:
+    """C(a, k) mod p**4 as the integer quotient (a - k + 1)...a / k!; every
+    classical claim reduces it to its own modulus.
+
+    The numerator is a chunked exact product (_product_mod); the inverse of
+    k! comes from ctx.cached, so all C(a, k) at one k share it: the eight
+    Glaisher C(n*p - 1, p - 1) and Babbage's C(2p - 1, p - 1) invert
+    (p - 1)! once.  Valid only when p divides none of a, a-1, ..., a-k+1 or
+    k!; the classical claims below only ever call it that way.
     """
     p4 = ctx.p4
-    num = 1
-    den = 1
-    for i in range(1, k + 1):
-        num = num * (a - i + 1) % p4
-        den = den * i % p4
-    return num * inv_mod(den, p4) % p4
+    return _product_mod(a - k + 1, a + 1, p4) * ctx.cached(_factorial_inverse, k) % p4
+
+
+def _row_forms(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
+    """(constant, n*p coefficient) of the Thm1 Eq2, Thm1 Eq4, Prop3 Eq9 and
+    Prop3 Eq10 right sides, per p mod 6 (which fixes p mod 3): the README's
+    closed forms."""
+    p = ctx.p
+    half_q3 = rat_mod(ctx.q3, 2, p)
+    if ctx.rc6 == 1:
+        return ((1, ctx.q3), (1, 2 * ctx.q2 + half_q3),
+                (1, ctx.q3), (1, rat_mod(4 * ctx.q2, 3, p) + ctx.q3))
+    return ((-1, -ctx.q3), (0, -half_q3), (0, 0), (0, -rat_mod(2 * ctx.q2, 3, p)))
 
 
 def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
@@ -122,23 +152,17 @@ def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
     Thm1 Eq2 (k = p-1), Thm1 Eq4 (k = (p-1)/2), Prop3 Eq9 (sum over k) and
     Prop3 Eq10 (sum over k <= (p-1)/2).
 
-    Each right side is constant + n*p*coefficient, per p mod 6 (which fixes
-    p mod 3); the pairs are the README's closed forms.
+    Each right side is constant + n*p*coefficient, from the prime's
+    _row_forms.
     """
     p, p2 = ctx.p, ctx.p2
     row = ctx.cached(row_mod_p2_prefix, (n * p - 1) % p2)
     half = (p - 1) // 2
-    half_q3 = rat_mod(ctx.q3, 2, p)
-    if ctx.rc6 == 1:
-        forms = ((1, ctx.q3), (1, 2 * ctx.q2 + half_q3),
-                 (1, ctx.q3), (1, rat_mod(4 * ctx.q2, 3, p) + ctx.q3))
-    else:
-        forms = ((-1, -ctx.q3), (0, -half_q3), (0, 0), (0, -rat_mod(2 * ctx.q2, 3, p)))
     claims = (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)
     lhs = (row[p - 1], row[half], sum(row), sum(row[: half + 1]))
     return [
         result(claim, p, p2, [left], [const + n * p * coef], n=n)
-        for claim, left, (const, coef) in zip(claims, lhs, forms)
+        for claim, left, (const, coef) in zip(claims, lhs, ctx.cached(_row_forms))
     ]
 
 
@@ -175,26 +199,44 @@ def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
     return [result(ClaimId.THM2_EQ7, p, p, [acc], [rhs])]
 
 
+def _cor4_pattern(ctx: PrimeContext) -> list[int]:
+    """1, -1, 0 by k mod 3, mod p**2, for k in 0..p-1."""
+    return ([1, ctx.p2 - 1, 0] * (ctx.p // 3 + 1))[: ctx.p]
+
+
 def check_cor4_eq11(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3, for
     k in 0..p-1.  The exponent is p**2 - 1 mod p**2 at every n, so every n
     reads one row, which is the lhs as cached (already reduced)."""
     p, p2 = ctx.p, ctx.p2
     row = ctx.cached(row_mod_p2_prefix, (n * p2 - 1) % p2)
-    pattern = [1, p2 - 1, 0] * (p // 3 + 1)
-    return [CheckResult(ClaimId.COR4_EQ11, p, n, 0, p2, row, pattern[:p])]
+    return [CheckResult(ClaimId.COR4_EQ11, p, n, 0, p2, row, ctx.cached(_cor4_pattern))]
+
+
+def _triple_parts(ctx: PrimeContext) -> tuple[list[int], list[int]]:
+    """Sums of the closed_row_parts const and slope entries at 3k, 3k+1,
+    3k+2, for every k with 3k+2 <= p-1, reduced mod p**2 and mod p."""
+    const, slope = ctx.cached(closed_row_parts)
+    p, p2 = ctx.p, ctx.p2
+    ends = range(2, p, 3)  # 3k + 2
+    return ([(const[j - 2] + const[j - 1] + const[j]) % p2 for j in ends],
+            [(slope[j - 2] + slope[j - 1] + slope[j]) % p for j in ends])
 
 
 def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
     """Sum of the three closed forms at 3k, 3k+1, 3k+2 vs n*p/(3k+2) mod p**2,
-    for every k with 3k+2 <= p-1."""
-    p = ctx.p
+    for every k with 3k+2 <= p-1.
+
+    The left side is c3 + n*p*d3 from the prime's _triple_parts, so no row is
+    built; the right side reads inverse_table.
+    """
+    p2 = ctx.p2
+    n_p = n * ctx.p % p2
+    c3, d3 = ctx.cached(_triple_parts)
     inv = ctx.cached(inverse_table)
-    row = ctx.cached(closed_row_mod_p2, n)
-    ends = range(2, p, 3)  # 3k + 2
-    lhs = [row[j - 2] + row[j - 1] + row[j] for j in ends]
-    rhs = [n * p * inv[j] for j in ends]
-    return [result(ClaimId.TRIPLE_SUM_A, p, ctx.p2, lhs, rhs, n=n, k=0)]
+    lhs = [(c + n_p * d) % p2 for c, d in zip(c3, d3)]
+    rhs = [n_p * i % p2 for i in inv[2::3]]  # 1/(3k+2)
+    return [CheckResult(ClaimId.TRIPLE_SUM_A, ctx.p, n, 0, p2, lhs, rhs)]
 
 
 def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:

@@ -131,11 +131,14 @@ def row_mod_p2_prefix(ctx: PrimeContext, exponent: int) -> list[int]:
     inv = ctx.cached(_inverse_table_p2)
     e = exponent % p2
     row = [1, e]
+    append = row.append
     before, last = 1, e
-    for k in range(2, ctx.p):
-        step = (e - k + 1) * last + (2 * e - k + 2) * before
-        before, last = last, step * inv[k] % p2
-        row.append(last)
+    c1, c2 = e - 1, 2 * e  # N - k + 1 and 2N - k + 2 at k = 2, one less per step
+    for inv_k in inv[2:]:
+        before, last = last, (c1 * last + c2 * before) * inv_k % p2
+        append(last)
+        c1 -= 1
+        c2 -= 1
     return row
 
 
@@ -181,9 +184,10 @@ def binom_np_minus1_mod_p2(n: int, ctx: PrimeContext, k: int) -> int:
     return -value % ctx.p2 if k & 1 else value
 
 
-def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
-    """Trinomial coefficients of x**k in row n*p - 1, mod p**2, for
-    k = 0..p-1, in closed form.
+def closed_row_parts(ctx: PrimeContext) -> tuple[list[int], list[int]]:
+    """(const, slope) with C(n*p - 1, k)_2 == const[k] + n*p*slope[k]
+    (mod p**2) for k = 0..p-1 and every n >= 1, the n-free half of
+    closed_row_mod_p2.
 
     By k mod 3 (k = 3q, 3q+1, 3q+2):
 
@@ -191,29 +195,44 @@ def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
       3q+1: -1 + n*p*( (2/3)H_q + sum_{j<=q} 1/(3j+1) )
       3q+2: n*p*( -sum_{j<=q} 1/(3j+1) + sum_{j<=q} 1/(3j+2) )
 
-    One pass over k keeps the two progression sums running.  The harmonic
-    pieces carry a factor p, so mod-p values of them suffice; the constant
-    term is exact mod p**2.  This path shares nothing with the row engines, which
-    is what makes the cross-check meaningful.
+    const is the 1, -1, 0 pattern mod p**2 and slope the bracket mod p, built
+    in one pass over k that keeps the two progression sums running.  This
+    path shares nothing with the row engines, which is what makes the
+    cross-check meaningful.
     """
     p, p2 = ctx.p, ctx.p2
     inv = ctx.cached(inverse_table)
     h = ctx.cached(harmonic_table)
     two_thirds = 2 * inv[3]
-    n_p = n * p
     s1 = s2 = 0  # sums of 1/(3j+1) and 1/(3j+2) over the terms up to k
-    row = []
+    slope = []
     for k in range(p):
         r = k % 3
         if r == 0:
-            row.append((1 - n_p * (two_thirds * h[k // 3] + s2)) % p2)
+            slope.append(-(two_thirds * h[k // 3] + s2) % p)
         elif r == 1:
             s1 = (s1 + inv[k]) % p
-            row.append((n_p * (two_thirds * h[k // 3] + s1) - 1) % p2)
+            slope.append((two_thirds * h[k // 3] + s1) % p)
         else:
             s2 = (s2 + inv[k]) % p
-            row.append(n_p * (s2 - s1) % p2)
-    return row
+            slope.append((s2 - s1) % p)
+    const = ([1, p2 - 1, 0] * (p // 3 + 1))[:p]
+    return const, slope
+
+
+def closed_row_mod_p2(ctx: PrimeContext, n: int) -> list[int]:
+    """Trinomial coefficients of x**k in row n*p - 1, mod p**2, for
+    k = 0..p-1, in closed form: const[k] + n*p*slope[k] from the prime's
+    closed_row_parts, so each n costs one O(p) pass.
+
+    The slope holds harmonic sums reduced mod p, which is exact: it enters
+    multiplied by n*p, and n*p*(x + p*y) == n*p*x (mod p**2).  The constant
+    term is exact mod p**2.
+    """
+    const, slope = ctx.cached(closed_row_parts)
+    p2 = ctx.p2
+    n_p = n * ctx.p % p2
+    return [(c + n_p * d) % p2 for c, d in zip(const, slope)]
 
 
 def alt_fib_sum(n: int) -> int:

@@ -6,7 +6,7 @@ from instances import checker_of, expand
 from trinocheck import congruences
 from trinocheck.congruences import CHECKERS, ClaimId
 from trinocheck.modular import PrimeContext, sieve_primes
-from trinocheck.trinomial import row_mod_p2_prefix
+from trinocheck.trinomial import closed_row_mod_p2, row_mod_p2_prefix
 
 
 def _records(claim, ctx, n=None):
@@ -126,6 +126,17 @@ class TestTripleSum:
             for n in (1, 2):
                 assert all(r.passed for r in _check(ClaimId.TRIPLE_SUM_A, ctx, n))
 
+    @pytest.mark.parametrize("p", sieve_primes(5, 97))
+    def test_lhs_is_the_sum_of_three_closed_row_entries(self, p):
+        # the per-prime triple sums against the sum of three entries of the
+        # full closed-form row, for n up to 64 (n*p passes p**2)
+        ctx = PrimeContext(p)
+        for n in range(1, 65):
+            row = closed_row_mod_p2(ctx, n)
+            [r] = _records(ClaimId.TRIPLE_SUM_A, ctx, n)
+            assert r.lhs == [(row[j - 2] + row[j - 1] + row[j]) % ctx.p2
+                             for j in range(2, p, 3)]
+
 
 class TestClassical:
     def test_babbage(self):
@@ -180,6 +191,16 @@ def test_binomial_memo_is_exact(monkeypatch):
     assert len(used) == 9 * len(sieve_primes(5, 199))
     for p, a, k in used:
         assert memo(PrimeContext(p), a, k) == math.comb(a, k) % p**4
+
+
+@pytest.mark.parametrize("p", [101, 211])
+def test_binomial_chunk_edges(p):
+    # k on both sides of the chunk boundaries of the numerator product and
+    # of the shared k! inverse
+    ctx = PrimeContext(p)
+    for k in (0, 1, 31, 32, 33, 63, 64, 65):
+        for a in (n * p - 1 for n in (1, 2, 3)):  # p - 1 at n = 1
+            assert congruences._binom_coprime_mod(ctx, a, k) == math.comb(a, k) % p**4
 
 
 @pytest.mark.parametrize("p", sieve_primes(5, 97))

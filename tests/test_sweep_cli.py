@@ -26,6 +26,7 @@ from trinocheck.harmonic import ap_harmonic, inverse_table
 from trinocheck.modular import PrimeContext, fermat_quotient, inv_mod
 from trinocheck.trinomial import (
     closed_row_mod_p2,
+    closed_row_parts,
     row_mod_p2_prefix,
     row_mod_prefix,
 )
@@ -271,27 +272,41 @@ class TestSharedSpecs:
         # the checkers' inv_mod calls, and their per-prime table lookups, do
         # not grow with p: inverses come from the prime's tables, except the
         # half-row binomials' own pow inverses, kept apart from the table
-        # their right side reads
-        nmax = 8
+        # their right side reads.  The n-free half of every per-n left side
+        # is built once per prime, whatever nmax is.
         calls = Counter()
         checker_modules = [m for name, m in sys.modules.items()
                            if name.startswith("trinocheck") and m is not modular]
         _count_calls(monkeypatch, calls, checker_modules,
-                     (inv_mod, closed_row_mod_p2, congruences._binom_coprime_mod))
+                     (inv_mod, closed_row_mod_p2, closed_row_parts,
+                      congruences._binom_coprime_mod))
+        inverted = []
+        factorial_inverse = congruences._factorial_inverse
+
+        def recording(ctx, k):
+            inverted.append(k)
+            return factorial_inverse(ctx, k)
+
+        monkeypatch.setattr(congruences, "_factorial_inverse", recording)
         monkeypatch.setattr(
             PrimeContext, "cached", _counting(calls, "cached", PrimeContext.cached))
-        per_prime = {}
-        for p in (101, 1009):
-            calls.clear()
-            assert _records(SweepConfig(pmin=p, pmax=p, nmax=nmax))
-            per_prime[p] = Counter(calls)
-        assert per_prime[101]["inv_mod"] == per_prime[1009]["inv_mod"]
-        assert per_prime[101]["cached"] == per_prime[1009]["cached"]
-        for calls in per_prime.values():
-            # one closed-form row per (p, n), read whole by the sweep
-            assert calls["closed_row_mod_p2"] == nmax
-            # C(np - 1, p - 1) for n <= nmax, and C(p - 1, (p - 1)/2)
-            assert calls["_binom_coprime_mod"] == nmax + 1
+        for nmax in (8, 16):
+            per_prime = {}
+            for p in (101, 1009):
+                calls.clear()
+                inverted.clear()
+                assert _records(SweepConfig(pmin=p, pmax=p, nmax=nmax))
+                per_prime[p] = Counter(calls)
+                # (p - 1)! for Glaisher and Babbage, ((p - 1)/2)! for Morley
+                assert sorted(inverted) == [(p - 1) // 2, p - 1]
+            assert per_prime[101]["inv_mod"] == per_prime[1009]["inv_mod"]
+            assert per_prime[101]["cached"] == per_prime[1009]["cached"]
+            for calls_p in per_prime.values():
+                # TripleSum reads the closed-form parts and builds no row
+                assert calls_p["closed_row_parts"] == 1
+                assert calls_p["closed_row_mod_p2"] == 0
+                # C(np - 1, p - 1) for n <= nmax, and C(p - 1, (p - 1)/2)
+                assert calls_p["_binom_coprime_mod"] == nmax + 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @settings(max_examples=15, deadline=None)

@@ -188,6 +188,14 @@ class TestCoeffClosedModP2:
             for n in range(1, 4):
                 assert closed_row_mod_p2(ctx, n) == row_mod_prefix(n * p - 1, ctx.p2, p)
 
+    @pytest.mark.parametrize("p", sieve_primes(5, 31))
+    def test_agrees_with_row_engine_past_p2(self, p):
+        # one (const, slope) pair per prime serves every n, also where the
+        # exponent n*p - 1 passes p**2
+        ctx = PrimeContext(p)
+        for n in (p - 1, p, p + 1, 2 * p + 1):
+            assert closed_row_mod_p2(ctx, n) == row_mod_prefix(n * p - 1, ctx.p2, p)
+
 
 class TestAltFibSum:
     def test_examples(self):
