@@ -9,8 +9,8 @@ run-dependent (timestamps, durations, host names) ever enters the output.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from typing import BinaryIO
@@ -157,7 +157,9 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
     With fail_fast the stream stops immediately after the first failing
     instance: the record holding it is cut after it (identical truncation
     point at any worker count).  The process pool, if any, lives as long as
-    the generator; close it to cancel the primes not yet checked.
+    the generator; close it to cancel the primes not yet checked.  Only the
+    pool branch imports concurrent.futures.  The pool pickles each prime's
+    list as one object, so sides shared between its records stay shared.
     """
     primes = sieve_primes(config.pmin, config.pmax)
     work_args = (config.claims, config.nmax, config.summary_only)
@@ -165,6 +167,8 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
     if config.jobs == 1 or len(primes) <= 1:
         per_prime = (_check_prime(p, *work_args) for p in primes)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         executor = ProcessPoolExecutor(max_workers=min(config.jobs, len(primes)))
         per_prime = executor.map(
             _check_prime, primes, *(repeat(a) for a in work_args), chunksize=1
@@ -183,15 +187,16 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
             executor.shutdown(cancel_futures=True)
 
 
-def _jsonl_lines(r: CheckResult) -> str:
-    """One JSONL line per instance of r, joined by newlines."""
-    head = f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
-    mid = f',"modulus":{r.modulus},"lhs":"'
+def _jsonl_head(r: CheckResult) -> str:
+    return f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
+
+
+def _jsonl_tails(r: CheckResult) -> list[str]:
     ks = repeat("null") if r.k is None else count(r.k)
-    return "\n".join(
-        f'{head}{k}{mid}{a}","rhs":"{b}","pass":{"true" if a == b else "false"}}}'
+    return [
+        f'{k},"modulus":{r.modulus},"lhs":"{a}","rhs":"{b}","pass":{"true" if a == b else "false"}}}'
         for k, a, b in zip(ks, r.lhs, r.rhs)
-    )
+    ]
 
 
 def _jsonl_trailer(s: Summary) -> str:
@@ -199,38 +204,45 @@ def _jsonl_trailer(s: Summary) -> str:
         f'"{c.value}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
         for c, t in s.per_claim.items()
     )
-    first = "null" if s.first_failure is None else _jsonl_lines(s.first_failure)
+    f = s.first_failure
+    first = "null" if f is None else _jsonl_head(f) + _jsonl_tails(f)[0]
     return (
         f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
         f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
     )
 
 
-def _csv_lines(r: CheckResult) -> str:
-    """One CSV row per instance of r, joined by newlines."""
-    head = f'{r.claim.value},{r.p},{"" if r.n is None else r.n},'
+def _csv_head(r: CheckResult) -> str:
+    return f'{r.claim.value},{r.p},{"" if r.n is None else r.n},'
+
+
+def _csv_tails(r: CheckResult) -> list[str]:
     ks = repeat("") if r.k is None else count(r.k)
-    return "\n".join(
-        f'{head}{k},{r.modulus},{a},{b},{"true" if a == b else "false"}'
+    return [
+        f'{k},{r.modulus},{a},{b},{"true" if a == b else "false"}'
         for k, a, b in zip(ks, r.lhs, r.rhs)
-    )
+    ]
 
 
 def _csv_trailer(s: Summary) -> str:
     return f'summary,,,,,{s.passed},{s.records},{"true" if s.failed == 0 else "false"}'
 
 
-#: format -> (header, record lines, trailer line); lines carry no final newline
+#: format -> (header, head, tails, trailer).  Instance i of record r is the
+#: line head(r) + tails(r)[i]: head carries what depends on (claim, p, n),
+#: tails what depends only on (k, modulus, lhs, rhs).  Lines carry no final
+#: newline.
 FORMATS = {
-    "jsonl": ("", _jsonl_lines, _jsonl_trailer),
-    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_lines, _csv_trailer),
+    "jsonl": ("", _jsonl_head, _jsonl_tails, _jsonl_trailer),
+    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_head, _csv_tails, _csv_trailer),
 }
 
 
 def write_report(
     chunks: Iterable[list[CheckResult]], fmt: str, out: BinaryIO
 ) -> Summary:
-    """Write each chunk of records to `out` as it arrives; return the summary.
+    """Write each record to `out` as soon as it is rendered, one write per
+    record; return the summary.
 
     jsonl: one compact object per instance (a record over k gives one line
     per k) with keys claim, p, n, k, modulus, lhs, rhs, pass (residues as
@@ -244,17 +256,32 @@ def write_report(
     Every string field is a claim's wire name (a plain word) or a decimal
     integer, so no field needs JSON escaping or CSV quoting.  The trailer is
     written last, so a report without one is incomplete.
+
+    Records of one chunk that share their lhs and rhs lists (Cor4_Eq11 reads
+    the same row and pattern at every n) and their k and modulus share their
+    tails, which are rendered once per chunk.  The lists are keyed by id():
+    the chunk keeps every record alive, so no id is reused while the memo
+    lives, and CheckResult sides are never mutated.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    header, lines, trailer = FORMATS[fmt]
+    header, head, tails, trailer = FORMATS[fmt]
     out.write(header.encode())
     summary = Summary()
     for chunk in chunks:
         summary.add(chunk)
-        if chunk:
-            out.write(("\n".join(map(lines, chunk)) + "\n").encode())
+        keys = [(id(r.lhs), id(r.rhs), r.k, r.modulus) for r in chunk]
+        repeated = {key for key, seen in Counter(keys).items() if seen > 1}
+        memo: dict[tuple, list[str]] = {}
+        for key, r in zip(keys, chunk):
+            if key in memo:
+                lines = memo[key]
+            else:
+                lines = tails(r)
+                if key in repeated:
+                    memo[key] = lines
+            h = head(r)
+            out.write((h + ("\n" + h).join(lines) + "\n").encode())
     summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
     out.write((trailer(summary) + "\n").encode())
     return summary
-

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -5,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import cache
-from itertools import groupby
+from itertools import count, groupby, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -469,6 +470,114 @@ class TestRender:
         assert _report(cfg) == _report(_cfg(claims=(ClaimId.THM1_EQ2, ClaimId.GL0)))
 
 
+def _independent_lines(r, fmt):
+    """r's report lines, each rendered on its own from r alone, joined by
+    newlines: the formulation write_report had before it shared tails."""
+    if fmt == "jsonl":
+        head = f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
+        mid = f',"modulus":{r.modulus},"lhs":"'
+        ks = repeat("null") if r.k is None else count(r.k)
+        return "\n".join(
+            f'{head}{k}{mid}{a}","rhs":"{b}","pass":{"true" if a == b else "false"}}}'
+            for k, a, b in zip(ks, r.lhs, r.rhs)
+        )
+    head = f'{r.claim.value},{r.p},{"" if r.n is None else r.n},'
+    ks = repeat("") if r.k is None else count(r.k)
+    return "\n".join(
+        f'{head}{k},{r.modulus},{a},{b},{"true" if a == b else "false"}'
+        for k, a, b in zip(ks, r.lhs, r.rhs)
+    )
+
+
+def _independent_trailer(s, fmt):
+    if fmt == "csv":
+        return f'summary,,,,,{s.passed},{s.records},{"true" if s.failed == 0 else "false"}'
+    per_claim = ",".join(
+        f'"{c.value}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
+        for c, t in s.per_claim.items()
+    )
+    first = "null" if s.first_failure is None else _independent_lines(s.first_failure, fmt)
+    return (
+        f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
+        f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
+    )
+
+
+def _independent_writes(chunks, fmt):
+    """The writes a report of `chunks` should take: the header, one per
+    record, then the trailer, every record rendered independently."""
+    summary = sweep.Summary()
+    writes = [sweep.FORMATS[fmt][0]]
+    for chunk in chunks:
+        summary.add(chunk)
+        writes += [_independent_lines(r, fmt) + "\n" for r in chunk]
+    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
+    writes.append(_independent_trailer(summary, fmt) + "\n")
+    return [w.encode() for w in writes]
+
+
+class _RecordingOut:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+class TestSharedTails:
+    """write_report renders a tail repeated within a prime once, and the
+    bytes stay those of rendering every record on its own."""
+
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_one_write_per_record_rendered_alone(self, fmt, jobs, fail_fast):
+        # the header, then each record in a write of its own, as if no tail
+        # were shared, then the trailer: no write holds two records
+        chunks = list(iter_sweep(SweepConfig(pmax=97, jobs=jobs, fail_fast=fail_fast)))
+        out = _RecordingOut()
+        write_report(chunks, fmt, out)
+        assert out.writes == _independent_writes(chunks, fmt)
+        assert len(out.writes) == 2 + sum(map(len, chunks))
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_shared_lhs_with_other_k_modulus_or_rhs(self, fmt):
+        lhs, rhs = [1, 2, 3], [1, 2, 4]
+        variants = [
+            (0, 49, lhs, rhs),
+            (1, 49, lhs, rhs),  # other k
+            (None, 49, [3], [3]),
+            (0, 7, lhs, rhs),  # other modulus
+            (0, 49, lhs, [1, 2, 3]),  # other rhs, equal to lhs
+            (0, 49, lhs, list(rhs)),  # equal rhs, another list
+        ]
+        # each variant twice, so every key is a repeated one
+        records = [
+            CheckResult(ClaimId.COR4_EQ11, 7, n, k, modulus, a, b)
+            for n, (k, modulus, a, b) in enumerate(variants + variants, start=1)
+        ]
+        out = _RecordingOut()
+        write_report([records], fmt, out)
+        assert out.writes == _independent_writes([records], fmt)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cor4_tails_built_once_per_prime(self, monkeypatch, jobs):
+        header, head, tails, trailer = sweep.FORMATS["jsonl"]
+        built = Counter()
+
+        def counted(r):
+            built[r.claim, r.p] += 1
+            return tails(r)
+
+        monkeypatch.setitem(sweep.FORMATS, "jsonl", (header, head, counted, trailer))
+        config = SweepConfig(pmax=13, nmax=8, jobs=jobs)
+        write_report(iter_sweep(config), "jsonl", io.BytesIO())
+        cor4 = {p: built[ClaimId.COR4_EQ11, p] for p in (5, 7, 11, 13)}
+        assert cor4 == {5: 1, 7: 1, 11: 1, 13: 1}  # not nmax = 8 per prime
+        assert built[ClaimId.THM1_EQ2, 13] == 8  # a record per n, nothing shared
+
+
 class TestCli:
     def test_exit_zero_and_stdout(self, capsysbinary):
         rc = main(["--pmin", "5", "--pmax", "7", "--nmax", "1", "--claims", "Thm1_Eq2"])
@@ -700,7 +809,7 @@ class TestCli:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was built for a rejected --jobs")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(cli, "iter_sweep", no_pool)
         rc = main(["--pmax", "11", "--jobs", str(MAX_JOBS + 1)])
         assert rc == 2
@@ -721,7 +830,7 @@ class TestCli:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         assert main(["--pmax", "11", "--out", str(serial)]) == 1
         assert main(["--pmax", "11", "--jobs", "8", "--out", str(pooled)]) == 1
@@ -743,6 +852,17 @@ class TestCli:
             capture_output=True, check=True,
         )
         assert proc.stdout == b"False\n"
+
+    @pytest.mark.parametrize("jobs, imported", [(1, False), (2, True)])
+    def test_pool_module_imported_only_for_a_pool(self, tmp_path, jobs, imported):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, trinocheck.cli; rc = trinocheck.cli.main(sys.argv[1:]); "
+             "print(rc, 'concurrent.futures.process' in sys.modules)",
+             "--pmax", "11", "--jobs", str(jobs), "--out", str(tmp_path / "r.jsonl")],
+            capture_output=True, check=True,
+        )
+        assert proc.stdout == f"1 {imported}\n".encode()
 
     def test_module_entrypoint(self, tmp_path):
         out = tmp_path / "r.csv"
