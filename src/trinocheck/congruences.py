@@ -3,9 +3,12 @@ per counted quantity, emitting every claim whose left side reads it.
 
 The engine modules (harmonic, trinomial, modular) compute numbers only; this
 is the one module that builds records.  Every checker computes its two sides
-by disjoint codepaths: the left side always comes from a counting engine
+by disjoint codepaths: the left side comes from a counting engine
 (trinomial rows, binomial products, explicit summation), the right side from
-Fermat-quotient closed forms or plain constants.  Right-hand terms that carry
+Fermat-quotient closed forms or plain constants.  The one exception is
+TripleSum_a, whose claim is about the closed forms of row np - 1: its left
+side sums those forms (closed_row_parts), and the acceptance tests equate
+them with counted rows.  Right-hand terms that carry
 an explicit factor p evaluate their quotient coefficient mod p and lift;
 constant terms are exact at the full claim modulus.
 """
@@ -147,22 +150,43 @@ def _row_forms(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
     return ((-1, -ctx.q3), (0, -half_q3), (0, 0), (0, -rat_mod(2 * ctx.q2, 3, p)))
 
 
-def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """Row C(np-1, k)_2 mod p**2, k <= p-1, read once for four claims:
-    Thm1 Eq2 (k = p-1), Thm1 Eq4 (k = (p-1)/2), Prop3 Eq9 (sum over k) and
-    Prop3 Eq10 (sum over k <= (p-1)/2).
+def _row_anchor_forms(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
+    """(a, b) with F(C(np-1, k)_2) == a + n*b (mod p**2) at every n >= 0, for
+    each functional F the row claims read: row[p-1], row[(p-1)/2], the sum
+    and the half sum over k <= p-1.
 
-    Each right side is constant + n*p*coefficient, from the prime's
-    _row_forms.
+    For k < p, C(N, k)_2 is a polynomial in N with p-integral coefficients
+    (see row_mod_p2_prefix), so its Taylor expansion at N = -1 gives
+    C(np-1, k)_2 == A[k] + n*B[k] (mod p**2), where A is the row at
+    N == -1 == p**2 - 1 (the Cor4_Eq11 row, under the same memo key) and
+    A + B the row at N = p - 1.  Two counted rows fix every n.
     """
     p, p2 = ctx.p, ctx.p2
-    row = ctx.cached(row_mod_p2_prefix, (n * p - 1) % p2)
     half = (p - 1) // 2
+
+    def forms(row: list[int]) -> tuple[int, ...]:
+        return row[p - 1], row[half], sum(row), sum(row[: half + 1])
+
+    at0 = forms(ctx.cached(row_mod_p2_prefix, p2 - 1))
+    at1 = forms(ctx.cached(row_mod_p2_prefix, p - 1))
+    return tuple((a % p2, (b - a) % p2) for a, b in zip(at0, at1))
+
+
+def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
+    """Row C(np-1, k)_2 mod p**2, k <= p-1, read for four claims: Thm1 Eq2
+    (k = p-1), Thm1 Eq4 (k = (p-1)/2), Prop3 Eq9 (sum over k) and Prop3
+    Eq10 (sum over k <= (p-1)/2).
+
+    Each left side is a + n*b from the prime's _row_anchor_forms, read off
+    two counted rows, so each n costs O(1); each right side is
+    constant + n*p*coefficient, from the prime's _row_forms.
+    """
+    p, p2 = ctx.p, ctx.p2
     claims = (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)
-    lhs = (row[p - 1], row[half], sum(row), sum(row[: half + 1]))
     return [
-        result(claim, p, p2, [left], [const + n * p * coef], n=n)
-        for claim, left, (const, coef) in zip(claims, lhs, ctx.cached(_row_forms))
+        result(claim, p, p2, [a + n * b], [const + n * p * coef], n=n)
+        for claim, (a, b), (const, coef)
+        in zip(claims, ctx.cached(_row_anchor_forms), ctx.cached(_row_forms))
     ]
 
 

@@ -9,17 +9,21 @@ run-dependent (timestamps, durations, host names) ever enters the output.
 from __future__ import annotations
 
 import operator
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
-from typing import BinaryIO
+from typing import TYPE_CHECKING, BinaryIO
 
 from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId, result
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 
-#: Upper bound on --nmax; bounds per-prime work and report size, both linear
-#: in nmax (a row prefix costs O(p) at any exponent, reduced mod p^2 first).
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
+
+#: Upper bound on --nmax; bounds the report size, linear in nmax.  Per-prime
+#: work grows with nmax only through the per-n classical binomials and
+#: closed-form lists: the rows are two O(p) anchor rows at any nmax.
 MAX_NMAX = 64
 
 #: Upper bound on --jobs.  The pool forks all of its workers at the first
@@ -143,10 +147,16 @@ def _check_prime(
             records.extend(r for r in run(*args) if r.claim in selected)
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
     if summary_only:
+        # records sharing both lists (the Cor4 row and pattern at every n)
+        # are counted once, keyed by id(): only the lists of records alive
+        # together when the loop starts are keyed, so no two share an id
+        passed: dict[tuple[int, int], int] = {}
         for i, r in enumerate(records):
             if r.k is not None:
-                passed = sum(map(operator.eq, r.lhs, r.rhs))
-                records[i] = result(r.claim, p, r.modulus, [passed], [len(r.lhs)], n=r.n)
+                key = (id(r.lhs), id(r.rhs))
+                if key not in passed:
+                    passed[key] = sum(map(operator.eq, r.lhs, r.rhs))
+                records[i] = result(r.claim, p, r.modulus, [passed[key]], [len(r.lhs)], n=r.n)
     return records
 
 
@@ -169,10 +179,9 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        executor = ProcessPoolExecutor(max_workers=min(config.jobs, len(primes)))
-        per_prime = executor.map(
-            _check_prime, primes, *(repeat(a) for a in work_args), chunksize=1
-        )
+        workers = min(config.jobs, len(primes))
+        executor = ProcessPoolExecutor(max_workers=workers)
+        per_prime = _bounded_map(executor, primes, work_args, 2 * workers)
     try:
         for prime_records in per_prime:
             if config.fail_fast:
@@ -185,6 +194,22 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
+
+
+def _bounded_map(
+    executor: Executor, primes: list[int], work_args: tuple, window: int
+) -> Iterator[list[CheckResult]]:
+    """_check_prime over `primes` in order on `executor`, with at most
+    `window` primes submitted but not yet yielded: the next prime is
+    submitted as each one is consumed, so a slow reader holds back the
+    workers instead of piling finished primes up in this process."""
+    pending: deque[Future[list[CheckResult]]] = deque()
+    for p in primes:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(executor.submit(_check_prime, p, *work_args))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _jsonl_head(r: CheckResult) -> str:

@@ -4,9 +4,9 @@ import pytest
 
 from instances import checker_of, expand
 from trinocheck import congruences
-from trinocheck.congruences import CHECKERS, ClaimId
+from trinocheck.congruences import CHECKERS, ClaimId, check_row_np_minus1
 from trinocheck.modular import PrimeContext, sieve_primes
-from trinocheck.trinomial import closed_row_mod_p2, row_mod_p2_prefix
+from trinocheck.trinomial import closed_row_mod_p2, row_mod_p2_prefix, row_mod_prefix
 
 
 def _records(claim, ctx, n=None):
@@ -201,6 +201,44 @@ def test_binomial_chunk_edges(p):
     for k in (0, 1, 31, 32, 33, 63, 64, 65):
         for a in (n * p - 1 for n in (1, 2, 3)):  # p - 1 at n = 1
             assert congruences._binom_coprime_mod(ctx, a, k) == math.comb(a, k) % p**4
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 13))
+def test_row_affine_in_n(p):
+    # C(np - 1, k)_2 == A[k] + n*B[k] (mod p**2), with A the row at
+    # p**2 - 1 and A + B the row at p - 1, against the recurrence and
+    # against schoolbook powering of the full exponent (n >= p wraps it)
+    ctx = PrimeContext(p)
+    p2 = ctx.p2
+    a = row_mod_p2_prefix(ctx, p2 - 1)
+    b = [(x - y) % p2 for x, y in zip(row_mod_p2_prefix(ctx, p - 1), a)]
+    for n in range(1, 3 * p):
+        law = [(x + n * y) % p2 for x, y in zip(a, b)]
+        assert row_mod_p2_prefix(ctx, n * p - 1) == law
+        assert row_mod_prefix(n * p - 1, p2, p) == law
+
+
+@pytest.mark.parametrize("p", sieve_primes(17, 101))
+def test_row_claims_read_counted_rows(p):
+    # the four left sides check_row_np_minus1 derives from its two anchor
+    # rows equal the same functionals of row n*p - 1 counted directly
+    ctx = PrimeContext(p)
+    p2, half = ctx.p2, (p - 1) // 2
+    for n in (*range(1, 21), p - 1, p, p + 1, 2 * p + 3):
+        row = row_mod_p2_prefix(ctx, n * p - 1)
+        want = [row[p - 1], row[half], sum(row) % p2, sum(row[: half + 1]) % p2]
+        assert [r.lhs[0] for r in check_row_np_minus1(ctx, n)] == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
+def test_glaisher_quadratic_in_n(p):
+    # C(np - 1, p - 1) mod p**3 is quadratic in n and 1 at n = 0 and n = 1,
+    # so it is 1 + C(n, 2)*(C(2p - 1, p - 1) - 1): Glaisher holds at every n
+    # exactly when Wolstenholme does
+    p3 = p**3
+    step = math.comb(2 * p - 1, p - 1) - 1
+    for n in range(1, 3 * p + 2):
+        assert math.comb(n * p - 1, p - 1) % p3 == (1 + math.comb(n, 2) * step) % p3
 
 
 @pytest.mark.parametrize("p", sieve_primes(5, 97))

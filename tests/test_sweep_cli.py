@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from itertools import count, groupby, repeat
 
@@ -248,26 +250,28 @@ class TestSharedSpecs:
         for run in checkers:
             replace_checker(monkeypatch, run, _counting(calls, run.__name__, run))
 
-        nmax = 8
-        assert _records(SweepConfig(pmin=101, pmax=101, nmax=nmax))
-        for grouped in ("check_progression_lemmas", "check_reflections",
-                        "check_half_third_sixth", "check_babbage_wolstenholme",
-                        "check_morley_carlitz"):
-            assert calls[grouped] == 1, grouped
-        assert calls["check_row_np_minus1"] == nmax
-        # each checker once in the table: 4 of the 12 run once per n (32
-        # calls), the other 8 once per prime
-        assert len(checkers) == 12
-        assert sum(calls[run.__name__] for run in checkers) == 40
-        assert calls["ap_harmonic"] == 5
-        assert calls["inverse_table"] == 1
-        # q2 and q3, once each, when the prime's context is built
-        assert calls["fermat_quotient"] == 2
-        # one row per distinct exponent mod p**2: n*p - 1 for n <= nmax, and
-        # n*p**2 - 1, which is p**2 - 1 at every n; schoolbook powering is a
-        # test oracle only
-        assert calls["row_mod_p2_prefix"] == nmax + 1
-        assert calls["row_mod_prefix"] == 0
+        for nmax in (8, 16):
+            calls.clear()
+            assert _records(SweepConfig(pmin=101, pmax=101, nmax=nmax))
+            for grouped in ("check_progression_lemmas", "check_reflections",
+                            "check_half_third_sixth", "check_babbage_wolstenholme",
+                            "check_morley_carlitz"):
+                assert calls[grouped] == 1, grouped
+            assert calls["check_row_np_minus1"] == nmax
+            # each checker once in the table: 4 of the 12 run once per n,
+            # the other 8 once per prime
+            assert len(checkers) == 12
+            assert sum(calls[run.__name__] for run in checkers) == 4 * nmax + 8
+            assert calls["ap_harmonic"] == 5
+            assert calls["inverse_table"] == 1
+            # q2 and q3, once each, when the prime's context is built
+            assert calls["fermat_quotient"] == 2
+            # two anchor rows at any nmax: exponent p**2 - 1 (n = 0, and the
+            # Cor4 row n*p**2 - 1 at every n) and p - 1 (n = 1); every row
+            # n*p - 1 is affine in n between them.  Schoolbook powering is a
+            # test oracle only
+            assert calls["row_mod_p2_prefix"] == 2
+            assert calls["row_mod_prefix"] == 0
 
     def test_per_prime_quantities_built_once(self, monkeypatch):
         # the checkers' inv_mod calls, and their per-prime table lookups, do
@@ -824,8 +828,10 @@ class TestCli:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
             def shutdown(self, cancel_futures=False):
                 pass
@@ -836,6 +842,39 @@ class TestCli:
         assert main(["--pmax", "11", "--jobs", "8", "--out", str(pooled)]) == 1
         assert sizes == [3]  # the primes 5, 7 and 11
         assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_pool_run_ahead_is_bounded(self, monkeypatch):
+        # a slow reader holds the workers back: at most 2 * jobs primes are
+        # submitted but not yet yielded, and the bytes match one worker's
+        jobs = 2
+        futures = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                futures.append(super().submit(fn, *args, **kwargs))
+                return futures[-1]
+
+        def slow(chunks):
+            for consumed, chunk in enumerate(chunks):
+                assert len(futures) - consumed <= 2 * jobs
+                time.sleep(0.005)
+                yield chunk
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        config = SweepConfig(pmin=5, pmax=211, nmax=2)
+        serial, pooled = io.BytesIO(), io.BytesIO()
+        write_report(iter_sweep(config), "jsonl", serial)
+        write_report(slow(iter_sweep(replace(config, jobs=jobs))), "jsonl", pooled)
+        assert pooled.getvalue() == serial.getvalue()
+        assert len(futures) == len(modular.sieve_primes(5, 211))
+
+        # closing after the first prime leaves nothing running or queued
+        futures.clear()
+        stream = iter_sweep(replace(config, jobs=jobs))
+        next(stream)
+        stream.close()
+        assert len(futures) == 2 * jobs
+        assert all(f.done() for f in futures)
 
     def test_jobs_flag(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
