@@ -150,16 +150,18 @@ def _row_forms(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
     return ((-1, -ctx.q3), (0, -half_q3), (0, 0), (0, -rat_mod(2 * ctx.q2, 3, p)))
 
 
-def _row_anchor_forms(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
-    """(a, b) with F(C(np-1, k)_2) == a + n*b (mod p**2) at every n >= 0, for
-    each functional F the row claims read: row[p-1], row[(p-1)/2], the sum
-    and the half sum over k <= p-1.
+def check_row_np_minus1(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
+    """Row C(np-1, k)_2 mod p**2, k <= p-1, for n = 1..nmax, read for four
+    claims: Thm1 Eq2 (k = p-1), Thm1 Eq4 (k = (p-1)/2), Prop3 Eq9 (sum over
+    k) and Prop3 Eq10 (sum over k <= (p-1)/2).
 
     For k < p, C(N, k)_2 is a polynomial in N with p-integral coefficients
     (see row_mod_p2_prefix), so its Taylor expansion at N = -1 gives
     C(np-1, k)_2 == A[k] + n*B[k] (mod p**2), where A is the row at
     N == -1 == p**2 - 1 (the Cor4_Eq11 row, under the same memo key) and
-    A + B the row at N = p - 1.  Two counted rows fix every n.
+    A + B the row at N = p - 1.  Two counted rows fix every n: each of the
+    four functionals is a + n*b at every n >= 0, so each n costs O(1), as
+    does each right side, constant + n*p*coefficient from _row_forms.
     """
     p, p2 = ctx.p, ctx.p2
     half = (p - 1) // 2
@@ -169,24 +171,13 @@ def _row_anchor_forms(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
 
     at0 = forms(ctx.cached(row_mod_p2_prefix, p2 - 1))
     at1 = forms(ctx.cached(row_mod_p2_prefix, p - 1))
-    return tuple((a % p2, (b - a) % p2) for a, b in zip(at0, at1))
-
-
-def check_row_np_minus1(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """Row C(np-1, k)_2 mod p**2, k <= p-1, read for four claims: Thm1 Eq2
-    (k = p-1), Thm1 Eq4 (k = (p-1)/2), Prop3 Eq9 (sum over k) and Prop3
-    Eq10 (sum over k <= (p-1)/2).
-
-    Each left side is a + n*b from the prime's _row_anchor_forms, read off
-    two counted rows, so each n costs O(1); each right side is
-    constant + n*p*coefficient, from the prime's _row_forms.
-    """
-    p, p2 = ctx.p, ctx.p2
     claims = (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)
+    laws = [(claim, a, b - a, const, coef)
+            for claim, a, b, (const, coef) in zip(claims, at0, at1, _row_forms(ctx))]
     return [
         result(claim, p, p2, [a + n * b], [const + n * p * coef], n=n)
-        for claim, (a, b), (const, coef)
-        in zip(claims, ctx.cached(_row_anchor_forms), ctx.cached(_row_forms))
+        for n in range(1, nmax + 1)
+        for claim, a, b, const, coef in laws
     ]
 
 
@@ -223,44 +214,39 @@ def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
     return [result(ClaimId.THM2_EQ7, p, p, [acc], [rhs])]
 
 
-def _cor4_pattern(ctx: PrimeContext) -> list[int]:
-    """1, -1, 0 by k mod 3, mod p**2, for k in 0..p-1."""
-    return ([1, ctx.p2 - 1, 0] * (ctx.p // 3 + 1))[: ctx.p]
-
-
-def check_cor4_eq11(ctx: PrimeContext, n: int) -> list[CheckResult]:
+def check_cor4_eq11(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3, for
-    k in 0..p-1.  The exponent is p**2 - 1 mod p**2 at every n, so every n
-    reads one row, which is the lhs as cached (already reduced)."""
+    k in 0..p-1 and n = 1..nmax.  The exponent is p**2 - 1 mod p**2 at every
+    n, so all nmax records share one row, which is the lhs as cached
+    (already reduced), and one pattern."""
     p, p2 = ctx.p, ctx.p2
-    row = ctx.cached(row_mod_p2_prefix, (n * p2 - 1) % p2)
-    return [CheckResult(ClaimId.COR4_EQ11, p, n, 0, p2, row, ctx.cached(_cor4_pattern))]
+    row = ctx.cached(row_mod_p2_prefix, p2 - 1)
+    pattern = ([1, p2 - 1, 0] * (p // 3 + 1))[:p]
+    return [CheckResult(ClaimId.COR4_EQ11, p, n, 0, p2, row, pattern)
+            for n in range(1, nmax + 1)]
 
 
-def _triple_parts(ctx: PrimeContext) -> tuple[list[int], list[int]]:
-    """Sums of the closed_row_parts const and slope entries at 3k, 3k+1,
-    3k+2, for every k with 3k+2 <= p-1, reduced mod p**2 and mod p."""
-    const, slope = ctx.cached(closed_row_parts)
-    p, p2 = ctx.p, ctx.p2
-    ends = range(2, p, 3)  # 3k + 2
-    return ([(const[j - 2] + const[j - 1] + const[j]) % p2 for j in ends],
-            [(slope[j - 2] + slope[j - 1] + slope[j]) % p for j in ends])
-
-
-def check_triple_sum(ctx: PrimeContext, n: int) -> list[CheckResult]:
+def check_triple_sum(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """Sum of the three closed forms at 3k, 3k+1, 3k+2 vs n*p/(3k+2) mod p**2,
-    for every k with 3k+2 <= p-1.
+    for every k with 3k+2 <= p-1 and n = 1..nmax.
 
-    The left side is c3 + n*p*d3 from the prime's _triple_parts, so no row is
-    built; the right side reads inverse_table.
+    The left side is c3 + n*p*d3, where c3 and d3 sum the closed_row_parts
+    const and slope entries of each triple (mod p**2 and mod p), so no row
+    is built; the right side reads inverse_table.
     """
-    p2 = ctx.p2
-    n_p = n * ctx.p % p2
-    c3, d3 = ctx.cached(_triple_parts)
-    inv = ctx.cached(inverse_table)
-    lhs = [(c + n_p * d) % p2 for c, d in zip(c3, d3)]
-    rhs = [n_p * i % p2 for i in inv[2::3]]  # 1/(3k+2)
-    return [CheckResult(ClaimId.TRIPLE_SUM_A, ctx.p, n, 0, p2, lhs, rhs)]
+    p, p2 = ctx.p, ctx.p2
+    const, slope = closed_row_parts(ctx)
+    ends = range(2, p, 3)  # 3k + 2
+    c3 = [(const[j - 2] + const[j - 1] + const[j]) % p2 for j in ends]
+    d3 = [(slope[j - 2] + slope[j - 1] + slope[j]) % p for j in ends]
+    inv = ctx.cached(inverse_table)[2::3]  # 1/(3k+2)
+    records = []
+    for n in range(1, nmax + 1):
+        n_p = n * p % p2
+        lhs = [(c + n_p * d) % p2 for c, d in zip(c3, d3)]
+        rhs = [n_p * i % p2 for i in inv]
+        records.append(CheckResult(ClaimId.TRIPLE_SUM_A, p, n, 0, p2, lhs, rhs))
+    return records
 
 
 def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
@@ -273,10 +259,12 @@ def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
     ]
 
 
-def check_glaisher(ctx: PrimeContext, n: int) -> list[CheckResult]:
-    """C(np-1, p-1) == 1 mod p**3 for every n >= 1."""
-    lhs = ctx.cached(_binom_coprime_mod, n * ctx.p - 1, ctx.p - 1)
-    return [result(ClaimId.GLAISHER, ctx.p, ctx.p3, [lhs], [1], n=n)]
+def check_glaisher(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
+    """C(np-1, p-1) == 1 mod p**3 for n = 1..nmax; n = 2 reads Babbage's
+    C(2p-1, p-1) from the memo."""
+    p = ctx.p
+    binoms = [ctx.cached(_binom_coprime_mod, n * p - 1, p - 1) for n in range(1, nmax + 1)]
+    return [result(ClaimId.GLAISHER, p, ctx.p3, [b], [1], n=n) for n, b in enumerate(binoms, 1)]
 
 
 def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
@@ -391,9 +379,10 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     ]
 
 
-#: Each checker once: whether it takes n, and the claims it emits.  A checker
-#: is run(ctx) or run(ctx, n) returning one record per claim it emits at
-#: that (p, n); a claim over k holds all its instances in one record.
+#: Each checker once: whether it takes nmax, and the claims it emits.  A
+#: checker is run(ctx) or run(ctx, nmax), and runs once per prime: it returns
+#: one record per claim it emits at p, or at each (p, n) for n = 1..nmax; a
+#: claim over k holds all its instances in one record.
 CHECKERS: dict[Callable[..., list[CheckResult]], tuple[bool, tuple[ClaimId, ...]]] = {
     check_row_np_minus1:
         (True, (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)),

@@ -21,9 +21,10 @@ from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 if TYPE_CHECKING:
     from concurrent.futures import Executor, Future
 
-#: Upper bound on --nmax; bounds the report size, linear in nmax.  Per-prime
-#: work grows with nmax only through the per-n classical binomials and
-#: closed-form lists: the rows are two O(p) anchor rows at any nmax.
+#: Upper bound on --nmax; bounds the report size, linear in nmax.  Each
+#: checker still runs once per prime at any nmax; its work grows with nmax
+#: only through the Glaisher binomials and the TripleSum_a lists, one per n:
+#: the rows are two O(p) anchor rows at any nmax.
 MAX_NMAX = 64
 
 #: Upper bound on --jobs.  The pool forks all of its workers at the first
@@ -131,11 +132,12 @@ def _check_prime(
     """All records for one prime in report order; this is the parallel work
     unit, so a worker sends back only what the report keeps.
 
-    Each checker in CHECKERS runs once (once per n when it takes n) if it
+    Each checker in CHECKERS runs once (with nmax when it takes it) if it
     emits a selected claim, and only the selected claims' records are kept.
     With summary_only, each record over k becomes one aggregate carrying its
     passed-count in lhs and its instance-count in rhs, so an aggregate passes
-    iff every instance does.
+    iff every instance does; a record that shares both lists with the one
+    before it (the Cor4 row and pattern at every n) reuses its count.
     """
     ctx = PrimeContext(p)
     selected = set(claims)
@@ -143,20 +145,17 @@ def _check_prime(
     for run, (per_n, emits) in CHECKERS.items():
         if selected.isdisjoint(emits):
             continue
-        for args in [(ctx, n) for n in range(1, nmax + 1)] if per_n else [(ctx,)]:
-            records.extend(r for r in run(*args) if r.claim in selected)
-    records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
+        records.extend(r for r in (run(ctx, nmax) if per_n else run(ctx)) if r.claim in selected)
     if summary_only:
-        # records sharing both lists (the Cor4 row and pattern at every n)
-        # are counted once, keyed by id(): only the lists of records alive
-        # together when the loop starts are keyed, so no two share an id
-        passed: dict[tuple[int, int], int] = {}
+        prev = None
         for i, r in enumerate(records):
-            if r.k is not None:
-                key = (id(r.lhs), id(r.rhs))
-                if key not in passed:
-                    passed[key] = sum(map(operator.eq, r.lhs, r.rhs))
-                records[i] = result(r.claim, p, r.modulus, [passed[key]], [len(r.lhs)], n=r.n)
+            if r.k is None:
+                continue
+            if prev is None or r.lhs is not prev.lhs or r.rhs is not prev.rhs:
+                passed = sum(map(operator.eq, r.lhs, r.rhs))
+            prev = r
+            records[i] = result(r.claim, p, r.modulus, [passed], [len(r.lhs)], n=r.n)
+    records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
     return records
 
 

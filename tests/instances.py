@@ -35,7 +35,8 @@ def expand(records):
 
 
 def checker_of(claim):
-    """(checker, per_n) of the CHECKERS entry that emits `claim`."""
+    """(checker, per_n) of the CHECKERS entry that emits `claim`; per_n means
+    the checker takes nmax and returns records for n = 1..nmax."""
     [entry] = [(run, per_n) for run, (per_n, claims) in CHECKERS.items() if claim in claims]
     return entry
 

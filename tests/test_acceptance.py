@@ -32,9 +32,12 @@ from trinocheck.trinomial import closed_row_mod_p2
 
 
 def _check(claim, ctx, n=None):
-    """The instances of `claim` alone, from the checker that emits it."""
+    """The instances of `claim` alone, at `n` when given, from the checker
+    that emits it (a checker that takes n returns n = 1..nmax)."""
     run, _ = checker_of(claim)
-    return expand(r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim)
+    if n is None:
+        return expand(r for r in run(ctx) if r.claim is claim)
+    return expand(r for r in run(ctx, n) if r.claim is claim and r.n == n)
 
 
 def _conclude(name, failures):

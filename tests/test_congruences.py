@@ -10,9 +10,12 @@ from trinocheck.trinomial import closed_row_mod_p2, row_mod_p2_prefix, row_mod_p
 
 
 def _records(claim, ctx, n=None):
-    """The records of `claim` alone, from the checker that emits it."""
+    """The records of `claim` alone, at `n` when given, from the checker
+    that emits it (a checker that takes n returns n = 1..nmax)."""
     run, _ = checker_of(claim)
-    return [r for r in (run(ctx) if n is None else run(ctx, n)) if r.claim is claim]
+    if n is None:
+        return [r for r in run(ctx) if r.claim is claim]
+    return [r for r in run(ctx, n) if r.claim is claim and r.n == n]
 
 
 def _check(claim, ctx, n=None):
@@ -110,6 +113,10 @@ class TestCor4Eq11:
             assert (r.n, r.k, r.modulus) == (n, 0, ctx.p2)
             assert r.lhs is row
             assert r.rhs == [(1, ctx.p2 - 1, 0)[k % 3] for k in range(ctx.p)]
+        # the nmax records of one call share one row and one pattern object
+        records = congruences.check_cor4_eq11(ctx, 8)
+        assert [r.n for r in records] == list(range(1, 9))
+        assert all(r.lhs is row and r.rhs is records[0].rhs for r in records)
 
 
 class TestTripleSum:
@@ -227,7 +234,7 @@ def test_row_claims_read_counted_rows(p):
     for n in (*range(1, 21), p - 1, p, p + 1, 2 * p + 3):
         row = row_mod_p2_prefix(ctx, n * p - 1)
         want = [row[p - 1], row[half], sum(row) % p2, sum(row[: half + 1]) % p2]
-        assert [r.lhs[0] for r in check_row_np_minus1(ctx, n)] == want
+        assert [r.lhs[0] for r in check_row_np_minus1(ctx, n) if r.n == n] == want
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
@@ -295,6 +302,18 @@ def test_one_record_per_claim_and_n(p):
             assert r.k is not None or len(r.lhs) == len(r.rhs) == 1, claim
 
 
+@pytest.mark.parametrize("p", [5, 7, 13, 101])
+def test_per_n_values_do_not_depend_on_nmax(p):
+    # a checker that takes nmax gives the same records at n <= m whether it
+    # runs to m or to 64 (n*p passes p**2), each run on a fresh context
+    for run, (per_n, _) in CHECKERS.items():
+        if not per_n:
+            continue
+        wide = run(PrimeContext(p), 64)
+        for m in (1, 8):
+            assert [r for r in wide if r.n <= m] == run(PrimeContext(p), m), run.__name__
+
+
 class TestCheckerTable:
     """CHECKERS lists each checker once, with the claims it emits."""
 
@@ -305,13 +324,14 @@ class TestCheckerTable:
 
     def test_checkers_emit_their_entries(self):
         # p = 11 and p = 13 are 5 and 1 mod 6, so between them every claim
-        # of the residue-class lemmas applies; n-free records carry n None
+        # of the residue-class lemmas applies; n-free records carry n None,
+        # and a checker that takes nmax emits n = 1..nmax
         for run, (per_n, claims) in CHECKERS.items():
             emitted = set()
             for p in (11, 13):
                 ctx = PrimeContext(p)
                 records = run(ctx, 2) if per_n else run(ctx)
                 assert {r.claim for r in records} <= set(claims), run.__name__
-                assert {r.n for r in records} == ({2} if per_n else {None}), run.__name__
+                assert {r.n for r in records} == ({1, 2} if per_n else {None}), run.__name__
                 emitted |= {r.claim for r in records}
             assert emitted == set(claims), run.__name__

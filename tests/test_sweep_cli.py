@@ -88,11 +88,12 @@ def _summary(config):
 
 
 def _falsified(monkeypatch, claim):
-    """Replace the checker that emits `claim` with one whose only record, of
-    `claim`, fails."""
+    """Replace the checker that emits `claim` with one whose records, all of
+    `claim` (one per n when it takes nmax), fail."""
 
-    def run(ctx, n=None):
-        return [result(claim, ctx.p, ctx.p2, [0], [1], n=n)]
+    def run(ctx, nmax=None):
+        ns = [None] if nmax is None else range(1, nmax + 1)
+        return [result(claim, ctx.p, ctx.p2, [0], [1], n=n) for n in ns]
 
     replace_checker(monkeypatch, checker_of(claim)[0], run)
 
@@ -238,7 +239,7 @@ def _all_claims_records():
 
 class TestSharedSpecs:
     """Claims checked by one function share its one CHECKERS entry, which runs
-    once per prime (per (p, n) when per_n)."""
+    once per prime (with nmax when per_n)."""
 
     def test_work_counts_one_prime(self, monkeypatch):
         calls = Counter()
@@ -257,11 +258,11 @@ class TestSharedSpecs:
                             "check_half_third_sixth", "check_babbage_wolstenholme",
                             "check_morley_carlitz"):
                 assert calls[grouped] == 1, grouped
-            assert calls["check_row_np_minus1"] == nmax
-            # each checker once in the table: 4 of the 12 run once per n,
-            # the other 8 once per prime
+            assert calls["check_row_np_minus1"] == 1
+            # each checker once in the table, and each runs once per prime
+            # at any nmax: the 4 that take nmax loop over n themselves
             assert len(checkers) == 12
-            assert sum(calls[run.__name__] for run in checkers) == 4 * nmax + 8
+            assert sum(calls[run.__name__] for run in checkers) == 12
             assert calls["ap_harmonic"] == 5
             assert calls["inverse_table"] == 1
             # q2 and q3, once each, when the prime's context is built
