@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=FORMATS, default="jsonl", dest="fmt")
     parser.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=SweepConfig.jobs, metavar="N", help="worker processes, one prime per task")
+    parser.add_argument("--jobs", type=int, default=SweepConfig.jobs, metavar="N", help="forked worker processes; prime i goes to worker i mod N")
     parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing instance (one report line)")
     parser.add_argument(
         "--summary-only",
@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:  # bad input, or the report could not be written
         print(f"trinocheck: error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # a checker bug or a dead worker pool
+    except Exception as exc:  # a checker bug or a dead worker
         print(f"trinocheck: error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0 if summary.failed == 0 else 1

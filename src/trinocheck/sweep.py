@@ -9,17 +9,15 @@ run-dependent (timestamps, durations, host names) ever enters the output.
 from __future__ import annotations
 
 import operator
-from collections import Counter, deque
+import os
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
-from typing import TYPE_CHECKING, BinaryIO
+from typing import BinaryIO
 
 from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId, result
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor, Future
 
 #: Upper bound on --nmax; bounds the report size, linear in nmax.  Each
 #: checker still runs once per prime at any nmax; its work grows with nmax
@@ -27,9 +25,9 @@ if TYPE_CHECKING:
 #: the rows are two O(p) anchor rows at any nmax.
 MAX_NMAX = 64
 
-#: Upper bound on --jobs.  The pool forks all of its workers at the first
-#: task, so the bound keeps a typo from forking thousands of processes; the
-#: pool never gets more workers than there are primes.
+#: Upper bound on --jobs.  The sweep forks all of its workers before the
+#: first prime, so the bound keeps a typo from forking thousands of
+#: processes; it never forks more workers than there are primes.
 MAX_JOBS = 256
 
 
@@ -69,6 +67,8 @@ class SweepConfig:
                 )
         if not 1 <= self.jobs <= MAX_JOBS:
             raise ConfigError(f"need 1 <= jobs <= {MAX_JOBS}, got {self.jobs}")
+        if self.jobs > 1 and not hasattr(os, "fork"):
+            raise ConfigError("jobs > 1 needs os.fork, which this platform lacks")
 
 
 def parse_claims(text: str) -> tuple[ClaimId, ...]:
@@ -165,22 +165,17 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
 
     With fail_fast the stream stops immediately after the first failing
     instance: the record holding it is cut after it (identical truncation
-    point at any worker count).  The process pool, if any, lives as long as
-    the generator; close it to cancel the primes not yet checked.  Only the
-    pool branch imports concurrent.futures.  The pool pickles each prime's
-    list as one object, so sides shared between its records stay shared.
+    point at any worker count).  Forked workers, if any, live as long as
+    the generator; close it to stop them before the primes they have not
+    checked.
     """
     primes = sieve_primes(config.pmin, config.pmax)
     work_args = (config.claims, config.nmax, config.summary_only)
-    executor = None
-    if config.jobs == 1 or len(primes) <= 1:
+    workers = min(config.jobs, len(primes))
+    if workers <= 1:
         per_prime = (_check_prime(p, *work_args) for p in primes)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(config.jobs, len(primes))
-        executor = ProcessPoolExecutor(max_workers=workers)
-        per_prime = _bounded_map(executor, primes, work_args, 2 * workers)
+        per_prime = _forked_map(primes, work_args, workers)
     try:
         for prime_records in per_prime:
             if config.fail_fast:
@@ -191,24 +186,92 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
                         return
             yield prime_records
     finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
+        per_prime.close()
 
 
-def _bounded_map(
-    executor: Executor, primes: list[int], work_args: tuple, window: int
+def _forked_map(
+    primes: list[int], work_args: tuple, workers: int
 ) -> Iterator[list[CheckResult]]:
-    """_check_prime over `primes` in order on `executor`, with at most
-    `window` primes submitted but not yet yielded: the next prime is
-    submitted as each one is consumed, so a slow reader holds back the
-    workers instead of piling finished primes up in this process."""
-    pending: deque[Future[list[CheckResult]]] = deque()
-    for p in primes:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(executor.submit(_check_prime, p, *work_args))
-    while pending:
-        yield pending.popleft().result()
+    """_check_prime over `primes` in order, on `workers` forked processes.
+
+    Prime i goes to worker i % workers, which checks its primes in order and
+    pickles each prime's list down its own pipe; the list is one pickle, so
+    sides shared between its records stay shared.  Reading prime i from
+    worker i % workers keeps the order, and a full pipe blocks its worker,
+    so a slow reader holds the workers back instead of piling finished
+    primes up in this process.  A worker's exception is re-raised here; a
+    worker that dies without one is reported with its wait status.  On
+    every way out, the workers are killed and reaped.
+    """
+    import pickle  # here, not at the top: a --jobs 1 run starts without them
+    import signal
+
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            # Ctrl-C waits until the child is inside _work's try and the
+            # parent has the pid to reap
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(write_fd, pipes, mask, primes[w::workers], work_args)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for i, p in enumerate(primes):
+            try:
+                records = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                pid = pids.pop(i % workers)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
+                raise RuntimeError(
+                    f"worker {i % workers} (pid {pid}) ended before p = {p}: {how}"
+                ) from None
+            if isinstance(records, BaseException):
+                raise records
+            yield records
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work(
+    write_fd: int, pipes: list[BinaryIO], mask: set, primes: list[int], work_args: tuple
+) -> None:
+    """A forked worker: pickle _check_prime(p) for each of `primes` down
+    `write_fd`, or the exception that stopped it, then leave through
+    os._exit, so that nothing of the parent's stack (its report sink, its
+    unflushed stdout) runs or is flushed here.  `pipes` are the parent's
+    read ends, closed here so that a worker whose parent is gone fails its
+    next write; `mask` is the signal mask to restore."""
+    import pickle
+    import signal
+
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for pipe in pipes:
+            pipe.close()
+        with open(write_fd, "wb") as out:
+            try:
+                for p in primes:
+                    pickle.dump(_check_prime(p, *work_args), out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+            except BaseException as exc:
+                pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _jsonl_head(r: CheckResult) -> str:

@@ -1,7 +1,7 @@
-import concurrent.futures
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -812,70 +812,142 @@ class TestCli:
 
     def test_jobs_above_cap_starts_nothing(self, monkeypatch, capsys):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was built for a rejected --jobs")
+            raise AssertionError("a worker was forked for a rejected --jobs")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_pool)
         monkeypatch.setattr(cli, "iter_sweep", no_pool)
         rc = main(["--pmax", "11", "--jobs", str(MAX_JOBS + 1)])
         assert rc == 2
         assert f"jobs <= {MAX_JOBS}" in capsys.readouterr().err
 
+    def test_jobs_need_fork(self, monkeypatch, capsys):
+        # where os.fork is missing, --jobs > 1 is a usage error before any work
+        swept = []
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(cli, "iter_sweep", swept.append)
+        assert SweepConfig(jobs=1).jobs == 1
+        with pytest.raises(ConfigError, match="os.fork"):
+            SweepConfig(jobs=2)
+        assert main(["--pmax", "11", "--jobs", "2"]) == 2
+        assert swept == []
+        assert capsys.readouterr().err.splitlines() == [
+            "trinocheck: error: jobs > 1 needs os.fork, which this platform lacks"
+        ]
+
     def test_pool_has_no_more_workers_than_primes(self, monkeypatch, tmp_path):
-        sizes = []
+        forks = []
+        real_fork = os.fork
 
-        class RecordingPool:
-            """Runs the work in this process; records the requested size."""
+        def counting_fork():
+            pid = real_fork()
+            forks.append(pid)  # a child's list is its own copy
+            return pid
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         assert main(["--pmax", "11", "--out", str(serial)]) == 1
+        assert forks == []
         assert main(["--pmax", "11", "--jobs", "8", "--out", str(pooled)]) == 1
-        assert sizes == [3]  # the primes 5, 7 and 11
+        assert len(forks) == 3  # the primes 5, 7 and 11
         assert pooled.read_bytes() == serial.read_bytes()
+        assert main(["--pmax", "31", "--jobs", "2", "--out", str(pooled)]) == 1
+        assert len(forks) == 5
 
-    def test_pool_run_ahead_is_bounded(self, monkeypatch):
-        # a slow reader holds the workers back: at most 2 * jobs primes are
-        # submitted but not yet yielded, and the bytes match one worker's
+    def test_pool_run_ahead_is_bounded(self, monkeypatch, tmp_path):
+        # a slow reader holds the workers back, and the bytes match one
+        # worker's
         jobs = 2
-        futures = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                futures.append(super().submit(fn, *args, **kwargs))
-                return futures[-1]
 
         def slow(chunks):
-            for consumed, chunk in enumerate(chunks):
-                assert len(futures) - consumed <= 2 * jobs
+            for chunk in chunks:
                 time.sleep(0.005)
                 yield chunk
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         config = SweepConfig(pmin=5, pmax=211, nmax=2)
         serial, pooled = io.BytesIO(), io.BytesIO()
         write_report(iter_sweep(config), "jsonl", serial)
         write_report(slow(iter_sweep(replace(config, jobs=jobs))), "jsonl", pooled)
         assert pooled.getvalue() == serial.getvalue()
-        assert len(futures) == len(modular.sieve_primes(5, 211))
 
-        # closing after the first prime leaves nothing running or queued
-        futures.clear()
-        stream = iter_sweep(replace(config, jobs=jobs))
-        next(stream)
+        # a reader that stops after the first prime of a cheap, long sweep:
+        # a full pipe blocks its worker, so most primes are never checked,
+        # and closing the stream leaves no worker behind
+        checked = tmp_path / "checked"
+
+        def cheap(ctx):
+            fd = os.open(checked, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, b"%d\n" % ctx.p)
+            os.close(fd)
+            return [result(ClaimId.GL0, ctx.p, ctx.p, [0], [0])]
+
+        replace_checker(monkeypatch, check_half_third_sixth, cheap)
+        primes = modular.sieve_primes(5, 200_000)
+        stream = iter_sweep(SweepConfig(pmax=200_000, claims=(ClaimId.GL0,), jobs=jobs))
+        assert next(stream)[0].p == 5
+        settled, seen = None, checked.read_bytes()
+        while seen != settled:  # until the workers stop checking primes
+            time.sleep(0.2)
+            settled, seen = seen, checked.read_bytes()
         stream.close()
-        assert len(futures) == 2 * jobs
-        assert all(f.done() for f in futures)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        seen = [int(line) for line in seen.split()]
+        assert len(set(seen)) == len(seen)
+        assert set(seen) <= set(primes)
+        assert len(seen) < len(primes) / 8
+
+    @pytest.mark.parametrize("how", ["normal", "fail-fast", "error", "closed"])
+    def test_workers_are_reaped(self, monkeypatch, how):
+        def raises_at_11(ctx):
+            if ctx.p == 11:
+                raise ZeroDivisionError("p = 11")
+            return check_half_third_sixth(ctx)
+
+        replace_checker(monkeypatch, check_half_third_sixth, raises_at_11)
+        config = SweepConfig(pmax=31, nmax=2, claims=(ClaimId.GL0, ClaimId.CARLITZ), jobs=2)
+        if how == "normal":
+            assert len(list(iter_sweep(replace(config, pmin=13)))) == 6
+        elif how == "fail-fast":
+            chunks = list(iter_sweep(replace(config, pmin=13, fail_fast=True)))
+            assert len(chunks) == 1
+        elif how == "error":
+            with pytest.raises(ZeroDivisionError, match="p = 11"):
+                list(iter_sweep(config))
+        else:
+            stream = iter_sweep(config)
+            next(stream)
+            stream.close()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_worker(self, monkeypatch, capfdbinary, tmp_path):
+        # a worker killed at p = 11 sends no exception: the sweep stops with
+        # an internal error naming it, writes no trailer, keeps --out as it
+        # was and leaves no child unreaped
+        this_process = os.getpid()
+
+        def killed_at_11(ctx):
+            if ctx.p == 11 and os.getpid() != this_process:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return check_half_third_sixth(ctx)
+
+        replace_checker(monkeypatch, check_half_third_sixth, killed_at_11)
+        args = ["--pmax", "13", "--claims", "GL0,Thm1_Eq2", "--nmax", "2", "--jobs", "2"]
+        assert main(args) == 2
+        sys.stdout.flush()
+        captured = capfdbinary.readouterr()
+        assert b"summary" not in captured.out and b'"p":7' in captured.out
+        err = captured.err.decode().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("trinocheck: error: internal error: RuntimeError: worker 0 ")
+        assert err[0].endswith("ended before p = 11: SIGKILL")
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b"previous report\n")
+        assert main(args + ["--out", str(out)]) == 2
+        assert out.read_bytes() == b"previous report\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["r.jsonl"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_jobs_flag(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
@@ -893,16 +965,16 @@ class TestCli:
         )
         assert proc.stdout == b"False\n"
 
-    @pytest.mark.parametrize("jobs, imported", [(1, False), (2, True)])
-    def test_pool_module_imported_only_for_a_pool(self, tmp_path, jobs, imported):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_concurrent_futures_never_imported(self, tmp_path, jobs):
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, trinocheck.cli; rc = trinocheck.cli.main(sys.argv[1:]); "
-             "print(rc, 'concurrent.futures.process' in sys.modules)",
+             "print(rc, 'concurrent.futures' in sys.modules)",
              "--pmax", "11", "--jobs", str(jobs), "--out", str(tmp_path / "r.jsonl")],
             capture_output=True, check=True,
         )
-        assert proc.stdout == f"1 {imported}\n".encode()
+        assert proc.stdout == b"1 False\n"
 
     def test_module_entrypoint(self, tmp_path):
         out = tmp_path / "r.csv"
