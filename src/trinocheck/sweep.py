@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import operator
 import os
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count
 from typing import BinaryIO
 
 from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId, result
@@ -98,6 +97,11 @@ def _first_mismatch(r: CheckResult) -> int | None:
     return next(compress(count(), map(operator.ne, r.lhs, r.rhs)), None)
 
 
+def _passed(r: CheckResult) -> int:
+    """How many of r's instances pass; one list compare when all of them do."""
+    return len(r.lhs) if r.lhs == r.rhs else sum(map(operator.eq, r.lhs, r.rhs))
+
+
 def _slice(r: CheckResult, start: int, stop: int) -> CheckResult:
     """r's instances start..stop-1 as a record of their own."""
     k = None if r.k is None else r.k + start
@@ -115,8 +119,10 @@ class Summary(ClaimTally):
     def add(self, records: list[CheckResult]) -> None:
         """Tally the next records of the report, in report order."""
         for r in records:
+            if not r.lhs:
+                continue
             tally = self.per_claim.setdefault(r.claim, ClaimTally())
-            passed = sum(map(operator.eq, r.lhs, r.rhs))
+            passed = _passed(r)
             tally.records += len(r.lhs)
             tally.passed += passed
             self.records += len(r.lhs)
@@ -152,7 +158,7 @@ def _check_prime(
             if r.k is None:
                 continue
             if prev is None or r.lhs is not prev.lhs or r.rhs is not prev.rhs:
-                passed = sum(map(operator.eq, r.lhs, r.rhs))
+                passed = _passed(r)
             prev = r
             records[i] = result(r.claim, p, r.modulus, [passed], [len(r.lhs)], n=r.n)
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
@@ -278,21 +284,13 @@ def _jsonl_head(r: CheckResult) -> str:
     return f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
 
 
-def _jsonl_tails(r: CheckResult) -> list[str]:
-    ks = repeat("null") if r.k is None else count(r.k)
-    return [
-        f'{k},"modulus":{r.modulus},"lhs":"{a}","rhs":"{b}","pass":{"true" if a == b else "false"}}}'
-        for k, a, b in zip(ks, r.lhs, r.rhs)
-    ]
-
-
 def _jsonl_trailer(s: Summary) -> str:
     per_claim = ",".join(
         f'"{c.value}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
         for c, t in s.per_claim.items()
     )
     f = s.first_failure
-    first = "null" if f is None else _jsonl_head(f) + _jsonl_tails(f)[0]
+    first = "null" if f is None else _lines(f, FORMATS["jsonl"], [])[:-1]
     return (
         f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
         f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
@@ -303,33 +301,48 @@ def _csv_head(r: CheckResult) -> str:
     return f'{r.claim.value},{r.p},{"" if r.n is None else r.n},'
 
 
-def _csv_tails(r: CheckResult) -> list[str]:
-    ks = repeat("") if r.k is None else count(r.k)
-    return [
-        f'{k},{r.modulus},{a},{b},{"true" if a == b else "false"}'
-        for k, a, b in zip(ks, r.lhs, r.rhs)
-    ]
-
-
 def _csv_trailer(s: Summary) -> str:
     return f'summary,,,,,{s.passed},{s.records},{"true" if s.failed == 0 else "false"}'
 
 
-#: format -> (header, head, tails, trailer).  Instance i of record r is the
-#: line head(r) + tails(r)[i]: head carries what depends on (claim, p, n),
-#: tails what depends only on (k, modulus, lhs, rhs).  Lines carry no final
-#: newline.
+#: format -> (header, head, no_k, modulus, between, ends, trailer): instance i
+#: of record r is the line head(r) + k + modulus.format(r.modulus) + lhs +
+#: between + rhs + ends[lhs == rhs], with k = r.k + i (no_k if r.k is None)
+#: and ends = (fail, pass), newline included.  Trailers carry no newline.
 FORMATS = {
-    "jsonl": ("", _jsonl_head, _jsonl_tails, _jsonl_trailer),
-    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_head, _csv_tails, _csv_trailer),
+    "jsonl": ("", _jsonl_head, "null", ',"modulus":{},"lhs":"', '","rhs":"',
+              ('","pass":false}\n', '","pass":true}\n'), _jsonl_trailer),
+    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_head, "", ",{},", ",",
+            (",false\n", ",true\n"), _csv_trailer),
 }
+
+
+def _lines(r: CheckResult, form: tuple, digits: list[str]) -> str:
+    """r's lines in the FORMATS entry `form`, with no Python step per instance:
+    a passing line's parts repeated once per instance, then the k, lhs and
+    rhs slots (and the ends of failing lines) set by slice assignment.
+    digits[i] is str(i), grown on demand.  No instances, no lines."""
+    _, head, no_k, modulus, between, ends, _ = form
+    n = len(r.lhs)
+    parts = [head(r), no_k, modulus.format(r.modulus), "", between, "", ends[True]] * n
+    if r.k is not None:
+        digits.extend(map(str, range(len(digits), r.k + n)))
+        parts[1::7] = digits[r.k : r.k + n]
+    lhs = list(map(str, r.lhs))
+    parts[3::7] = lhs
+    if r.lhs == r.rhs:
+        parts[5::7] = lhs
+    else:
+        parts[5::7] = map(str, r.rhs)
+        parts[6::7] = map(ends.__getitem__, map(operator.eq, r.lhs, r.rhs))
+    return "".join(parts)
 
 
 def write_report(
     chunks: Iterable[list[CheckResult]], fmt: str, out: BinaryIO
 ) -> Summary:
-    """Write each record to `out` as soon as it is rendered, one write per
-    record; return the summary.
+    """Write each record to `out` as soon as it is rendered (by _lines, with
+    no Python step per instance), one write per record; return the summary.
 
     jsonl: one compact object per instance (a record over k gives one line
     per k) with keys claim, p, n, k, modulus, lhs, rhs, pass (residues as
@@ -342,33 +355,19 @@ def write_report(
 
     Every string field is a claim's wire name (a plain word) or a decimal
     integer, so no field needs JSON escaping or CSV quoting.  The trailer is
-    written last, so a report without one is incomplete.
-
-    Records of one chunk that share their lhs and rhs lists (Cor4_Eq11 reads
-    the same row and pattern at every n) and their k and modulus share their
-    tails, which are rendered once per chunk.  The lists are keyed by id():
-    the chunk keeps every record alive, so no id is reused while the memo
-    lives, and CheckResult sides are never mutated.
+    written last, so a report without one is incomplete.  A record with no
+    instances writes nothing and is not tallied.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    header, head, tails, trailer = FORMATS[fmt]
+    header, *_, trailer = form = FORMATS[fmt]
+    digits: list[str] = []
     out.write(header.encode())
     summary = Summary()
     for chunk in chunks:
         summary.add(chunk)
-        keys = [(id(r.lhs), id(r.rhs), r.k, r.modulus) for r in chunk]
-        repeated = {key for key, seen in Counter(keys).items() if seen > 1}
-        memo: dict[tuple, list[str]] = {}
-        for key, r in zip(keys, chunk):
-            if key in memo:
-                lines = memo[key]
-            else:
-                lines = tails(r)
-                if key in repeated:
-                    memo[key] = lines
-            h = head(r)
-            out.write((h + ("\n" + h).join(lines) + "\n").encode())
+        for r in chunk:
+            out.write(_lines(r, form, digits).encode())
     summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
     out.write((trailer(summary) + "\n").encode())
     return summary

@@ -476,8 +476,8 @@ class TestRender:
 
 
 def _independent_lines(r, fmt):
-    """r's report lines, each rendered on its own from r alone, joined by
-    newlines: the formulation write_report had before it shared tails."""
+    """r's report lines, each rendered on its own by one f-string, joined by
+    newlines: the oracle for write_report's list-template rendering."""
     if fmt == "jsonl":
         head = f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
         mid = f',"modulus":{r.modulus},"lhs":"'
@@ -521,6 +521,33 @@ def _independent_writes(chunks, fmt):
     return [w.encode() for w in writes]
 
 
+@st.composite
+def _shared_side_chunk(draw):
+    """One prime's records: n in {None, 1..64}, k in {None, 0..p-1}, any
+    modulus, sides of 1..40 instances of which a random subset fail, and
+    some records sharing their lists (lhs and rhs one list, or both lists
+    of an earlier record)."""
+    p = draw(st.sampled_from([5, 7, 11, 101]))
+    drawn = []
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        if drawn and draw(st.booleans()):
+            lhs, rhs = draw(st.sampled_from(drawn))
+        else:
+            size = draw(st.integers(1, 40))
+            lhs = draw(st.lists(st.integers(0, p**4), min_size=size, max_size=size))
+            unequal = draw(st.sets(st.integers(0, size - 1)))
+            rhs = [a + 1 if i in unequal else a for i, a in enumerate(lhs)]
+            if not unequal and draw(st.booleans()):
+                rhs = lhs
+            drawn.append((lhs, rhs))
+        n = draw(st.none() | st.integers(1, 64))
+        k = draw(st.none() | st.integers(0, p - 1))
+        modulus = draw(st.integers(2, p**4))
+        records.append(CheckResult(draw(st.sampled_from(ClaimId)), p, n, k, modulus, lhs, rhs))
+    return records
+
+
 class _RecordingOut:
     def __init__(self):
         self.writes = []
@@ -531,8 +558,8 @@ class _RecordingOut:
 
 
 class TestSharedTails:
-    """write_report renders a tail repeated within a prime once, and the
-    bytes stay those of rendering every record on its own."""
+    """write_report's bytes are those of rendering every instance on its
+    own, whatever the records share."""
 
     @pytest.mark.parametrize("fail_fast", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -566,21 +593,29 @@ class TestSharedTails:
         write_report([records], fmt, out)
         assert out.writes == _independent_writes([records], fmt)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_cor4_tails_built_once_per_prime(self, monkeypatch, jobs):
-        header, head, tails, trailer = sweep.FORMATS["jsonl"]
-        built = Counter()
+    @settings(max_examples=60, deadline=None)
+    @given(chunks=st.lists(_shared_side_chunk(), min_size=1, max_size=3))
+    def test_any_records_render_as_if_alone(self, chunks):
+        # both formats, the trailer's first failure included
+        for fmt in ("jsonl", "csv"):
+            out = _RecordingOut()
+            write_report(chunks, fmt, out)
+            assert out.writes == _independent_writes(chunks, fmt)
 
-        def counted(r):
-            built[r.claim, r.p] += 1
-            return tails(r)
-
-        monkeypatch.setitem(sweep.FORMATS, "jsonl", (header, head, counted, trailer))
-        config = SweepConfig(pmax=13, nmax=8, jobs=jobs)
-        write_report(iter_sweep(config), "jsonl", io.BytesIO())
-        cor4 = {p: built[ClaimId.COR4_EQ11, p] for p in (5, 7, 11, 13)}
-        assert cor4 == {5: 1, 7: 1, 11: 1, 13: 1}  # not nmax = 8 per prime
-        assert built[ClaimId.THM1_EQ2, 13] == 8  # a record per n, nothing shared
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_record_without_instances_writes_nothing(self, fmt):
+        # no checker emits one; write_report writes no line for it and
+        # leaves it out of the summary
+        kept = CheckResult(ClaimId.GL0, 7, None, None, 49, [3], [3])
+        empty = [
+            CheckResult(ClaimId.COR4_EQ11, 7, 1, 0, 49, [], []),
+            CheckResult(ClaimId.BABBAGE, 7, None, None, 343, [], []),
+        ]
+        with_empty, without = io.BytesIO(), io.BytesIO()
+        summary = write_report([[empty[0], kept, empty[1]]], fmt, with_empty)
+        write_report([[kept]], fmt, without)
+        assert with_empty.getvalue() == without.getvalue()
+        assert (summary.records, list(summary.per_claim)) == (1, [ClaimId.GL0])
 
 
 class TestCli:
