@@ -593,6 +593,34 @@ class TestSharedTails:
         write_report([records], fmt, out)
         assert out.writes == _independent_writes([records], fmt)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cor4_tails_built_once_per_prime(self, monkeypatch, jobs):
+        # a prime's Cor4 row and pattern are built once and shared by the
+        # records of every n, across a worker's pipe too; summary-only counts
+        # their passes once per prime, not nmax = 8 times
+        config = SweepConfig(pmax=13, nmax=8, jobs=jobs, claims=(ClaimId.COR4_EQ11,))
+        chunks = list(iter_sweep(config))
+        assert [len(c) for c in chunks] == [8, 8, 8, 8]
+        for chunk in chunks:
+            assert len({id(r.lhs) for r in chunk}) == len({id(r.rhs) for r in chunk}) == 1
+        out = _RecordingOut()
+        write_report(chunks, "jsonl", out)
+        assert out.writes == _independent_writes(chunks, "jsonl")
+
+        counted = Counter()
+        passed = sweep._passed
+
+        def counting(r):
+            counted[r.claim, r.p] += 1
+            return passed(r)
+
+        monkeypatch.setattr(sweep, "_passed", counting)
+        for p in (5, 7, 11, 13):
+            sweep._check_prime(p, (ClaimId.COR4_EQ11, ClaimId.TRIPLE_SUM_A), 8, True)
+        cor4 = {p: counted[ClaimId.COR4_EQ11, p] for p in (5, 7, 11, 13)}
+        assert cor4 == {5: 1, 7: 1, 11: 1, 13: 1}
+        assert counted[ClaimId.TRIPLE_SUM_A, 13] == 8  # fresh lists per n
+
     @settings(max_examples=60, deadline=None)
     @given(chunks=st.lists(_shared_side_chunk(), min_size=1, max_size=3))
     def test_any_records_render_as_if_alone(self, chunks):
