@@ -5,11 +5,11 @@ The engine modules (harmonic, trinomial, modular) compute numbers only; this
 is the one module that builds records.  Every checker computes its two sides
 by disjoint codepaths: the left side comes from a counting engine
 (trinomial rows, binomial products, explicit summation), the right side from
-Fermat-quotient closed forms or plain constants.  The one exception is
-TripleSum_a, whose claim is about the closed forms of row np - 1: its left
-side sums those forms (closed_row_parts), and the acceptance tests equate
-them with counted rows.  Right-hand terms that carry
-an explicit factor p evaluate their quotient coefficient mod p and lift;
+Fermat-quotient closed forms or plain constants.  Where a proven law in n
+gives every per-n left side from a few counted values (the row claims,
+TripleSum_a, Glaisher), the checker counts those values once per prime and
+says in its docstring why the law holds.  Right-hand terms that carry an
+explicit factor p evaluate their quotient coefficient mod p and lift;
 constant terms are exact at the full claim modulus.
 """
 
@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .harmonic import ap_harmonic, harmonic_table, inverse_table
+from .harmonic import harmonic_table, inverse_table
 from .modular import PrimeContext, inv_mod, rat_mod
-from .trinomial import central4_table, closed_row_parts, row_mod_p2_prefix
+from .trinomial import central4_table, row_mod_p2_prefix
 
 
 class ClaimId(str, enum.Enum):
@@ -132,8 +132,8 @@ def _binom_coprime_mod(ctx: PrimeContext, a: int, k: int) -> int:
     classical claim reduces it to its own modulus.
 
     The numerator is a chunked exact product (_product_mod); the inverse of
-    k! comes from ctx.cached, so all C(a, k) at one k share it: the eight
-    Glaisher C(n*p - 1, p - 1) and Babbage's C(2p - 1, p - 1) invert
+    k! comes from ctx.cached, so all C(a, k) at one k share it: Glaisher's
+    counted C(nmax*p - 1, p - 1) and Babbage's C(2p - 1, p - 1) invert
     (p - 1)! once.  Valid only when p divides none of a, a-1, ..., a-k+1 or
     k!; the classical claims below only ever call it that way.
     """
@@ -230,26 +230,28 @@ def check_cor4_eq11(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
 
 
 def check_triple_sum(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
-    """Sum of the three closed forms at 3k, 3k+1, 3k+2 vs n*p/(3k+2) mod p**2,
+    """Sum of C(np-1, j)_2 over j = 3k, 3k+1, 3k+2 vs n*p/(3k+2) mod p**2,
     for every k with 3k+2 <= p-1 and n = 1..nmax.
 
-    The left side is c3 + n*p*d3, where c3 and d3 sum the closed_row_parts
-    const and slope entries of each triple (mod p**2 and mod p), so no row
-    is built; the right side reads inverse_table.
+    The left side is n*t[k] mod p**2, with t the triple sums of the counted
+    row p - 1 (the row check_row_np_minus1 reads, under the same memo key).
+    Multiplying row N by 1 + x + x**2 gives row N + 1, so the triple sum of
+    row N at block k is C(N+1, 3k+2)_2.  For 0 < j < p, C(M, j)_2 is a
+    polynomial in M with p-integral coefficients (see row_mod_p2_prefix)
+    that vanishes at M = 0, so it is M*g(M) with g p-integral, and
+    C(np, j)_2 == n*p*g(0) == n*C(p, j)_2 (mod p**2).  The right side reads
+    inverse_table (mod p), which the row engine does not.
     """
     p, p2 = ctx.p, ctx.p2
-    const, slope = closed_row_parts(ctx)
+    row = ctx.cached(row_mod_p2_prefix, p - 1)
     ends = range(2, p, 3)  # 3k + 2
-    c3 = [(const[j - 2] + const[j - 1] + const[j]) % p2 for j in ends]
-    d3 = [(slope[j - 2] + slope[j - 1] + slope[j]) % p for j in ends]
-    inv = ctx.cached(inverse_table)[2::3]  # 1/(3k+2)
-    records = []
-    for n in range(1, nmax + 1):
-        n_p = n * p % p2
-        lhs = [(c + n_p * d) % p2 for c, d in zip(c3, d3)]
-        rhs = [n_p * i % p2 for i in inv]
-        records.append(CheckResult(ClaimId.TRIPLE_SUM_A, p, n, 0, p2, lhs, rhs))
-    return records
+    triples = [(row[j - 2] + row[j - 1] + row[j]) % p2 for j in ends]
+    steps = [p * i for i in ctx.cached(inverse_table)[2::3]]  # p/(3k+2) mod p**2
+    return [
+        CheckResult(ClaimId.TRIPLE_SUM_A, p, n, 0, p2,
+                    [n * t % p2 for t in triples], [n * s % p2 for s in steps])
+        for n in range(1, nmax + 1)
+    ]
 
 
 def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
@@ -263,11 +265,26 @@ def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
 
 
 def check_glaisher(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
-    """C(np-1, p-1) == 1 mod p**3 for n = 1..nmax; n = 2 reads Babbage's
-    C(2p-1, p-1) from the memo."""
-    p = ctx.p
-    binoms = [ctx.cached(_binom_coprime_mod, n * p - 1, p - 1) for n in range(1, nmax + 1)]
-    return [result(ClaimId.GLAISHER, p, ctx.p3, [b], [1], n=n) for n, b in enumerate(binoms, 1)]
+    """C(np-1, p-1) == 1 mod p**3 for n = 1..nmax.
+
+    C(np - 1, p - 1) = prod_{j<p} (1 - np/j) is a polynomial in n whose n**i
+    coefficient is (-p)**i times the p-integral symmetric function e_i of
+    1/1..1/(p-1), so mod p**3 it is quadratic in n.  It is 1 at n = 0 and
+    n = 1, so it is 1 + C(n, 2)*(W - 1), with W Babbage's counted
+    C(2p-1, p-1).  At n = nmax >= 3 the binomial is counted too, and a
+    disagreement with the law is an internal error, so every run with
+    nmax >= 3 checks the law it reports.
+    """
+    p, p3 = ctx.p, ctx.p3
+    step = ctx.cached(_binom_coprime_mod, 2 * p - 1, p - 1) - 1
+    lhs = [(1 + n * (n - 1) // 2 * step) % p3 for n in range(1, nmax + 1)]
+    if nmax >= 3:
+        counted = ctx.cached(_binom_coprime_mod, nmax * p - 1, p - 1) % p3
+        if counted != lhs[-1]:
+            raise RuntimeError(f"C({nmax * p - 1}, {p - 1}) mod p**3 is {counted}, "
+                               f"but the quadratic law gives {lhs[-1]}")
+    return [CheckResult(ClaimId.GLAISHER, p, n, None, p3, [a], [1])
+            for n, a in enumerate(lhs, 1)]
 
 
 def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
@@ -332,15 +349,17 @@ def check_reflections(ctx: PrimeContext) -> list[CheckResult]:
     H_{p-k} == H_{k-1} for 1 <= k <= p-1, and
     H_{(p-1)/2 - k} == -2*q2 + 2*H_{2k} - H_k for 1 <= k <= (p-1)/2.
 
-    Cong0's sides are two slices of the harmonic table, already reduced.
+    Both left sides and Cong0's right side are slices of the harmonic
+    table, already reduced; Cong1's right side is reduced as it is built.
     """
     table = ctx.cached(harmonic_table)
     p = ctx.p
     half = (p - 1) // 2
-    cong1_rhs = [-2 * ctx.q2 + 2 * table[2 * k] - table[k] for k in range(1, half + 1)]
+    q = -2 * ctx.q2
+    cong1_rhs = [(q + 2 * h2 - h) % p for h2, h in zip(table[2::2], table[1 : half + 1])]
     return [
         CheckResult(ClaimId.CONG0, p, None, 1, p, table[:0:-1], table[: p - 1]),
-        result(ClaimId.CONG1, p, p, table[half - 1 :: -1], cong1_rhs, k=1),
+        CheckResult(ClaimId.CONG1, p, None, 1, p, table[half - 1 :: -1], cong1_rhs),
     ]
 
 
@@ -348,10 +367,11 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     """Arithmetic-progression harmonic sums against their closed forms mod p.
 
     Emits only the claims applicable to ctx's residue class; inapplicable
-    claims contribute no record at all (no vacuous passes).  All term
-    indices stay below p, so every inversion exists.
+    claims contribute no record at all (no vacuous passes).  Every term
+    d*k + r lies in 1..p-1, so each sum is a slice of the inverse table.
     """
     p = ctx.p
+    inv = ctx.cached(inverse_table)
     half_q3 = rat_mod(ctx.q3, 2, p)
     two_thirds_q2 = rat_mod(-2 * ctx.q2, 3, p)
     # (claim, m, d, r, rhs): sum_{k=0..m} 1/(d*k + r) == rhs
@@ -377,7 +397,7 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
             (ClaimId.H2, m, 3, 2, two_thirds_q2),
         ]
     return [
-        result(claim, p, p, [ap_harmonic(m, d, r, ctx)], [rhs])
+        result(claim, p, p, [sum(inv[r : r + d * m + 1 : d])], [rhs])
         for claim, m, d, r, rhs in sums
     ]
 

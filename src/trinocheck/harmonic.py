@@ -1,8 +1,9 @@
 """Harmonic numbers and arithmetic-progression harmonic sums modulo p.
 
 H_0 = 0 and H_n = 1 + 1/2 + ... + 1/n, with every division performed by
-modular inversion.  These tables and sums feed the trinomial closed forms
-and the harmonic-sum claims checked in congruences.
+modular inversion.  These tables feed the harmonic-sum claims checked in
+congruences, whose progression sums are slices of the inverse table;
+ap_harmonic is the general progression sum the tests hold them against.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import time
 from fractions import Fraction
 
 import trinocheck as tc
+from closed_forms import closed_row_mod_p2
 from instances import checker_of, expand, replace_checker
 from trinocheck.congruences import (
     ClaimId,
@@ -28,7 +29,6 @@ from trinocheck.congruences import (
     check_reflections,
     result,
 )
-from trinocheck.trinomial import closed_row_mod_p2
 
 
 def _check(claim, ctx, n=None):

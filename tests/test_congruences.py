@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from closed_forms import closed_row_mod_p2
 from instances import checker_of, expand
 from trinocheck import congruences
 from trinocheck.congruences import CHECKERS, ClaimId, check_row_np_minus1
+from trinocheck.harmonic import ap_harmonic
 from trinocheck.modular import PrimeContext, sieve_primes
-from trinocheck.trinomial import closed_row_mod_p2, row_mod_p2_prefix, row_mod_prefix
+from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
 
 
 def _records(claim, ctx, n=None):
@@ -179,7 +181,9 @@ class TestClassical:
 
 
 def test_binomial_memo_is_exact(monkeypatch):
-    # every C(a, k) the classical claims read, for p <= 199 and n <= 8,
+    # every C(a, k) the classical claims read, for p <= 199 and n <= 8, as
+    # the sweep reads them: Babbage's C(2p - 1, p - 1), Morley's
+    # C(p - 1, (p - 1)/2) and Glaisher's one counted C(8p - 1, p - 1), each
     # against math.comb reduced mod p**4
     used = set()
     memo = congruences._binom_coprime_mod
@@ -189,13 +193,14 @@ def test_binomial_memo_is_exact(monkeypatch):
         return memo(ctx, a, k)
 
     monkeypatch.setattr(congruences, "_binom_coprime_mod", recording)
-    for p in sieve_primes(5, 199):
+    primes = sieve_primes(5, 199)
+    for p in primes:
         ctx = PrimeContext(p)
-        for claim in (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME, ClaimId.MORLEY, ClaimId.CARLITZ):
-            _check(claim, ctx)
-        for n in range(1, 9):
-            _check(ClaimId.GLAISHER, ctx, n)
-    assert len(used) == 9 * len(sieve_primes(5, 199))
+        for run in (congruences.check_babbage_wolstenholme, congruences.check_morley_carlitz):
+            run(ctx)
+        congruences.check_glaisher(ctx, 8)
+    assert used == {(p, a, k) for p in primes
+                    for a, k in ((2 * p - 1, p - 1), (p - 1, (p - 1) // 2), (8 * p - 1, p - 1))}
     for p, a, k in used:
         assert memo(PrimeContext(p), a, k) == math.comb(a, k) % p**4
 
@@ -235,6 +240,88 @@ def test_row_claims_read_counted_rows(p):
         row = row_mod_p2_prefix(ctx, n * p - 1)
         want = [row[p - 1], row[half], sum(row) % p2, sum(row[: half + 1]) % p2]
         assert [r.lhs[0] for r in check_row_np_minus1(ctx, n) if r.n == n] == want
+
+
+def test_row_claims_read_counted_rows_to_1009():
+    # the same for every prime up to 1009 at n <= 8, as the default sweep
+    # reads them: a left side off at one (p, n) moves the report, even where
+    # both sides move together and the instance still passes
+    for p in sieve_primes(5, 1009):
+        ctx = PrimeContext(p)
+        p2, half = ctx.p2, (p - 1) // 2
+        got = [r.lhs[0] for r in check_row_np_minus1(ctx, 8)]
+        want = []
+        for n in range(1, 9):
+            row = row_mod_p2_prefix(ctx, n * p - 1)
+            want += [row[p - 1], row[half], sum(row) % p2, sum(row[: half + 1]) % p2]
+        assert got == want, p
+
+
+def _triples(row, p2):
+    """The triple sums row[3k] + row[3k+1] + row[3k+2] mod p**2, 3k+2 < p."""
+    return [(row[j - 2] + row[j - 1] + row[j]) % p2 for j in range(2, len(row), 3)]
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 101))
+def test_triple_sum_reads_counted_rows(p):
+    # TripleSum's left side n*t (t the triple sums of row p - 1) equals the
+    # triple sums of row n*p - 1 counted directly, also where n*p passes p**2
+    ctx = PrimeContext(p)
+    for n in (*range(1, 21), p - 1, p, p + 1, 2 * p + 3):
+        [r] = _records(ClaimId.TRIPLE_SUM_A, ctx, n)
+        assert r.lhs == _triples(row_mod_p2_prefix(ctx, n * p - 1), ctx.p2), n
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 13))
+def test_triple_sum_against_schoolbook_rows(p):
+    ctx = PrimeContext(p)
+    records = congruences.check_triple_sum(ctx, 3 * p)
+    for r in records:
+        assert r.lhs == _triples(row_mod_prefix(r.n * p - 1, ctx.p2, p), ctx.p2), r.n
+
+
+@pytest.mark.parametrize("p", sieve_primes(5, 101))
+def test_triple_sums_of_row_p2_minus1_vanish(p):
+    # the triple sums of row N are C(N + 1, 3k + 2)_2, and for 0 < j < p,
+    # C(p**2, j)_2 is p**2 times a p-integral value, so TripleSum's law in n
+    # has no constant term
+    ctx = PrimeContext(p)
+    assert _triples(row_mod_p2_prefix(ctx, ctx.p2 - 1), ctx.p2) == [0] * (p // 3)
+
+
+def test_glaisher_against_math_comb():
+    # every Glaisher record of the default sweep, p <= 1009 and n <= 8,
+    # against the exact binomial: a left side off by a multiple of p**2 at
+    # one (p, n) fails here, not only in the CI digests
+    for p in sieve_primes(5, 1009):
+        p3 = p**3
+        records = congruences.check_glaisher(PrimeContext(p), 8)
+        assert [r.lhs for r in records] == [[math.comb(n * p - 1, p - 1) % p3]
+                                            for n in range(1, 9)], p
+
+
+def test_progression_sums_match_ap_harmonic():
+    # every progression record's left side, a slice of the inverse table,
+    # against the general progression sum ap_harmonic, for p <= 1009
+    terms = {  # claim: (m as a function of p, d, r) of sum_{k<=m} 1/(d*k + r)
+        ClaimId.C1B: (lambda p: (p - 4) // 3, 3, 2),
+        ClaimId.C1C: (lambda p: (p - 4) // 3, 3, 1),
+        ClaimId.C2B: (lambda p: (p - 5) // 3, 3, 1),
+        ClaimId.C2C: (lambda p: (p - 5) // 3, 3, 2),
+        ClaimId.C3: (lambda p: (p - 1) // 6, 2, 1),
+        ClaimId.H0: (lambda p: (p - 1) // 6, 3, 1),
+        ClaimId.H1: (lambda p: (p - 1) // 6, 3, 2),
+        ClaimId.C3B: (lambda p: (p - 5) // 6, 2, 1),
+        ClaimId.H3: (lambda p: (p - 5) // 6, 3, 1),
+        ClaimId.H2: (lambda p: (p - 5) // 6, 3, 2),
+    }
+    for p in sieve_primes(5, 1009):
+        ctx = PrimeContext(p)
+        records = congruences.check_progression_lemmas(ctx)
+        assert len(records) == 5
+        for r in records:
+            m, d, r0 = terms[r.claim]
+            assert r.lhs == [ap_harmonic(m(p), d, r0, ctx)], (p, r.claim)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101])

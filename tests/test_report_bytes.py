@@ -2,9 +2,10 @@
 
 Any change to record values, record order, rendering or the summary trailer
 moves a digest.  A refactor that is meant to keep the reports must leave all
-four as they are; a change to the report format must update them on purpose.
-Each report is written by the CLI itself, once in process and once through
-the worker pool, so the digests pin what users get.
+of them as they are; a change to the report format must update them on
+purpose.  Each report is written by the CLI itself, so the digests pin what
+users get: the pmax = 97 reports once in process and once through the worker
+pool, the full reports in process.
 """
 
 import hashlib
@@ -55,6 +56,45 @@ def test_pmax_97_report_bytes(tmp_path, flags, fmt, digest, failed, jobs):
     assert hashlib.sha256(payload).hexdigest() == digest
     assert _failed(payload.decode().splitlines()[-1], fmt) == failed
     assert rc == 1
+
+
+#: The 24 claims that read no trinomial row.
+LEMMA_CLAIMS = ",".join(
+    ["Thm2_Eq6", "Thm2_Eq7", "TripleSum_a", "Babbage", "Wolstenholme", "Glaisher", "Morley",
+     "Carlitz", "HalfRowBinom", "GL0", "GL", "GL2", "Cong0", "Cong1", "C1b", "C1c", "C2b",
+     "C2c", "C3", "C3b", "H0", "H1", "H2", "H3"])
+
+#: (id, CLI flags, sha256 of the report, exit code): full reports that take
+#: under a second each at one worker, the same digests CI pins at one and
+#: two workers
+FULL_REPORTS = [
+    ("default-jsonl", [],
+     "1702e7c93febe642aae1ce780cd55e154aabe66ebb961ed02d7d3c36580e0fa7", 1),
+    ("default-csv", ["--format", "csv"],
+     "12d4c840b55b820ad17bf6b70a46c26e8a5825c651141cf30c287fd9655175e6", 1),
+    ("summary-only-csv", ["--summary-only", "--format", "csv"],
+     "eb9d18fd5a771ef72bfc878415c0b4b88d4d4c5e5bfc09325807f7acbb15480f", 1),
+    ("lemma-csv", ["--claims", LEMMA_CLAIMS, "--format", "csv"],
+     "237b7018dd9187f24e80f6777e46af38982f4b608da755a628a7bb752f2ca213", 1),
+    ("triple-glaisher-nmax64", ["--claims", "TripleSum_a,Glaisher", "--pmax", "300",
+                                "--nmax", "64"],
+     "d031116d5d5688cfbbfd3ef854055b103d692190572eec449d1086e17ba631f2", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, digest, rc",
+    [pytest.param(flags, digest, rc, id=name) for name, flags, digest, rc in FULL_REPORTS],
+)
+def test_full_report_bytes(tmp_path, flags, digest, rc):
+    out = tmp_path / "report"
+    assert main([*flags, "--jobs", "1", "--out", str(out)]) == rc
+    sha = hashlib.sha256()
+    with out.open("rb") as f:
+        while chunk := f.read(1 << 20):
+            sha.update(chunk)
+    out.unlink()  # up to 94 MB
+    assert sha.hexdigest() == digest
 
 
 def test_claim_names_need_no_escaping():

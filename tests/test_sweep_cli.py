@@ -27,12 +27,7 @@ from trinocheck.congruences import (
 )
 from trinocheck.harmonic import ap_harmonic, inverse_table
 from trinocheck.modular import PrimeContext, fermat_quotient, inv_mod
-from trinocheck.trinomial import (
-    closed_row_mod_p2,
-    closed_row_parts,
-    row_mod_p2_prefix,
-    row_mod_prefix,
-)
+from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
 from trinocheck.sweep import (
     MAX_JOBS,
     ConfigError,
@@ -263,14 +258,16 @@ class TestSharedSpecs:
             # at any nmax: the 4 that take nmax loop over n themselves
             assert len(checkers) == 12
             assert sum(calls[run.__name__] for run in checkers) == 12
-            assert calls["ap_harmonic"] == 5
+            # the progression sums are slices of the inverse table; the
+            # general ap_harmonic is their test oracle only
+            assert calls["ap_harmonic"] == 0
             assert calls["inverse_table"] == 1
             # q2 and q3, once each, when the prime's context is built
             assert calls["fermat_quotient"] == 2
             # two anchor rows at any nmax: exponent p**2 - 1 (n = 0, and the
-            # Cor4 row n*p**2 - 1 at every n) and p - 1 (n = 1); every row
-            # n*p - 1 is affine in n between them.  Schoolbook powering is a
-            # test oracle only
+            # Cor4 row n*p**2 - 1 at every n) and p - 1 (n = 1, also
+            # TripleSum's row); every row n*p - 1 is affine in n between
+            # them.  Schoolbook powering is a test oracle only
             assert calls["row_mod_p2_prefix"] == 2
             assert calls["row_mod_prefix"] == 0
 
@@ -278,22 +275,27 @@ class TestSharedSpecs:
         # the checkers' inv_mod calls, and their per-prime table lookups, do
         # not grow with p: inverses come from the prime's tables, except the
         # half-row binomials' own pow inverses, kept apart from the table
-        # their right side reads.  The n-free half of every per-n left side
-        # is built once per prime, whatever nmax is.
+        # their right side reads.  Every per-prime quantity is built once,
+        # whatever nmax is: the row p - 1 that the row claims and TripleSum
+        # share, and three classical binomials.
         calls = Counter()
         checker_modules = [m for name, m in sys.modules.items()
                            if name.startswith("trinocheck") and m is not modular]
         _count_calls(monkeypatch, calls, checker_modules,
-                     (inv_mod, closed_row_mod_p2, closed_row_parts,
-                      congruences._binom_coprime_mod))
-        inverted = []
+                     (inv_mod, congruences._binom_coprime_mod))
+        inverted, rows = [], []
         factorial_inverse = congruences._factorial_inverse
 
         def recording(ctx, k):
             inverted.append(k)
             return factorial_inverse(ctx, k)
 
+        def recording_row(ctx, exponent):
+            rows.append(exponent)
+            return row_mod_p2_prefix(ctx, exponent)
+
         monkeypatch.setattr(congruences, "_factorial_inverse", recording)
+        monkeypatch.setattr(congruences, "row_mod_p2_prefix", recording_row)
         monkeypatch.setattr(
             PrimeContext, "cached", _counting(calls, "cached", PrimeContext.cached))
         for nmax in (8, 16):
@@ -301,18 +303,18 @@ class TestSharedSpecs:
             for p in (101, 1009):
                 calls.clear()
                 inverted.clear()
+                rows.clear()
                 assert _records(SweepConfig(pmin=p, pmax=p, nmax=nmax))
                 per_prime[p] = Counter(calls)
                 # (p - 1)! for Glaisher and Babbage, ((p - 1)/2)! for Morley
                 assert sorted(inverted) == [(p - 1) // 2, p - 1]
+                # the two anchor rows, each once
+                assert sorted(rows) == [p - 1, p * p - 1]
             assert per_prime[101]["inv_mod"] == per_prime[1009]["inv_mod"]
             assert per_prime[101]["cached"] == per_prime[1009]["cached"]
             for calls_p in per_prime.values():
-                # TripleSum reads the closed-form parts and builds no row
-                assert calls_p["closed_row_parts"] == 1
-                assert calls_p["closed_row_mod_p2"] == 0
-                # C(np - 1, p - 1) for n <= nmax, and C(p - 1, (p - 1)/2)
-                assert calls_p["_binom_coprime_mod"] == nmax + 1
+                # C(2p - 1, p - 1), C(p - 1, (p - 1)/2) and C(nmax*p - 1, p - 1)
+                assert calls_p["_binom_coprime_mod"] == 3
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @settings(max_examples=15, deadline=None)
@@ -795,6 +797,30 @@ class TestCli:
         assert main(args + ["--pmax", "13", "--out", str(out)]) == 2
         assert out.read_bytes() == b"previous report\n"
         assert [f.name for f in tmp_path.iterdir()] == ["r.report"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_glaisher_law_break_is_internal_error(self, monkeypatch, capfdbinary, jobs):
+        # a counted C(nmax*p - 1, p - 1) that disagrees with Glaisher's
+        # quadratic law mod p**3 (here off by p**2 at p = 11; an error of
+        # p**3 is invisible at the claim's modulus) stops the run after the
+        # records of p = 5 and 7, with no trailer
+        binom = congruences._binom_coprime_mod
+
+        def off_at_11(ctx, a, k):
+            wrong = ctx.p == 11 and a == 4 * ctx.p - 1
+            return (binom(ctx, a, k) + wrong * ctx.p2) % ctx.p4
+
+        args = ["--claims", "Glaisher", "--nmax", "4", "--jobs", jobs]
+        assert main(args + ["--pmax", "7"]) == 0
+        complete = capfdbinary.readouterr().out
+        monkeypatch.setattr(congruences, "_binom_coprime_mod", off_at_11)
+        assert main(args + ["--pmax", "13"]) == 2
+        sys.stdout.flush()
+        captured = capfdbinary.readouterr()
+        assert captured.out == complete[: complete.rindex(b"\n", 0, -1) + 1]
+        assert b"summary" not in captured.out
+        [line] = captured.err.decode().splitlines()
+        assert line.startswith("trinocheck: error: internal error: RuntimeError: C(43, 10) ")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_ctrl_c_keeps_previous_out_file(self, monkeypatch, tmp_path, jobs):

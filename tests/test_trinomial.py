@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import closed_row_mod_p2
 from instances import expand
 from trinocheck.congruences import ClaimId, halfrow_binomial_check
 from trinocheck.modular import PrimeContext, sieve_primes
 from trinocheck.trinomial import (
     alt_fib_sum,
     binom_np_minus1_mod_p2,
-    closed_row_mod_p2,
     coeff_via_convolution,
     coeff_via_cosine,
     row_exact,
@@ -226,6 +226,16 @@ class TestHalfrowBinomialCheck:
         results = expand(halfrow_binomial_check(PrimeContext(p)))
         assert len(results) == (p - 1) // 4
         assert all(r.passed for r in results)
+
+    def test_both_sides_match_math_comb_to_1009(self):
+        # both sides of every record of the default sweep against exact
+        # binomials: (-1)**k * C((p-1)/2 - k, k) and C(4k, 2k) / 4**k mod p
+        for p in sieve_primes(5, 1009):
+            half = (p - 1) // 2
+            ks = range(1, (p - 1) // 4 + 1)
+            [r] = halfrow_binomial_check(PrimeContext(p))
+            assert r.lhs == [(-1) ** k * math.comb(half - k, k) % p for k in ks], p
+            assert r.rhs == [math.comb(4 * k, 2 * k) * pow(4, -k, p) % p for k in ks], p
 
     @pytest.mark.parametrize("p", sieve_primes(5, 199) + [4999])
     def test_lhs_matches_exact_binomials(self, p):
