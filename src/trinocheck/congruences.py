@@ -76,7 +76,8 @@ class CheckResult:
     `k` is the index of instance 0 (instance i has k + i), or None for a
     claim without an index, which has exactly one instance; `n` is None for
     claims without n.  The lists are never empty, and a side may be a
-    ctx.cached table, so nothing may mutate them.
+    ctx.cached table, so nothing may mutate them.  A --summary-only
+    aggregate holds unreduced counts instead of residues.
     """
 
     claim: ClaimId
@@ -120,25 +121,6 @@ def _product_mod(lo: int, hi: int, m: int) -> int:
     for j in range(lo, hi, _CHUNK):
         acc = acc * math.prod(range(j, min(j + _CHUNK, hi))) % m
     return acc
-
-
-def _factorial_inverse(ctx: PrimeContext, k: int) -> int:
-    """1 / k! mod p**4, for k < p, read through ctx.cached."""
-    return inv_mod(_product_mod(1, k + 1, ctx.p4), ctx.p4)
-
-
-def _binom_coprime_mod(ctx: PrimeContext, a: int, k: int) -> int:
-    """C(a, k) mod p**4 as the integer quotient (a - k + 1)...a / k!; every
-    classical claim reduces it to its own modulus.
-
-    The numerator is a chunked exact product (_product_mod); the inverse of
-    k! comes from ctx.cached, so all C(a, k) at one k share it: Glaisher's
-    counted C(nmax*p - 1, p - 1) and Babbage's C(2p - 1, p - 1) invert
-    (p - 1)! once.  Valid only when p divides none of a, a-1, ..., a-k+1 or
-    k!; the classical claims below only ever call it that way.
-    """
-    p4 = ctx.p4
-    return _product_mod(a - k + 1, a + 1, p4) * ctx.cached(_factorial_inverse, k) % p4
 
 
 def _row_forms(ctx: PrimeContext) -> tuple[tuple[int, int], ...]:
@@ -254,42 +236,27 @@ def check_triple_sum(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     ]
 
 
-def check_babbage_wolstenholme(ctx: PrimeContext) -> list[CheckResult]:
-    """C(2p-1, p-1) == 1 mod p**2 (Babbage) and mod p**3 (Wolstenholme)."""
-    p = ctx.p
-    lhs = ctx.cached(_binom_coprime_mod, 2 * p - 1, p - 1)
-    return [
-        result(ClaimId.BABBAGE, p, ctx.p2, [lhs], [1]),
-        result(ClaimId.WOLSTENHOLME, p, ctx.p3, [lhs], [1]),
-    ]
+def check_classical(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
+    """The five classical binomial claims, from one walk over 1..p-1 mod p**4:
 
-
-def check_glaisher(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
-    """C(np-1, p-1) == 1 mod p**3 for n = 1..nmax.
-
-    C(np - 1, p - 1) = prod_{j<p} (1 - np/j) is a polynomial in n whose n**i
-    coefficient is (-p)**i times the p-integral symmetric function e_i of
-    1/1..1/(p-1), so mod p**3 it is quadratic in n.  It is 1 at n = 0 and
-    n = 1, so it is 1 + C(n, 2)*(W - 1), with W Babbage's counted
-    C(2p-1, p-1).  At n = nmax >= 3 the binomial is counted too, and a
-    disagreement with the law is an internal error, so every run with
-    nmax >= 3 checks the law it reports.
-    """
-    p, p3 = ctx.p, ctx.p3
-    step = ctx.cached(_binom_coprime_mod, 2 * p - 1, p - 1) - 1
-    lhs = [(1 + n * (n - 1) // 2 * step) % p3 for n in range(1, nmax + 1)]
-    if nmax >= 3:
-        counted = ctx.cached(_binom_coprime_mod, nmax * p - 1, p - 1) % p3
-        if counted != lhs[-1]:
-            raise RuntimeError(f"C({nmax * p - 1}, {p - 1}) mod p**3 is {counted}, "
-                               f"but the quadratic law gives {lhs[-1]}")
-    return [CheckResult(ClaimId.GLAISHER, p, n, None, p3, [a], [1])
-            for n, a in enumerate(lhs, 1)]
-
-
-def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
-    """C(p-1, (p-1)/2) vs (-1)**((p-1)/2) * 4**(p-1) mod p**3 (Morley), and
+    W = C(2p-1, p-1) == 1 mod p**2 (Babbage) and mod p**3 (Wolstenholme);
+    C(np-1, p-1) == 1 mod p**3 for n = 1..nmax (Glaisher);
+    C(p-1, (p-1)/2) vs (-1)**((p-1)/2) * 4**(p-1) mod p**3 (Morley), and
     (-1)**((p-1)/2) * C(p-1, (p-1)/2) vs 4**(p-1) + p**3/12 mod p**4 (Carlitz).
+
+    With h = (p-1)/2, the walk gives low = h! and high = (h+1)...(p-1), so
+    1/(p-1)! = 1/(low*high) and C(p-1, h) = high/low, and W is
+    (p+1)...(2p-1) / (p-1)!.  No factor is divisible by p, so both inverses
+    exist mod p**4.
+
+    Glaisher: C(np - 1, p - 1) = prod_{j<p} (1 - np/j) is a polynomial in n
+    whose n**i coefficient is (-p)**i times the p-integral symmetric function
+    e_i of 1/1..1/(p-1), so mod p**3 it is quadratic in n.  It is 1 at n = 0
+    and n = 1, so it is 1 + C(n, 2)*(W - 1); and since W == 1 (mod p**3),
+    Glaisher at every n follows from Wolstenholme.  At n = nmax >= 3 the
+    binomial, (nmax*p - p + 1)...(nmax*p - 1) / (p-1)!, is counted too, and
+    a disagreement with the law is an internal error, so every run with
+    nmax >= 3 checks the law it reports.
 
     Carlitz is checked exactly as cataloged, and that form is false for most
     p: Carlitz's congruence is 4**(p-1) + p**3 * B_{p-3}/12 (mod p**4), with
@@ -298,12 +265,27 @@ def check_morley_carlitz(ctx: PrimeContext) -> list[CheckResult]:
     Carlitz note in the README.
     """
     p, p3, p4 = ctx.p, ctx.p3, ctx.p4
-    central = ctx.cached(_binom_coprime_mod, p - 1, (p - 1) // 2)
-    sign = 1 if (p - 1) // 2 % 2 == 0 else -1
+    h = (p - 1) // 2
+    low = _product_mod(1, h + 1, p4)
+    high = _product_mod(h + 1, p, p4)
+    inv_factorial = inv_mod(low * high, p4)
+    w = _product_mod(p + 1, 2 * p, p4) * inv_factorial % p4
+    central = high * inv_mod(low, p4) % p4
+    glaisher = [(1 + n * (n - 1) // 2 * (w - 1)) % p3 for n in range(1, nmax + 1)]
+    if nmax >= 3:
+        counted = _product_mod(nmax * p - p + 1, nmax * p, p4) * inv_factorial % p3
+        if counted != glaisher[-1]:
+            raise RuntimeError(f"C({nmax * p - 1}, {p - 1}) mod p**3 is {counted}, "
+                               f"but the quadratic law gives {glaisher[-1]}")
+    sign = 1 if h % 2 == 0 else -1
     four = pow(4, p - 1, p4)
     return [
+        result(ClaimId.BABBAGE, p, ctx.p2, [w], [1]),
+        result(ClaimId.WOLSTENHOLME, p, p3, [w], [1]),
         result(ClaimId.MORLEY, p, p3, [central], [sign * four]),
         result(ClaimId.CARLITZ, p, p4, [sign * central], [four + p3 * inv_mod(12, p4)]),
+        *(CheckResult(ClaimId.GLAISHER, p, n, None, p3, [a], [1])
+          for n, a in enumerate(glaisher, 1)),
     ]
 
 
@@ -404,8 +386,9 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
 
 #: Each checker once: whether it takes nmax, and the claims it emits.  A
 #: checker is run(ctx) or run(ctx, nmax), and runs once per prime: it returns
-#: one record per claim it emits at p, or at each (p, n) for n = 1..nmax; a
-#: claim over k holds all its instances in one record.
+#: one record per claim it emits at p, except that a checker that takes nmax
+#: returns one at each (p, n) for n = 1..nmax for the claims that have an n;
+#: a claim over k holds all its instances in one record.
 CHECKERS: dict[Callable[..., list[CheckResult]], tuple[bool, tuple[ClaimId, ...]]] = {
     check_row_np_minus1:
         (True, (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)),
@@ -413,9 +396,9 @@ CHECKERS: dict[Callable[..., list[CheckResult]], tuple[bool, tuple[ClaimId, ...]
     check_thm2_eq7: (False, (ClaimId.THM2_EQ7,)),
     check_cor4_eq11: (True, (ClaimId.COR4_EQ11,)),
     check_triple_sum: (True, (ClaimId.TRIPLE_SUM_A,)),
-    check_babbage_wolstenholme: (False, (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME)),
-    check_glaisher: (True, (ClaimId.GLAISHER,)),
-    check_morley_carlitz: (False, (ClaimId.MORLEY, ClaimId.CARLITZ)),
+    check_classical:
+        (True, (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME, ClaimId.GLAISHER, ClaimId.MORLEY,
+                ClaimId.CARLITZ)),
     halfrow_binomial_check: (False, (ClaimId.HALF_ROW_BINOM,)),
     check_half_third_sixth: (False, (ClaimId.GL0, ClaimId.GL, ClaimId.GL2)),
     check_reflections: (False, (ClaimId.CONG0, ClaimId.CONG1)),

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from typing import BinaryIO
 
-from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId, result
+from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
 
 #: Upper bound on --nmax; bounds the report size, linear in nmax.  Each
 #: checker still runs once per prime at any nmax; its work grows with nmax
-#: only through the Glaisher binomials and the TripleSum_a lists, one per n:
+#: only through the Glaisher values and the TripleSum_a lists, one per n:
 #: the rows are two O(p) anchor rows at any nmax.
 MAX_NMAX = 64
 
@@ -141,9 +141,10 @@ def _check_prime(
     Each checker in CHECKERS runs once (with nmax when it takes it) if it
     emits a selected claim, and only the selected claims' records are kept.
     With summary_only, each record over k becomes one aggregate carrying its
-    passed-count in lhs and its instance-count in rhs, so an aggregate passes
-    iff every instance does; a record that shares both lists with the one
-    before it (the Cor4 row and pattern at every n) reuses its count.
+    passed-count in lhs and its instance-count in rhs, as plain counts (not
+    reduced mod the claim's modulus), so an aggregate passes iff every
+    instance does; a record that shares both lists with the one before it
+    (the Cor4 row and pattern at every n) reuses its count.
     """
     ctx = PrimeContext(p)
     selected = set(claims)
@@ -160,7 +161,7 @@ def _check_prime(
             if prev is None or r.lhs is not prev.lhs or r.rhs is not prev.rhs:
                 passed = _passed(r)
             prev = r
-            records[i] = result(r.claim, p, r.modulus, [passed], [len(r.lhs)], n=r.n)
+            records[i] = CheckResult(r.claim, p, r.n, None, r.modulus, [passed], [len(r.lhs)])
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
     return records
 

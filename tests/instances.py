@@ -8,7 +8,14 @@ helpers look claims up in, and swap fakes into, the checker table.
 
 from typing import NamedTuple
 
-from trinocheck.congruences import CHECKERS
+from trinocheck.congruences import CHECKERS, ClaimId
+
+
+#: The claims whose records carry n; every other claim's records have n None.
+CLAIMS_WITH_N = frozenset({
+    ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10,
+    ClaimId.COR4_EQ11, ClaimId.TRIPLE_SUM_A, ClaimId.GLAISHER,
+})
 
 
 class Instance(NamedTuple):
@@ -36,7 +43,8 @@ def expand(records):
 
 def checker_of(claim):
     """(checker, per_n) of the CHECKERS entry that emits `claim`; per_n means
-    the checker takes nmax and returns records for n = 1..nmax."""
+    the checker takes nmax, and returns records at each n = 1..nmax only for
+    the claims that have an n (CLAIMS_WITH_N)."""
     [entry] = [(run, per_n) for run, (per_n, claims) in CHECKERS.items() if claim in claims]
     return entry
 

@@ -32,12 +32,12 @@ from trinocheck.congruences import (
 
 
 def _check(claim, ctx, n=None):
-    """The instances of `claim` alone, at `n` when given, from the checker
-    that emits it (a checker that takes n returns n = 1..nmax)."""
-    run, _ = checker_of(claim)
-    if n is None:
-        return expand(r for r in run(ctx) if r.claim is claim)
-    return expand(r for r in run(ctx, n) if r.claim is claim and r.n == n)
+    """The instances of `claim` alone, at `n` (None for a claim without n),
+    from the checker that emits it, run to nmax = n (1 when n is None) when
+    it takes nmax."""
+    run, per_n = checker_of(claim)
+    records = run(ctx, n or 1) if per_n else run(ctx)
+    return expand(r for r in records if r.claim is claim and r.n == n)
 
 
 def _conclude(name, failures):
@@ -88,11 +88,11 @@ def test_criterion_3_proposition3_sweep():
 
 def test_criterion_4_corollary4_sweep():
     failures = []
-    for p in tc.sieve_primes(5, 499):
+    for p in tc.sieve_primes(5, 1009):
         ctx = tc.PrimeContext(p)
-        for n in range(1, 4):
+        for n in range(1, 9):
             _collect(_check(ClaimId.COR4_EQ11, ctx, n), failures)
-    _conclude("4 corollary-4 sweep (p <= 499, n <= 3, k <= p-1)", failures)
+    _conclude("4 corollary-4 sweep (p <= 1009, n <= 8, k <= p-1)", failures)
 
 
 def test_criterion_5_lemma_sweep():

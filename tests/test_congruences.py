@@ -3,7 +3,7 @@ import math
 import pytest
 
 from closed_forms import closed_row_mod_p2
-from instances import checker_of, expand
+from instances import CLAIMS_WITH_N, checker_of, expand
 from trinocheck import congruences
 from trinocheck.congruences import CHECKERS, ClaimId, check_row_np_minus1
 from trinocheck.harmonic import ap_harmonic
@@ -12,12 +12,12 @@ from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
 
 
 def _records(claim, ctx, n=None):
-    """The records of `claim` alone, at `n` when given, from the checker
-    that emits it (a checker that takes n returns n = 1..nmax)."""
-    run, _ = checker_of(claim)
-    if n is None:
-        return [r for r in run(ctx) if r.claim is claim]
-    return [r for r in run(ctx, n) if r.claim is claim and r.n == n]
+    """The records of `claim` alone, at `n` (None for a claim without n),
+    from the checker that emits it, run to nmax = n (1 when n is None) when
+    it takes nmax."""
+    run, per_n = checker_of(claim)
+    records = run(ctx, n or 1) if per_n else run(ctx)
+    return [r for r in records if r.claim is claim and r.n == n]
 
 
 def _check(claim, ctx, n=None):
@@ -180,39 +180,35 @@ class TestClassical:
         assert r.lhs % 343 == r.rhs % 343
 
 
-def test_binomial_memo_is_exact(monkeypatch):
-    # every C(a, k) the classical claims read, for p <= 199 and n <= 8, as
-    # the sweep reads them: Babbage's C(2p - 1, p - 1), Morley's
-    # C(p - 1, (p - 1)/2) and Glaisher's one counted C(8p - 1, p - 1), each
-    # against math.comb reduced mod p**4
-    used = set()
-    memo = congruences._binom_coprime_mod
-
-    def recording(ctx, a, k):
-        used.add((ctx.p, a, k))
-        return memo(ctx, a, k)
-
-    monkeypatch.setattr(congruences, "_binom_coprime_mod", recording)
-    primes = sieve_primes(5, 199)
-    for p in primes:
-        ctx = PrimeContext(p)
-        for run in (congruences.check_babbage_wolstenholme, congruences.check_morley_carlitz):
-            run(ctx)
-        congruences.check_glaisher(ctx, 8)
-    assert used == {(p, a, k) for p in primes
-                    for a, k in ((2 * p - 1, p - 1), (p - 1, (p - 1) // 2), (8 * p - 1, p - 1))}
-    for p, a, k in used:
-        assert memo(PrimeContext(p), a, k) == math.comb(a, k) % p**4
+def test_binomial_memo_is_exact():
+    # every n-free classical left side of the default sweep, p <= 1009:
+    # Babbage's and Wolstenholme's C(2p - 1, p - 1) and Morley's and
+    # Carlitz's C(p - 1, (p - 1)/2) (Carlitz's with its sign), each against
+    # math.comb reduced to the claim's modulus
+    for p in sieve_primes(5, 1009):
+        half = (p - 1) // 2
+        babbage = math.comb(2 * p - 1, p - 1)
+        central = math.comb(p - 1, half)
+        want = {
+            ClaimId.BABBAGE: babbage % p**2,
+            ClaimId.WOLSTENHOLME: babbage % p**3,
+            ClaimId.MORLEY: central % p**3,
+            ClaimId.CARLITZ: (-1) ** half * central % p**4,
+        }
+        got = {r.claim: r.lhs for r in congruences.check_classical(PrimeContext(p), 8)
+               if r.n is None}
+        assert got == {claim: [lhs] for claim, lhs in want.items()}, p
 
 
 @pytest.mark.parametrize("p", [101, 211])
 def test_binomial_chunk_edges(p):
-    # k on both sides of the chunk boundaries of the numerator product and
-    # of the shared k! inverse
-    ctx = PrimeContext(p)
-    for k in (0, 1, 31, 32, 33, 63, 64, 65):
-        for a in (n * p - 1 for n in (1, 2, 3)):  # p - 1 at n = 1
-            assert congruences._binom_coprime_mod(ctx, a, k) == math.comb(a, k) % p**4
+    # products of lengths on both sides of the chunk boundaries of
+    # _product_mod, starting below and above p
+    m = p**4
+    for length in (0, 1, 31, 32, 33, 63, 64, 65):
+        for lo in (1, p + 1, 2 * p + 1):
+            want = math.prod(range(lo, lo + length)) % m
+            assert congruences._product_mod(lo, lo + length, m) == want, (lo, length)
 
 
 @pytest.mark.parametrize("p", sieve_primes(5, 13))
@@ -295,9 +291,9 @@ def test_glaisher_against_math_comb():
     # one (p, n) fails here, not only in the CI digests
     for p in sieve_primes(5, 1009):
         p3 = p**3
-        records = congruences.check_glaisher(PrimeContext(p), 8)
-        assert [r.lhs for r in records] == [[math.comb(n * p - 1, p - 1) % p3]
-                                            for n in range(1, 9)], p
+        records = congruences.check_classical(PrimeContext(p), 8)
+        assert [r.lhs for r in records if r.claim is ClaimId.GLAISHER] == [
+            [math.comb(n * p - 1, p - 1) % p3] for n in range(1, 9)], p
 
 
 def test_progression_sums_match_ap_harmonic():
@@ -371,7 +367,7 @@ def test_per_k_claims_emit_one_record(claim, p):
     # a claim over k is one record per (p, n): its first index and all its
     # instances, canonical residues mod the claim's modulus
     first_k, count = PER_K[claim]
-    [r] = _records(claim, PrimeContext(p), 1 if checker_of(claim)[1] else None)
+    [r] = _records(claim, PrimeContext(p), 1 if claim in CLAIMS_WITH_N else None)
     assert r.k == first_k
     assert len(r.lhs) == len(r.rhs) == count(p)
     assert all(0 <= v < r.modulus for v in r.lhs + r.rhs)
@@ -383,7 +379,7 @@ def test_one_record_per_claim_and_n(p):
     # exactly one instance
     ctx = PrimeContext(p)
     for claim in ClaimId:
-        records = _records(claim, ctx, 2 if checker_of(claim)[1] else None)
+        records = _records(claim, ctx, 2 if claim in CLAIMS_WITH_N else None)
         assert len(records) <= 1, claim
         for r in records:
             assert r.k is not None or len(r.lhs) == len(r.rhs) == 1, claim
@@ -391,14 +387,16 @@ def test_one_record_per_claim_and_n(p):
 
 @pytest.mark.parametrize("p", [5, 7, 13, 101])
 def test_per_n_values_do_not_depend_on_nmax(p):
-    # a checker that takes nmax gives the same records at n <= m whether it
-    # runs to m or to 64 (n*p passes p**2), each run on a fresh context
+    # a checker that takes nmax gives the same records at n <= m, and the
+    # same records without n, whether it runs to m or to 64 (n*p passes
+    # p**2), each run on a fresh context
     for run, (per_n, _) in CHECKERS.items():
         if not per_n:
             continue
         wide = run(PrimeContext(p), 64)
         for m in (1, 8):
-            assert [r for r in wide if r.n <= m] == run(PrimeContext(p), m), run.__name__
+            kept = [r for r in wide if r.n is None or r.n <= m]
+            assert kept == run(PrimeContext(p), m), run.__name__
 
 
 class TestCheckerTable:
@@ -407,18 +405,22 @@ class TestCheckerTable:
     def test_each_claim_in_exactly_one_entry(self):
         listed = [c for _, claims in CHECKERS.values() for c in claims]
         assert sorted(listed) == sorted(ClaimId)
-        assert len(CHECKERS) == 12
+        assert len(CHECKERS) == 10
 
     def test_checkers_emit_their_entries(self):
         # p = 11 and p = 13 are 5 and 1 mod 6, so between them every claim
         # of the residue-class lemmas applies; n-free records carry n None,
-        # and a checker that takes nmax emits n = 1..nmax
+        # and a checker that takes nmax emits n = 1..nmax for the claims
+        # that have an n
         for run, (per_n, claims) in CHECKERS.items():
             emitted = set()
             for p in (11, 13):
                 ctx = PrimeContext(p)
                 records = run(ctx, 2) if per_n else run(ctx)
                 assert {r.claim for r in records} <= set(claims), run.__name__
-                assert {r.n for r in records} == ({1, 2} if per_n else {None}), run.__name__
+                for claim in {r.claim for r in records}:
+                    ns = {r.n for r in records if r.claim is claim}
+                    with_n = per_n and claim in CLAIMS_WITH_N
+                    assert ns == ({1, 2} if with_n else {None}), claim
                 emitted |= {r.claim for r in records}
             assert emitted == set(claims), run.__name__

@@ -64,6 +64,8 @@ LEMMA_CLAIMS = ",".join(
      "Carlitz", "HalfRowBinom", "GL0", "GL", "GL2", "Cong0", "Cong1", "C1b", "C1c", "C2b",
      "C2c", "C3", "C3b", "H0", "H1", "H2", "H3"])
 
+CLASSICAL_CLAIMS = "Babbage,Wolstenholme,Glaisher,Morley,Carlitz"
+
 #: (id, CLI flags, sha256 of the report, exit code): full reports that take
 #: under a second each at one worker, the same digests CI pins at one and
 #: two workers
@@ -79,6 +81,12 @@ FULL_REPORTS = [
     ("triple-glaisher-nmax64", ["--claims", "TripleSum_a,Glaisher", "--pmax", "300",
                                 "--nmax", "64"],
      "d031116d5d5688cfbbfd3ef854055b103d692190572eec449d1086e17ba631f2", 0),
+    # the five classical claims, without (nmax 2) and with (nmax 3) the
+    # counted Glaisher binomial
+    ("classical-csv-nmax2", ["--claims", CLASSICAL_CLAIMS, "--format", "csv", "--nmax", "2"],
+     "bb1c7f13d963e468bfcd2f78eb91bec219c540ffbf6964b036f61e92257a63b7", 1),
+    ("classical-csv-nmax3", ["--claims", CLASSICAL_CLAIMS, "--format", "csv", "--nmax", "3"],
+     "446f2b298693fd8e8620f175cbc2ca9d3bfd78f8e6c99ec9ca4945ddba13ff24", 1),
 ]
 
 

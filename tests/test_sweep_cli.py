@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import Instance, checker_of, expand, replace_checker
-from trinocheck import cli, congruences, modular, sweep
+from trinocheck import cli, congruences, modular, sweep, trinomial
 from trinocheck.cli import main
 from trinocheck.congruences import (
     CHECKERS,
@@ -23,11 +23,12 @@ from trinocheck.congruences import (
     CheckResult,
     ClaimId,
     check_half_third_sixth,
+    check_reflections,
     result,
 )
-from trinocheck.harmonic import ap_harmonic, inverse_table
+from trinocheck.harmonic import ap_harmonic, harmonic_table, inverse_table
 from trinocheck.modular import PrimeContext, fermat_quotient, inv_mod
-from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
+from trinocheck.trinomial import central4_table, row_mod_p2_prefix, row_mod_prefix
 from trinocheck.sweep import (
     MAX_JOBS,
     ConfigError,
@@ -250,14 +251,13 @@ class TestSharedSpecs:
             calls.clear()
             assert _records(SweepConfig(pmin=101, pmax=101, nmax=nmax))
             for grouped in ("check_progression_lemmas", "check_reflections",
-                            "check_half_third_sixth", "check_babbage_wolstenholme",
-                            "check_morley_carlitz"):
+                            "check_half_third_sixth", "check_classical"):
                 assert calls[grouped] == 1, grouped
             assert calls["check_row_np_minus1"] == 1
             # each checker once in the table, and each runs once per prime
             # at any nmax: the 4 that take nmax loop over n themselves
-            assert len(checkers) == 12
-            assert sum(calls[run.__name__] for run in checkers) == 12
+            assert len(checkers) == 10
+            assert sum(calls[run.__name__] for run in checkers) == 10
             # the progression sums are slices of the inverse table; the
             # general ap_harmonic is their test oracle only
             assert calls["ap_harmonic"] == 0
@@ -277,44 +277,44 @@ class TestSharedSpecs:
         # half-row binomials' own pow inverses, kept apart from the table
         # their right side reads.  Every per-prime quantity is built once,
         # whatever nmax is: the row p - 1 that the row claims and TripleSum
-        # share, and three classical binomials.
+        # share, and the classical products of one walk.
         calls = Counter()
         checker_modules = [m for name, m in sys.modules.items()
                            if name.startswith("trinocheck") and m is not modular]
-        _count_calls(monkeypatch, calls, checker_modules,
-                     (inv_mod, congruences._binom_coprime_mod))
-        inverted, rows = [], []
-        factorial_inverse = congruences._factorial_inverse
-
-        def recording(ctx, k):
-            inverted.append(k)
-            return factorial_inverse(ctx, k)
+        _count_calls(monkeypatch, calls, checker_modules, (inv_mod, congruences._product_mod))
+        rows, built = [], []
 
         def recording_row(ctx, exponent):
             rows.append(exponent)
             return row_mod_p2_prefix(ctx, exponent)
 
-        monkeypatch.setattr(congruences, "_factorial_inverse", recording)
+        def recording_cached(ctx, build, *args):
+            built.append(build)
+            return cached(ctx, build, *args)
+
+        cached = PrimeContext.cached
         monkeypatch.setattr(congruences, "row_mod_p2_prefix", recording_row)
-        monkeypatch.setattr(
-            PrimeContext, "cached", _counting(calls, "cached", PrimeContext.cached))
+        monkeypatch.setattr(PrimeContext, "cached", _counting(calls, "cached", recording_cached))
         for nmax in (8, 16):
             per_prime = {}
             for p in (101, 1009):
                 calls.clear()
-                inverted.clear()
                 rows.clear()
+                built.clear()
                 assert _records(SweepConfig(pmin=p, pmax=p, nmax=nmax))
                 per_prime[p] = Counter(calls)
-                # (p - 1)! for Glaisher and Babbage, ((p - 1)/2)! for Morley
-                assert sorted(inverted) == [(p - 1) // 2, p - 1]
                 # the two anchor rows, each once
                 assert sorted(rows) == [p - 1, p * p - 1]
+                # every cached builder returns a table; the classical
+                # products are check_classical's locals
+                assert set(built) == {inverse_table, harmonic_table, central4_table,
+                                      trinomial._inverse_table_p2, recording_row}
             assert per_prime[101]["inv_mod"] == per_prime[1009]["inv_mod"]
             assert per_prime[101]["cached"] == per_prime[1009]["cached"]
             for calls_p in per_prime.values():
-                # C(2p - 1, p - 1), C(p - 1, (p - 1)/2) and C(nmax*p - 1, p - 1)
-                assert calls_p["_binom_coprime_mod"] == 3
+                # h! and (h+1)...(p-1) with h = (p-1)/2, (p+1)...(2p-1) and
+                # the counted (nmax*p-p+1)...(nmax*p-1): check_classical's walk
+                assert calls_p["_product_mod"] == 4
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @settings(max_examples=15, deadline=None)
@@ -667,6 +667,20 @@ class TestCli:
         assert json.loads(lines[0])["pass"] is False
         assert json.loads(lines[-1])["summary"]["failed"] == 2
 
+    def test_summary_only_aggregate_is_a_count(self, monkeypatch, capsys):
+        # an aggregate carries its passed and instance counts unreduced: 5 of
+        # 10 instances mod 5 pass, which must not read 0 of 0 and pass
+        def half_failing(ctx):
+            return [CheckResult(ClaimId.CONG0, ctx.p, None, 1, 5, [0] * 10, [0] * 5 + [1] * 5)]
+
+        replace_checker(monkeypatch, check_reflections, half_failing)
+        assert main(["--pmax", "5", "--claims", "Cong0", "--summary-only", "--format", "csv"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "claim,p,n,k,modulus,lhs,rhs,pass",
+            "Cong0,5,,,5,5,10,false",
+            "summary,,,,,0,1,false",
+        ]
+
     def test_exit_one_on_carlitz_counterexamples(self, tmp_path):
         # the cataloged Carlitz form is false for every prime 7 <= p <= 499
         out = tmp_path / "carlitz.jsonl"
@@ -801,19 +815,19 @@ class TestCli:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_glaisher_law_break_is_internal_error(self, monkeypatch, capfdbinary, jobs):
         # a counted C(nmax*p - 1, p - 1) that disagrees with Glaisher's
-        # quadratic law mod p**3 (here off by p**2 at p = 11; an error of
-        # p**3 is invisible at the claim's modulus) stops the run after the
-        # records of p = 5 and 7, with no trailer
-        binom = congruences._binom_coprime_mod
+        # quadratic law mod p**3 (here its numerator off by p**2 at p = 11;
+        # an error of p**3 is invisible at the claim's modulus) stops the
+        # run after the records of p = 5 and 7, with no trailer
+        product_mod = congruences._product_mod
 
-        def off_at_11(ctx, a, k):
-            wrong = ctx.p == 11 and a == 4 * ctx.p - 1
-            return (binom(ctx, a, k) + wrong * ctx.p2) % ctx.p4
+        def off_at_11(lo, hi, m):
+            wrong = (lo, hi, m) == (34, 44, 11**4)  # (4*11 - 11 + 1)...(4*11 - 1)
+            return (product_mod(lo, hi, m) + wrong * 11**2) % m
 
         args = ["--claims", "Glaisher", "--nmax", "4", "--jobs", jobs]
         assert main(args + ["--pmax", "7"]) == 0
         complete = capfdbinary.readouterr().out
-        monkeypatch.setattr(congruences, "_binom_coprime_mod", off_at_11)
+        monkeypatch.setattr(congruences, "_product_mod", off_at_11)
         assert main(args + ["--pmax", "13"]) == 2
         sys.stdout.flush()
         captured = capfdbinary.readouterr()
@@ -866,8 +880,10 @@ class TestCli:
         rc = main(["--pmax", "1009", "--out", out])
         assert rc == 2
         assert swept == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "No such file or directory" in err[0]
+        # the path as given, not the temporary file's random name
+        assert capsys.readouterr().err.splitlines() == [
+            f"trinocheck: error: [Errno 2] No such file or directory: {out!r}"
+        ]
 
     def test_closed_stdout_fails_before_sweep(self, monkeypatch, capsys):
         def no_sweep(config):
