@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import os
 import sys
-import tempfile
 from collections.abc import Iterator
 from contextlib import closing, contextmanager
-from typing import BinaryIO
 
 from .sweep import (
     FORMATS,
@@ -26,6 +25,7 @@ from .sweep import (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = SweepConfig._field_defaults
     parser = argparse.ArgumentParser(
         prog="trinocheck",
         description=(
@@ -33,9 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
             "range of primes, reporting every instance and any counterexample."
         ),
     )
-    parser.add_argument("--pmin", type=int, default=SweepConfig.pmin, help="smallest prime to check (>= 5)")
-    parser.add_argument("--pmax", type=int, default=SweepConfig.pmax, help="largest prime to check")
-    parser.add_argument("--nmax", type=int, default=SweepConfig.nmax, help="check n = 1..nmax for n-parametrized claims")
+    parser.add_argument("--pmin", type=int, default=defaults["pmin"], help="smallest prime to check (>= 5)")
+    parser.add_argument("--pmax", type=int, default=defaults["pmax"], help="largest prime to check")
+    parser.add_argument("--nmax", type=int, default=defaults["nmax"], help="check n = 1..nmax for n-parametrized claims")
     parser.add_argument(
         "--claims",
         default=None,
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=FORMATS, default="jsonl", dest="fmt")
     parser.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=SweepConfig.jobs, metavar="N", help="forked worker processes; prime i goes to worker i mod N")
+    parser.add_argument("--jobs", type=int, default=defaults["jobs"], metavar="N", help="forked worker processes; prime i goes to worker i mod N")
     parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing instance (one report line)")
     parser.add_argument(
         "--summary-only",
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextmanager
-def _report_sink(path: str | None) -> Iterator[BinaryIO]:
+def _report_sink(path: str | None) -> Iterator[io.BufferedIOBase]:
     """The binary file the report goes to: stdout, or a new temporary file in
     `path`'s directory that is renamed onto `path` once the report is
     complete, and removed on any exception (Ctrl-C too), so an interrupted
@@ -71,6 +71,8 @@ def _report_sink(path: str | None) -> Iterator[BinaryIO]:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    import tempfile  # here, not at the top: a run to stdout starts without it
+
     directory, name = os.path.split(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
@@ -95,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             pmin=args.pmin,
             pmax=args.pmax,
             nmax=args.nmax,
-            claims=SweepConfig.claims if args.claims is None else parse_claims(args.claims),
+            claims=SweepConfig._field_defaults["claims"] if args.claims is None else parse_claims(args.claims),
             jobs=args.jobs,
             fail_fast=args.fail_fast,
             summary_only=args.summary_only,

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .harmonic import harmonic_table, inverse_table
 from .modular import PrimeContext, inv_mod, rat_mod
@@ -68,28 +68,21 @@ class ClaimId(str, enum.Enum):
 CLAIM_ORDER: dict[ClaimId, int] = {c: i for i, c in enumerate(ClaimId)}
 
 
-@dataclass(slots=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "claim p n k modulus lhs rhs")):
     """One claim's instances at (p, n): instance i passes iff lhs[i] == rhs[i],
     canonical residues mod `modulus`.
 
-    `k` is the index of instance 0 (instance i has k + i), or None for a
-    claim without an index, which has exactly one instance; `n` is None for
-    claims without n.  The lists are never empty, and a side may be a
-    ctx.cached table, so nothing may mutate them.  A --summary-only
-    aggregate holds unreduced counts instead of residues.
+    `claim` is a ClaimId; `k` is the index of instance 0 (instance i has
+    k + i), or None for a claim without an index, which has exactly one
+    instance; `n` is None for claims without n.  The lists are never empty,
+    and a side may be a ctx.cached table, so nothing may mutate them.  A
+    --summary-only aggregate holds unreduced counts instead of residues.
     """
 
-    claim: ClaimId
-    p: int
-    n: int | None
-    k: int | None
-    modulus: int
-    lhs: list[int]
-    rhs: list[int]
+    __slots__ = ()
 
-    def __reduce__(self):  # a plain tuple pickles faster than slots state
-        return CheckResult, (self.claim, self.p, self.n, self.k, self.modulus, self.lhs, self.rhs)
+    def __reduce__(self):  # dumps faster than a tuple subclass's default, via copyreg
+        return CheckResult, tuple(self)
 
 
 def result(

@@ -8,6 +8,8 @@ ap_harmonic is the general progression sum the tests hold them against.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .modular import NotInvertible, PrimeContext
 
 
@@ -32,14 +34,8 @@ def harmonic_table(ctx: PrimeContext) -> list[int]:
     H_{p-1} is divisible by p for p >= 5).  Shared through ctx.cached, so
     callers must not mutate it.
     """
-    inv = ctx.cached(inverse_table)
     p = ctx.p
-    values = [0] * p
-    acc = 0
-    for n in range(1, p):
-        acc = (acc + inv[n]) % p
-        values[n] = acc
-    return values
+    return [h % p for h in accumulate(ctx.cached(inverse_table))]
 
 
 def ap_harmonic(m: int, d: int, r: int, ctx: PrimeContext) -> int:

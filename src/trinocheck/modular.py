@@ -8,10 +8,8 @@ capacity limits below are about time and memory, never precision.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import isqrt
-from typing import Callable, TypeVar
-
-_T = TypeVar("_T")
 
 #: Largest upper bound sieve_primes accepts.  The sieve is a plain bytearray,
 #: one byte per candidate, so a full-capacity call costs ~100 MB.
@@ -52,8 +50,9 @@ class PrimeContext:
         self.q2 = fermat_quotient(2, self)
         self.q3 = fermat_quotient(3, self)
 
-    def cached(self, build: Callable[..., _T], *args: object) -> _T:
-        """build(self, *args), computed once per context and argument tuple."""
+    def cached(self, build: Callable[..., list[int]], *args: object) -> list[int]:
+        """The table build(self, *args), computed once per context and
+        argument tuple."""
         key = (build, *args)
         if key not in self._memo:
             self._memo[key] = build(self, *args)

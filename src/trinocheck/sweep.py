@@ -8,12 +8,12 @@ run-dependent (timestamps, durations, host names) ever enters the output.
 
 from __future__ import annotations
 
+import io
 import operator
 import os
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import compress, count
-from typing import BinaryIO
 
 from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId
 from .modular import MAX_SIEVE_BOUND, PrimeContext, sieve_primes
@@ -34,20 +34,18 @@ class ConfigError(ValueError):
     """Invalid sweep configuration; reported before any work begins."""
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """What to sweep and how; write_report() takes the report format, and
-    the caller chooses where the report goes."""
+class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fast summary_only",
+                             defaults=(5, 1009, 8, tuple(ClaimId), 1, False, False))):
+    """What to sweep and how: primes pmin..pmax, n = 1..nmax, the claims
+    (ClaimId members), forked workers, --fail-fast and --summary-only;
+    write_report() takes the report format, and the caller chooses where the
+    report goes.  Immutable, and validated however it is built: by the
+    constructor, _make or _replace."""
 
-    pmin: int = 5
-    pmax: int = 1009
-    nmax: int = 8
-    claims: tuple[ClaimId, ...] = tuple(ClaimId)
-    jobs: int = 1
-    fail_fast: bool = False
-    summary_only: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 5 <= self.pmin <= self.pmax:
             raise ConfigError(
                 f"need 5 <= pmin <= pmax, got pmin={self.pmin}, pmax={self.pmax}"
@@ -68,6 +66,11 @@ class SweepConfig:
             raise ConfigError(f"need 1 <= jobs <= {MAX_JOBS}, got {self.jobs}")
         if self.jobs > 1 and not hasattr(os, "fork"):
             raise ConfigError("jobs > 1 needs os.fork, which this platform lacks")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make, and so _replace, skip __new__
+        return cls(*iterable)
 
 
 def parse_claims(text: str) -> tuple[ClaimId, ...]:
@@ -82,10 +85,12 @@ def parse_claims(text: str) -> tuple[ClaimId, ...]:
     return tuple(c for c in ClaimId if c.value in names)
 
 
-@dataclass
 class ClaimTally:
-    records: int = 0
-    passed: int = 0
+    """Instances tallied, and how many of them passed."""
+
+    def __init__(self) -> None:
+        self.records = 0
+        self.passed = 0
 
     @property
     def failed(self) -> int:
@@ -108,13 +113,14 @@ def _slice(r: CheckResult, start: int, stop: int) -> CheckResult:
     return CheckResult(r.claim, r.p, r.n, k, r.modulus, r.lhs[start:stop], r.rhs[start:stop])
 
 
-@dataclass
 class Summary(ClaimTally):
     """The tally over all claims, each claim's tally and the first failing
     instance, as a one-instance record."""
 
-    per_claim: dict[ClaimId, ClaimTally] = field(default_factory=dict)
-    first_failure: CheckResult | None = None
+    def __init__(self) -> None:
+        super().__init__()
+        self.per_claim: dict[ClaimId, ClaimTally] = {}
+        self.first_failure: CheckResult | None = None
 
     def add(self, records: list[CheckResult]) -> None:
         """Tally the next records of the report, in report order."""
@@ -214,7 +220,7 @@ def _forked_map(
     import signal
 
     pids: list[int] = []
-    pipes: list[BinaryIO] = []
+    pipes: list[io.BufferedReader] = []
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
@@ -253,7 +259,7 @@ def _forked_map(
 
 
 def _work(
-    write_fd: int, pipes: list[BinaryIO], mask: set, primes: list[int], work_args: tuple
+    write_fd: int, pipes: list[io.BufferedReader], mask: set, primes: list[int], work_args: tuple
 ) -> None:
     """A forked worker: pickle _check_prime(p) for each of `primes` down
     `write_fd`, or the exception that stopped it, then leave through
@@ -322,25 +328,25 @@ def _lines(r: CheckResult, form: tuple, digits: list[str]) -> str:
     """r's lines in the FORMATS entry `form`, with no Python step per instance:
     a passing line's parts repeated once per instance, then the k, lhs and
     rhs slots (and the ends of failing lines) set by slice assignment.
-    digits[i] is str(i), grown on demand.  No instances, no lines."""
+    digits[i] is repr(i), grown on demand.  No instances, no lines."""
     _, head, no_k, modulus, between, ends, _ = form
     n = len(r.lhs)
     parts = [head(r), no_k, modulus.format(r.modulus), "", between, "", ends[True]] * n
     if r.k is not None:
-        digits.extend(map(str, range(len(digits), r.k + n)))
+        digits.extend(map(repr, range(len(digits), r.k + n)))
         parts[1::7] = digits[r.k : r.k + n]
-    lhs = list(map(str, r.lhs))
+    lhs = list(map(repr, r.lhs))  # an int's repr is its str, at half the cost
     parts[3::7] = lhs
     if r.lhs == r.rhs:
         parts[5::7] = lhs
     else:
-        parts[5::7] = map(str, r.rhs)
+        parts[5::7] = map(repr, r.rhs)
         parts[6::7] = map(ends.__getitem__, map(operator.eq, r.lhs, r.rhs))
     return "".join(parts)
 
 
 def write_report(
-    chunks: Iterable[list[CheckResult]], fmt: str, out: BinaryIO
+    chunks: Iterable[list[CheckResult]], fmt: str, out: io.BufferedIOBase
 ) -> Summary:
     """Write each record to `out` as soon as it is rendered (by _lines, with
     no Python step per instance), one write per record; return the summary.

@@ -199,18 +199,14 @@ def alt_fib_sum(n: int) -> int:
 def central4_table(ctx: PrimeContext) -> list[int]:
     """C(4k, 2k) / 4**k mod p for 0 <= k <= floor((p-1)/4).
 
-    C(4k, 2k) comes from its multiplicative recurrence; every factor stays
-    below p, so every inversion exists.
+    Consecutive entries differ by the factor (4k-3)(4k-1) / ((2k-1)*2k):
+    C(4k, 2k) / C(4k-4, 2k-2) is (4k-3)(4k-2)(4k-1)*4k / ((2k-1)*2k)**2, and
+    (4k-2)*4k = 4*(2k-1)*2k cancels the new factor 4 of 4**k.  Every factor
+    stays below p, so every inversion exists.
     """
     p = ctx.p
     inv = ctx.cached(inverse_table)
-    central4 = 1  # C(4k, 2k) mod p
-    inv4_pow = 1
     out = [1]
     for k in range(1, (p - 1) // 4 + 1):
-        step = (4 * k - 3) * (4 * k - 2) % p * (4 * k - 1) % p * (4 * k) % p
-        den = inv[2 * k - 1] * inv[2 * k] % p
-        central4 = central4 * step % p * den % p * den % p
-        inv4_pow = inv4_pow * inv[4] % p
-        out.append(central4 * inv4_pow % p)
+        out.append(out[-1] * (4 * k - 3) * (4 * k - 1) * inv[2 * k - 1] * inv[2 * k] % p)
     return out

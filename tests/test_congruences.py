@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 
@@ -424,3 +425,12 @@ class TestCheckerTable:
                     assert ns == ({1, 2} if with_n else {None}), claim
                 emitted |= {r.claim for r in records}
             assert emitted == set(claims), run.__name__
+
+
+def test_check_result_pickles_as_its_fields():
+    # a forked worker's records cross the pipe as the class and a plain
+    # tuple of fields, not through copyreg's slower tuple-subclass path
+    record = congruences.result(ClaimId.GL0, 7, 7, [3], [3])
+    assert record.__reduce_ex__(pickle.HIGHEST_PROTOCOL) == (
+        congruences.CheckResult, (ClaimId.GL0, 7, None, None, 7, [3], [3]))
+    assert pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL)) == record

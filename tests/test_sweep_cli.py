@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -6,7 +7,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from functools import cache
 from itertools import count, groupby, repeat
 
@@ -112,6 +112,37 @@ def _failing_at_k3(monkeypatch, claim):
     replace_checker(monkeypatch, checker, run)
 
 
+#: One bad field each, every one a ConfigError.
+BAD_FIELDS = [
+    dict(pmin=6, pmax=5),
+    dict(pmin=2),
+    dict(pmax=10**9),
+    dict(nmax=0),
+    dict(nmax=1000),
+    dict(claims=()),
+    dict(claims=("NoSuch",)),
+    dict(jobs=0),
+    dict(jobs=MAX_JOBS + 1),
+    dict(jobs=1000000),
+]
+
+
+#: What importing trinocheck.cli must not load.
+UNUSED_AT_IMPORT = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "tempfile")
+
+
+def _bare_python(code, *args):
+    """What `python -S -c code *args` prints to stderr, with the package
+    importable and stdout discarded.  -S: no site hook imports anything
+    first, as none does for a user's interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *args], check=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.stderr
+
+
 class TestSweepConfig:
     def test_rejects_inverted_range(self):
         with pytest.raises(ConfigError):
@@ -135,6 +166,40 @@ class TestSweepConfig:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
             _cfg(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD_FIELDS)
+    @pytest.mark.parametrize("build", [
+        "constructor", "positional", "_make", "_replace",
+        *(["copy.replace"] if hasattr(copy, "replace") else [])])  # 3.13 has copy.replace
+    def test_every_way_to_build_one_validates(self, kwargs, build):
+        # built only, never swept, so nothing is forked; unpickling and
+        # copy.copy call __new__ with the fields, as "positional" does
+        good = SweepConfig()
+        fields = {**good._asdict(), **kwargs}
+        with pytest.raises(ConfigError):
+            if build == "constructor":
+                SweepConfig(**fields)
+            elif build == "positional":
+                SweepConfig(*fields.values())
+            elif build == "_make":
+                SweepConfig._make(fields.values())
+            elif build == "_replace":
+                good._replace(**kwargs)
+            else:
+                copy.replace(good, **kwargs)
+
+    def test_immutable_value_equal_defaults(self):
+        config = SweepConfig()
+        assert config._asdict() == dict(pmin=5, pmax=1009, nmax=8, claims=tuple(ClaimId),
+                                        jobs=1, fail_fast=False, summary_only=False)
+        assert config == SweepConfig() and hash(config) == hash(SweepConfig())
+        assert config._replace(nmax=2) == SweepConfig(nmax=2) != config
+        assert copy.copy(config) == config
+        with pytest.raises(AttributeError):
+            config.jobs = 2
+        with pytest.raises(AttributeError):
+            config.extra = 1
+        assert config.jobs == 1
 
     def test_parse_claims(self):
         assert parse_claims("Thm1_Eq2, GL0") == (ClaimId.THM1_EQ2, ClaimId.GL0)
@@ -648,6 +713,33 @@ class TestSharedTails:
         assert (summary.records, list(summary.per_claim)) == (1, [ClaimId.GL0])
 
 
+#: `trinocheck --help` at 80 columns, the same on Python 3.10 to 3.13.
+HELP = """\
+usage: trinocheck [-h] [--pmin PMIN] [--pmax PMAX] [--nmax NMAX]
+                  [--claims LIST] [--format {jsonl,csv}] [--out PATH]
+                  [--jobs N] [--fail-fast] [--summary-only]
+
+Verify trinomial-coefficient and harmonic-sum congruences over a range of
+primes, reporting every instance and any counterexample.
+
+options:
+  -h, --help            show this help message and exit
+  --pmin PMIN           smallest prime to check (>= 5)
+  --pmax PMAX           largest prime to check
+  --nmax NMAX           check n = 1..nmax for n-parametrized claims
+  --claims LIST         comma-separated claim names (default: all; see README
+                        for the catalog)
+  --format {jsonl,csv}
+  --out PATH            output file (default: stdout)
+  --jobs N              forked worker processes; prime i goes to worker i mod
+                        N
+  --fail-fast           stop after the first failing instance (one report
+                        line)
+  --summary-only        report a claim over k as one aggregate per (claim, p,
+                        n)
+"""
+
+
 class TestCli:
     def test_exit_zero_and_stdout(self, capsysbinary):
         rc = main(["--pmin", "5", "--pmax", "7", "--nmax", "1", "--claims", "Thm1_Eq2"])
@@ -726,6 +818,13 @@ class TestCli:
             summary_only=args.summary_only,
         )
         assert config == SweepConfig()
+
+    def test_help_text(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP
 
     def test_exit_two_on_bad_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -971,7 +1070,7 @@ class TestCli:
         config = SweepConfig(pmin=5, pmax=211, nmax=2)
         serial, pooled = io.BytesIO(), io.BytesIO()
         write_report(iter_sweep(config), "jsonl", serial)
-        write_report(slow(iter_sweep(replace(config, jobs=jobs))), "jsonl", pooled)
+        write_report(slow(iter_sweep(config._replace(jobs=jobs))), "jsonl", pooled)
         assert pooled.getvalue() == serial.getvalue()
 
         # a reader that stops after the first prime of a cheap, long sweep:
@@ -1011,9 +1110,9 @@ class TestCli:
         replace_checker(monkeypatch, check_half_third_sixth, raises_at_11)
         config = SweepConfig(pmax=31, nmax=2, claims=(ClaimId.GL0, ClaimId.CARLITZ), jobs=2)
         if how == "normal":
-            assert len(list(iter_sweep(replace(config, pmin=13)))) == 6
+            assert len(list(iter_sweep(config._replace(pmin=13)))) == 6
         elif how == "fail-fast":
-            chunks = list(iter_sweep(replace(config, pmin=13, fail_fast=True)))
+            chunks = list(iter_sweep(config._replace(pmin=13, fail_fast=True)))
             assert len(chunks) == 1
         elif how == "error":
             with pytest.raises(ZeroDivisionError, match="p = 11"):
@@ -1063,23 +1162,24 @@ class TestCli:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_import_leaves_numpy_out(self):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, trinocheck.cli; print('numpy' in sys.modules)"],
-            capture_output=True, check=True,
-        )
-        assert proc.stdout == b"False\n"
+        # nor any module the run does not use; under -S, since a site hook
+        # may import some of them first
+        loaded = _bare_python(
+            "import sys, trinocheck.cli; "
+            "print(*sorted(set(sys.argv[1:]) & set(sys.modules)), file=sys.stderr)",
+            *UNUSED_AT_IMPORT)
+        assert loaded == b"\n"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_concurrent_futures_never_imported(self, tmp_path, jobs):
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, trinocheck.cli; rc = trinocheck.cli.main(sys.argv[1:]); "
-             "print(rc, 'concurrent.futures' in sys.modules)",
-             "--pmax", "11", "--jobs", str(jobs), "--out", str(tmp_path / "r.jsonl")],
-            capture_output=True, check=True,
-        )
-        assert proc.stdout == b"1 False\n"
+        # pickle only with forked workers, tempfile only with --out
+        code = ("import sys, trinocheck.cli; rc = trinocheck.cli.main(sys.argv[1:]); "
+                "print(rc, *(m in sys.modules for m in "
+                "('concurrent.futures', 'pickle', 'tempfile')), file=sys.stderr)")
+        args = ["--pmax", "11", "--jobs", str(jobs)]
+        to_file = _bare_python(code, *args, "--out", str(tmp_path / "r.jsonl"))
+        assert to_file == f"1 False {jobs > 1} True\n".encode()
+        assert _bare_python(code, *args) == f"1 False {jobs > 1} False\n".encode()
 
     def test_module_entrypoint(self, tmp_path):
         out = tmp_path / "r.csv"
