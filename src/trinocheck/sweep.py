@@ -46,6 +46,10 @@ class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fas
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("pmin", "pmax", "nmax", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if not 5 <= self.pmin <= self.pmax:
             raise ConfigError(
                 f"need 5 <= pmin <= pmax, got pmin={self.pmin}, pmax={self.pmax}"

@@ -49,6 +49,15 @@ def checker_of(claim):
     return entry
 
 
+def records_of(claim, ctx, n=None):
+    """The records of `claim` alone, at `n` (None for a claim without n),
+    from the checker that emits it, run to nmax = n (1 when n is None) when
+    it takes nmax."""
+    run, per_n = checker_of(claim)
+    records = run(ctx, n or 1) if per_n else run(ctx)
+    return [r for r in records if r.claim is claim and r.n == n]
+
+
 def replace_checker(monkeypatch, checker, fake):
     """Run `fake` in `checker`'s place, with its entry's per_n and claims,
     until the test ends."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import trinocheck as tc
 from closed_forms import closed_row_mod_p2
-from instances import checker_of, expand, replace_checker
+from instances import expand, records_of, replace_checker
 from trinocheck.congruences import (
     ClaimId,
     check_half_third_sixth,
@@ -32,12 +32,8 @@ from trinocheck.congruences import (
 
 
 def _check(claim, ctx, n=None):
-    """The instances of `claim` alone, at `n` (None for a claim without n),
-    from the checker that emits it, run to nmax = n (1 when n is None) when
-    it takes nmax."""
-    run, per_n = checker_of(claim)
-    records = run(ctx, n or 1) if per_n else run(ctx)
-    return expand(r for r in records if r.claim is claim and r.n == n)
+    """The instances of `claim` alone, at `n`, one per k."""
+    return expand(records_of(claim, ctx, n))
 
 
 def _conclude(name, failures):

@@ -4,7 +4,7 @@ import pickle
 import pytest
 
 from closed_forms import closed_row_mod_p2
-from instances import CLAIMS_WITH_N, checker_of, expand
+from instances import CLAIMS_WITH_N, expand, records_of
 from trinocheck import congruences
 from trinocheck.congruences import CHECKERS, ClaimId, check_row_np_minus1
 from trinocheck.harmonic import ap_harmonic
@@ -12,18 +12,9 @@ from trinocheck.modular import PrimeContext, sieve_primes
 from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
 
 
-def _records(claim, ctx, n=None):
-    """The records of `claim` alone, at `n` (None for a claim without n),
-    from the checker that emits it, run to nmax = n (1 when n is None) when
-    it takes nmax."""
-    run, per_n = checker_of(claim)
-    records = run(ctx, n or 1) if per_n else run(ctx)
-    return [r for r in records if r.claim is claim and r.n == n]
-
-
 def _check(claim, ctx, n=None):
     """The instances of `claim` alone, one per k."""
-    return expand(_records(claim, ctx, n))
+    return expand(records_of(claim, ctx, n))
 
 
 class TestThm1Eq2:
@@ -112,7 +103,7 @@ class TestCor4Eq11:
         ctx = PrimeContext(11)
         row = ctx.cached(row_mod_p2_prefix, ctx.p2 - 1)
         for n in (1, 2, 8):
-            [r] = _records(ClaimId.COR4_EQ11, ctx, n)
+            [r] = records_of(ClaimId.COR4_EQ11, ctx, n)
             assert (r.n, r.k, r.modulus) == (n, 0, ctx.p2)
             assert r.lhs is row
             assert r.rhs == [(1, ctx.p2 - 1, 0)[k % 3] for k in range(ctx.p)]
@@ -143,7 +134,7 @@ class TestTripleSum:
         ctx = PrimeContext(p)
         for n in range(1, 65):
             row = closed_row_mod_p2(ctx, n)
-            [r] = _records(ClaimId.TRIPLE_SUM_A, ctx, n)
+            [r] = records_of(ClaimId.TRIPLE_SUM_A, ctx, n)
             assert r.lhs == [(row[j - 2] + row[j - 1] + row[j]) % ctx.p2
                              for j in range(2, p, 3)]
 
@@ -265,7 +256,7 @@ def test_triple_sum_reads_counted_rows(p):
     # triple sums of row n*p - 1 counted directly, also where n*p passes p**2
     ctx = PrimeContext(p)
     for n in (*range(1, 21), p - 1, p, p + 1, 2 * p + 3):
-        [r] = _records(ClaimId.TRIPLE_SUM_A, ctx, n)
+        [r] = records_of(ClaimId.TRIPLE_SUM_A, ctx, n)
         assert r.lhs == _triples(row_mod_p2_prefix(ctx, n * p - 1), ctx.p2), n
 
 
@@ -368,7 +359,7 @@ def test_per_k_claims_emit_one_record(claim, p):
     # a claim over k is one record per (p, n): its first index and all its
     # instances, canonical residues mod the claim's modulus
     first_k, count = PER_K[claim]
-    [r] = _records(claim, PrimeContext(p), 1 if claim in CLAIMS_WITH_N else None)
+    [r] = records_of(claim, PrimeContext(p), 1 if claim in CLAIMS_WITH_N else None)
     assert r.k == first_k
     assert len(r.lhs) == len(r.rhs) == count(p)
     assert all(0 <= v < r.modulus for v in r.lhs + r.rhs)
@@ -380,7 +371,7 @@ def test_one_record_per_claim_and_n(p):
     # exactly one instance
     ctx = PrimeContext(p)
     for claim in ClaimId:
-        records = _records(claim, ctx, 2 if claim in CLAIMS_WITH_N else None)
+        records = records_of(claim, ctx, 2 if claim in CLAIMS_WITH_N else None)
         assert len(records) <= 1, claim
         for r in records:
             assert r.k is not None or len(r.lhs) == len(r.rhs) == 1, claim

@@ -124,6 +124,10 @@ BAD_FIELDS = [
     dict(jobs=0),
     dict(jobs=MAX_JOBS + 1),
     dict(jobs=1000000),
+    dict(nmax=2.0),
+    dict(jobs=2.0),
+    dict(pmin=7.5),
+    dict(pmax=30.0),
 ]
 
 
