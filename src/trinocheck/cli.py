@@ -14,37 +14,30 @@ import sys
 from collections.abc import Iterator
 from contextlib import closing, contextmanager
 
-from .sweep import (
-    FORMATS,
-    ConfigError,
-    SweepConfig,
-    iter_sweep,
-    parse_claims,
-    write_report,
-)
+from .sweep import FORMATS, ConfigError, SweepConfig, iter_sweep, write_report
 
 
 def build_parser() -> argparse.ArgumentParser:
-    defaults = SweepConfig._field_defaults
     parser = argparse.ArgumentParser(
         prog="trinocheck",
         description=(
             "Verify trinomial-coefficient and harmonic-sum congruences over a "
             "range of primes, reporting every instance and any counterexample."
         ),
+        argument_default=argparse.SUPPRESS,  # an absent flag is unset: SweepConfig has the defaults
     )
-    parser.add_argument("--pmin", type=int, default=defaults["pmin"], help="smallest prime to check (>= 5)")
-    parser.add_argument("--pmax", type=int, default=defaults["pmax"], help="largest prime to check")
-    parser.add_argument("--nmax", type=int, default=defaults["nmax"], help="check n = 1..nmax for n-parametrized claims")
+    parser.add_argument("--pmin", type=int, help="smallest prime to check (>= 5)")
+    parser.add_argument("--pmax", type=int, help="largest prime to check")
+    parser.add_argument("--nmax", type=int, help="check n = 1..nmax for n-parametrized claims")
     parser.add_argument(
         "--claims",
-        default=None,
+        type=lambda text: [name for name in map(str.strip, text.split(",")) if name],
         metavar="LIST",
         help="comma-separated claim names (default: all; see README for the catalog)",
     )
     parser.add_argument("--format", choices=FORMATS, default="jsonl", dest="fmt")
     parser.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--jobs", type=int, default=defaults["jobs"], metavar="N", help="forked worker processes; prime i goes to worker i mod N")
+    parser.add_argument("--jobs", type=int, metavar="N", help="forked worker processes; prime i goes to worker i mod N")
     parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing instance (one report line)")
     parser.add_argument(
         "--summary-only",
@@ -93,15 +86,7 @@ def _report_sink(path: str | None) -> Iterator[io.BufferedIOBase]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = SweepConfig(
-            pmin=args.pmin,
-            pmax=args.pmax,
-            nmax=args.nmax,
-            claims=SweepConfig._field_defaults["claims"] if args.claims is None else parse_claims(args.claims),
-            jobs=args.jobs,
-            fail_fast=args.fail_fast,
-            summary_only=args.summary_only,
-        )
+        config = SweepConfig(**{k: v for k, v in vars(args).items() if k in SweepConfig._fields})
         with _report_sink(args.out) as out, closing(iter_sweep(config)) as chunks:
             summary = write_report(chunks, args.fmt, out)
     except (ConfigError, OSError) as exc:  # bad input, or the report could not be written

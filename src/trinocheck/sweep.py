@@ -36,16 +36,29 @@ class ConfigError(ValueError):
 
 class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fast summary_only",
                              defaults=(5, 1009, 8, tuple(ClaimId), 1, False, False))):
-    """What to sweep and how: primes pmin..pmax, n = 1..nmax, the claims
-    (ClaimId members), forked workers, --fail-fast and --summary-only;
+    """What to sweep and how, with the CLI's defaults: primes pmin..pmax,
+    n = 1..nmax, the claims, forked workers, --fail-fast and --summary-only;
     write_report() takes the report format, and the caller chooses where the
-    report goes.  Immutable, and validated however it is built: by the
-    constructor, _make or _replace."""
+    report goes.  `claims` may be any iterable of ClaimId members or wire
+    names; it is stored as the tuple of the named members in catalog order,
+    so configs that run the same sweep are equal.  Immutable, and validated
+    however it is built: by the constructor, _make or _replace."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if not isinstance(self.claims, Iterable):
+            raise ConfigError(f"claims must be an iterable of claim names, got {self.claims!r}")
+        selected = set()
+        for entry in self.claims:
+            try:
+                selected.add(ClaimId(entry))
+            except ValueError:
+                known = ", ".join(c.value for c in ClaimId)
+                raise ConfigError(f"unknown claim {entry!r}; known claims: {known}") from None
+        if not selected:
+            raise ConfigError("claim set must be nonempty")
         for name in ("pmin", "pmax", "nmax", "jobs"):
             value = getattr(self, name)
             if not isinstance(value, int):
@@ -58,35 +71,16 @@ class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fas
             raise ConfigError(f"pmax={self.pmax} exceeds {MAX_SIEVE_BOUND}")
         if not 1 <= self.nmax <= MAX_NMAX:
             raise ConfigError(f"need 1 <= nmax <= {MAX_NMAX}, got {self.nmax}")
-        if not self.claims:
-            raise ConfigError("claim set must be nonempty")
-        for claim in self.claims:
-            if not isinstance(claim, ClaimId):
-                raise ConfigError(
-                    f"unknown claim {claim!r}; claims are ClaimId members "
-                    "(parse_claims reads wire names)"
-                )
         if not 1 <= self.jobs <= MAX_JOBS:
             raise ConfigError(f"need 1 <= jobs <= {MAX_JOBS}, got {self.jobs}")
         if self.jobs > 1 and not hasattr(os, "fork"):
             raise ConfigError("jobs > 1 needs os.fork, which this platform lacks")
-        return self
+        claims = tuple(c for c in ClaimId if c in selected)
+        return super().__new__(cls, **{**self._asdict(), "claims": claims})
 
     @classmethod
     def _make(cls, iterable):  # namedtuple's _make, and so _replace, skip __new__
         return cls(*iterable)
-
-
-def parse_claims(text: str) -> tuple[ClaimId, ...]:
-    """Parse a comma-separated list of claim wire names into canonical order."""
-    names = [name.strip() for name in text.split(",") if name.strip()]
-    known = [c.value for c in ClaimId]
-    for name in names:
-        if name not in known:
-            raise ConfigError(f"unknown claim {name!r}; known claims: {', '.join(known)}")
-    if not names:
-        raise ConfigError("claim set must be nonempty")
-    return tuple(c for c in ClaimId if c.value in names)
 
 
 class ClaimTally:
@@ -142,11 +136,10 @@ class Summary(ClaimTally):
                 self.first_failure = _slice(r, i, i + 1)
 
 
-def _check_prime(
-    p: int, claims: tuple[ClaimId, ...], nmax: int, summary_only: bool
-) -> list[CheckResult]:
-    """All records for one prime in report order; this is the parallel work
-    unit, so a worker sends back only what the report keeps.
+def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
+    """All records for one prime of `config`'s sweep in report order; this
+    is the parallel work unit, so a worker sends back only what the report
+    keeps.
 
     Each checker in CHECKERS runs once (with nmax when it takes it) if it
     emits a selected claim, and only the selected claims' records are kept.
@@ -157,13 +150,14 @@ def _check_prime(
     (the Cor4 row and pattern at every n) reuses its count.
     """
     ctx = PrimeContext(p)
-    selected = set(claims)
+    selected = set(config.claims)
+    nmax = config.nmax
     records: list[CheckResult] = []
     for run, (per_n, emits) in CHECKERS.items():
         if selected.isdisjoint(emits):
             continue
         records.extend(r for r in (run(ctx, nmax) if per_n else run(ctx)) if r.claim in selected)
-    if summary_only:
+    if config.summary_only:
         prev = None
         for i, r in enumerate(records):
             if r.k is None:
@@ -187,12 +181,11 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
     checked.
     """
     primes = sieve_primes(config.pmin, config.pmax)
-    work_args = (config.claims, config.nmax, config.summary_only)
     workers = min(config.jobs, len(primes))
     if workers <= 1:
-        per_prime = (_check_prime(p, *work_args) for p in primes)
+        per_prime = (_check_prime(p, config) for p in primes)
     else:
-        per_prime = _forked_map(primes, work_args, workers)
+        per_prime = _forked_map(primes, config, workers)
     try:
         for prime_records in per_prime:
             if config.fail_fast:
@@ -207,9 +200,10 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
 
 
 def _forked_map(
-    primes: list[int], work_args: tuple, workers: int
+    primes: list[int], config: SweepConfig, workers: int
 ) -> Iterator[list[CheckResult]]:
-    """_check_prime over `primes` in order, on `workers` forked processes.
+    """_check_prime(p, config) for each of `primes` in order, on `workers`
+    forked processes.
 
     Prime i goes to worker i % workers, which checks its primes in order and
     pickles each prime's list down its own pipe; the list is one pickle, so
@@ -235,7 +229,7 @@ def _forked_map(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(write_fd, pipes, mask, primes[w::workers], work_args)
+                    _work(write_fd, pipes, mask, primes[w::workers], config)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
@@ -263,10 +257,11 @@ def _forked_map(
 
 
 def _work(
-    write_fd: int, pipes: list[io.BufferedReader], mask: set, primes: list[int], work_args: tuple
+    write_fd: int, pipes: list[io.BufferedReader], mask: set, primes: list[int],
+    config: SweepConfig,
 ) -> None:
-    """A forked worker: pickle _check_prime(p) for each of `primes` down
-    `write_fd`, or the exception that stopped it, then leave through
+    """A forked worker: pickle _check_prime(p, config) for each of `primes`
+    down `write_fd`, or the exception that stopped it, then leave through
     os._exit, so that nothing of the parent's stack (its report sink, its
     unflushed stdout) runs or is flushed here.  `pipes` are the parent's
     read ends, closed here so that a worker whose parent is gone fails its
@@ -282,7 +277,7 @@ def _work(
         with open(write_fd, "wb") as out:
             try:
                 for p in primes:
-                    pickle.dump(_check_prime(p, *work_args), out, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(_check_prime(p, config), out, pickle.HIGHEST_PROTOCOL)
                     out.flush()
             except BaseException as exc:
                 pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)

@@ -8,10 +8,9 @@ most primes: the true p**3 coefficient is B_{p-3}/12, so the claim holds
 only where B_{p-3} == 1 (mod p), which up to 1009 means p = 5 (B_2 = 1/6)
 and p = 557.  The checker implements the claim exactly as cataloged, so
 sweeps that include it report failures.  Criterion 6 asserts exactly those
-counterexamples: every Carlitz record must equal what an independent
-big-integer oracle computes, p = 5 must be the only pass up to 499, and the
-error must be exactly the Bernoulli p**3 digit.  A separate test pins the
-pass set {5, 557} up to 1009.
+counterexamples up to 1009: every Carlitz record must equal what an
+independent big-integer oracle computes, the error must be exactly the
+Bernoulli p**3 digit, and so the passes are exactly p = 5 and p = 557.
 """
 
 import json
@@ -132,7 +131,7 @@ def _exact_bernoulli(m):
 def test_criterion_6_classical_sweep():
     failures = []
     carlitz = []
-    for p in tc.sieve_primes(5, 499):
+    for p in tc.sieve_primes(5, 1009):
         ctx = tc.PrimeContext(p)
         for claim in (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME, ClaimId.MORLEY):
             _collect(_check(claim, ctx), failures)
@@ -147,9 +146,10 @@ def test_criterion_6_classical_sweep():
         if r.claim is not ClaimId.CARLITZ or got != want:
             failures.append(("Carlitz vs oracle", r.p, got, want))
 
+    # a record passes iff the p**3 digit checked below is 0, iff B_{p-3} == 1 (mod p)
     passing = sorted(r.p for r in carlitz if r.passed)
-    if passing != [5]:
-        failures.append(("Carlitz passes only at p = 5", passing))
+    if passing != [5, 557]:
+        failures.append(("Carlitz passes only at p = 5 and p = 557", passing))
 
     # the power-sum Bernoulli oracle agrees with exact Bernoulli numbers
     exact = _exact_bernoulli(58)
@@ -174,14 +174,14 @@ def test_criterion_6_classical_sweep():
     if not failures:
         finding += ", Bernoulli form confirmed"
     _conclude(
-        f"6 classical sweep (Babbage/Wolstenholme/Glaisher/Morley exact, p <= 499; {finding})",
+        f"6 classical sweep (Babbage/Wolstenholme/Glaisher/Morley exact, p <= 1009; {finding})",
         failures,
     )
 
 
 def test_carlitz_passes_exactly_where_bernoulli_digit_is_one():
-    # beyond criterion 6's range: the cataloged form holds exactly where
-    # B_{p-3} == 1 (mod p), which for p <= 1009 means p = 5 and p = 557
+    # the cataloged form holds exactly where B_{p-3} == 1 (mod p),
+    # which for p <= 1009 means p = 5 and p = 557
     primes = tc.sieve_primes(5, 1009)
     passing = {r.p for p in primes for r in _check(ClaimId.CARLITZ, tc.PrimeContext(p)) if r.passed}
     assert passing == {p for p in primes if _bernoulli_mod_p(p) == 1} == {5, 557}

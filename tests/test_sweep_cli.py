@@ -34,7 +34,6 @@ from trinocheck.sweep import (
     ConfigError,
     SweepConfig,
     iter_sweep,
-    parse_claims,
     write_report,
 )
 
@@ -128,6 +127,10 @@ BAD_FIELDS = [
     dict(jobs=2.0),
     dict(pmin=7.5),
     dict(pmax=30.0),
+    dict(claims=["NoSuch"]),
+    dict(claims="GL0"),  # a string iterates to its letters
+    dict(claims=[None]),
+    dict(claims=None),
 ]
 
 
@@ -205,12 +208,19 @@ class TestSweepConfig:
             config.extra = 1
         assert config.jobs == 1
 
-    def test_parse_claims(self):
-        assert parse_claims("Thm1_Eq2, GL0") == (ClaimId.THM1_EQ2, ClaimId.GL0)
-        with pytest.raises(ConfigError):
-            parse_claims("Thm1_Eq2,NoSuchClaim")
-        with pytest.raises(ConfigError):
-            parse_claims("  ,  ")
+    @pytest.mark.parametrize("claims", [
+        [ClaimId.GL0, ClaimId.THM1_EQ2],
+        (ClaimId.THM1_EQ2, ClaimId.GL0, ClaimId.THM1_EQ2),
+        (ClaimId.GL0, ClaimId.THM1_EQ2),
+        ("Thm1_Eq2", "GL0"),
+        iter([ClaimId.GL0, "Thm1_Eq2", "GL0"]),
+    ])
+    def test_claims_are_the_catalog_order_tuple(self, claims):
+        canonical = SweepConfig(claims=(ClaimId.THM1_EQ2, ClaimId.GL0))
+        config = SweepConfig(claims=claims)
+        assert config == canonical and hash(config) == hash(canonical)
+        assert type(config.claims) is tuple
+        assert config.claims == (ClaimId.THM1_EQ2, ClaimId.GL0)
 
 
 class TestRunSweep:
@@ -686,8 +696,10 @@ class TestSharedTails:
             return passed(r)
 
         monkeypatch.setattr(sweep, "_passed", counting)
+        config = SweepConfig(nmax=8, claims=(ClaimId.COR4_EQ11, ClaimId.TRIPLE_SUM_A),
+                             summary_only=True)
         for p in (5, 7, 11, 13):
-            sweep._check_prime(p, (ClaimId.COR4_EQ11, ClaimId.TRIPLE_SUM_A), 8, True)
+            sweep._check_prime(p, config)
         cor4 = {p: counted[ClaimId.COR4_EQ11, p] for p in (5, 7, 11, 13)}
         assert cor4 == {5: 1, 7: 1, 11: 1, 13: 1}
         assert counted[ClaimId.TRIPLE_SUM_A, 13] == 8  # fresh lists per n
@@ -811,17 +823,25 @@ class TestCli:
         assert exc.value.code == code
 
     def test_parser_defaults_are_sweep_defaults(self):
-        args = cli.build_parser().parse_args([])
-        assert args.claims is None  # main reads None as every claim
-        config = SweepConfig(
-            pmin=args.pmin,
-            pmax=args.pmax,
-            nmax=args.nmax,
-            jobs=args.jobs,
-            fail_fast=args.fail_fast,
-            summary_only=args.summary_only,
-        )
-        assert config == SweepConfig()
+        # no sweep field is set, so main builds SweepConfig() from its own defaults
+        assert vars(cli.build_parser().parse_args([])) == {"fmt": "jsonl", "out": None}
+
+    @pytest.mark.parametrize("claims, code, err", [
+        ("Thm1_Eq2, GL0", 0, ""),
+        ("  ,  ", 2, "trinocheck: error: claim set must be nonempty\n"),
+        ("Thm1_Eq2,NoSuchClaim", 2, (
+            "trinocheck: error: unknown claim 'NoSuchClaim'; known claims: Thm1_Eq2, "
+            "Thm1_Eq4, Thm2_Eq6, Thm2_Eq7, Prop3_Eq9, Prop3_Eq10, Cor4_Eq11, TripleSum_a, "
+            "Babbage, Wolstenholme, Glaisher, Morley, Carlitz, HalfRowBinom, GL0, GL, GL2, "
+            "Cong0, Cong1, C1b, C1c, C2b, C2c, C3, C3b, H0, H1, H2, H3\n")),
+    ], ids=["two-names", "blank-names", "unknown-name"])
+    def test_claims_flag(self, capsys, claims, code, err):
+        assert main(["--pmax", "7", "--nmax", "1", "--claims", claims]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if code == 0:
+            names = [json.loads(line).get("claim") for line in captured.out.splitlines()]
+            assert names == ["GL0", "Thm1_Eq2", "GL0", "Thm1_Eq2", None]
 
     def test_help_text(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")
