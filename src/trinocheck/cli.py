@@ -12,9 +12,9 @@ import io
 import os
 import sys
 from collections.abc import Iterator
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 
-from .sweep import FORMATS, ConfigError, SweepConfig, iter_sweep, write_report
+from .sweep import FORMATS, ConfigError, SweepConfig, sweep_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = SweepConfig(**{k: v for k, v in vars(args).items() if k in SweepConfig._fields})
-        with _report_sink(args.out) as out, closing(iter_sweep(config)) as chunks:
-            summary = write_report(chunks, args.fmt, out)
+        with _report_sink(args.out) as out:
+            summary = sweep_report(config, args.fmt, out)
     except (ConfigError, OSError) as exc:  # bad input, or the report could not be written
         print(f"trinocheck: error: {exc}", file=sys.stderr)
         return 2

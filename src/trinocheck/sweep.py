@@ -12,7 +12,7 @@ import io
 import operator
 import os
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import compress, count
 
 from .congruences import CHECKERS, CLAIM_ORDER, CheckResult, ClaimId
@@ -38,11 +38,12 @@ class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fas
                              defaults=(5, 1009, 8, tuple(ClaimId), 1, False, False))):
     """What to sweep and how, with the CLI's defaults: primes pmin..pmax,
     n = 1..nmax, the claims, forked workers, --fail-fast and --summary-only;
-    write_report() takes the report format, and the caller chooses where the
-    report goes.  `claims` may be any iterable of ClaimId members or wire
-    names; it is stored as the tuple of the named members in catalog order,
-    so configs that run the same sweep are equal.  Immutable, and validated
-    however it is built: by the constructor, _make or _replace."""
+    sweep_report() and write_report() take the report format, and the
+    caller chooses where the report goes.  `claims` may be any iterable of
+    ClaimId members or wire names; it is stored as the tuple of the named
+    members in catalog order, so configs that run the same sweep are equal.
+    Immutable, and validated however it is built: by the constructor, _make
+    or _replace."""
 
     __slots__ = ()
 
@@ -61,8 +62,12 @@ class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fas
             raise ConfigError("claim set must be nonempty")
         for name in ("pmin", "pmax", "nmax", "jobs"):
             value = getattr(self, name)
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an int, got {value!r}")
+        for name in ("fail_fast", "summary_only"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a bool, got {value!r}")
         if not 5 <= self.pmin <= self.pmax:
             raise ConfigError(
                 f"need 5 <= pmin <= pmax, got pmin={self.pmin}, pmax={self.pmax}"
@@ -120,26 +125,26 @@ class Summary(ClaimTally):
         self.per_claim: dict[ClaimId, ClaimTally] = {}
         self.first_failure: CheckResult | None = None
 
-    def add(self, records: list[CheckResult]) -> None:
-        """Tally the next records of the report, in report order."""
-        for r in records:
-            if not r.lhs:
-                continue
-            tally = self.per_claim.setdefault(r.claim, ClaimTally())
-            passed = _passed(r)
-            tally.records += len(r.lhs)
-            tally.passed += passed
-            self.records += len(r.lhs)
-            self.passed += passed
-            if passed < len(r.lhs) and self.first_failure is None:
-                i = _first_mismatch(r)
-                self.first_failure = _slice(r, i, i + 1)
+    def merge(self, later: Summary) -> None:
+        """Add the tally of the records that follow this one's in the
+        report; `later`'s claim tallies may become this one's."""
+        self.records += later.records
+        self.passed += later.passed
+        for claim, tally in later.per_claim.items():
+            mine = self.per_claim.get(claim)
+            if mine is None:
+                self.per_claim[claim] = tally
+            else:
+                mine.records += tally.records
+                mine.passed += tally.passed
+        if self.first_failure is None:
+            self.first_failure = later.first_failure
 
 
 def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
-    """All records for one prime of `config`'s sweep in report order; this
-    is the parallel work unit, so a worker sends back only what the report
-    keeps.
+    """All records for one prime of `config`'s sweep in report order: what
+    iter_sweep yields for the prime, and what sweep_report tallies and
+    renders where the prime is checked, so only what the report keeps.
 
     Each checker in CHECKERS runs once (with nmax when it takes it) if it
     emits a selected claim, and only the selected claims' records are kept.
@@ -147,7 +152,9 @@ def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
     passed-count in lhs and its instance-count in rhs, as plain counts (not
     reduced mod the claim's modulus), so an aggregate passes iff every
     instance does; a record that shares both lists with the one before it
-    (the Cor4 row and pattern at every n) reuses its count.
+    (the Cor4 row and pattern at every n) reuses its count.  With fail_fast,
+    the records end with the first failing instance: the record holding it
+    is cut after it.
     """
     ctx = PrimeContext(p)
     selected = set(config.claims)
@@ -167,7 +174,24 @@ def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
             prev = r
             records[i] = CheckResult(r.claim, p, r.n, None, r.modulus, [passed], [len(r.lhs)])
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
+    if config.fail_fast:
+        for i, r in enumerate(records):
+            j = _first_mismatch(r)
+            if j is not None:
+                return records[:i] + [_slice(r, 0, j + 1)]
     return records
+
+
+def _per_prime(config: SweepConfig, unit: Callable, write: Callable | None = None) -> Iterator:
+    """unit(p, write) for each prime p of `config`'s sweep, in prime order,
+    each as soon as it returns: in this process, or at jobs > 1 on forked
+    workers (see _forked_map), whose units' bytes reach `write` here.  Close
+    the generator to stop the workers."""
+    primes = sieve_primes(config.pmin, config.pmax)
+    workers = min(config.jobs, len(primes))
+    if workers <= 1:
+        return (unit(p, write) for p in primes)
+    return _forked_map(unit, primes, workers, write)
 
 
 def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
@@ -180,39 +204,38 @@ def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
     the generator; close it to stop them before the primes they have not
     checked.
     """
-    primes = sieve_primes(config.pmin, config.pmax)
-    workers = min(config.jobs, len(primes))
-    if workers <= 1:
-        per_prime = (_check_prime(p, config) for p in primes)
-    else:
-        per_prime = _forked_map(primes, config, workers)
+    per_prime = _per_prime(config, lambda p, _: _check_prime(p, config))
     try:
-        for prime_records in per_prime:
-            if config.fail_fast:
-                for i, r in enumerate(prime_records):
-                    j = _first_mismatch(r)
-                    if j is not None:
-                        yield prime_records[:i] + [_slice(r, 0, j + 1)]
-                        return
-            yield prime_records
+        for records in per_prime:
+            yield records
+            if config.fail_fast and any(r.lhs != r.rhs for r in records):
+                return
     finally:
         per_prime.close()
 
 
-def _forked_map(
-    primes: list[int], config: SweepConfig, workers: int
-) -> Iterator[list[CheckResult]]:
-    """_check_prime(p, config) for each of `primes` in order, on `workers`
-    forked processes.
+#: The most bytes a forked worker ships in one piece, unless one record's
+#: lines are longer: this process holds one piece at a time.
+PIECE_BYTES = 1 << 16
 
-    Prime i goes to worker i % workers, which checks its primes in order and
-    pickles each prime's list down its own pipe; the list is one pickle, so
-    sides shared between its records stay shared.  Reading prime i from
-    worker i % workers keeps the order, and a full pipe blocks its worker,
-    so a slow reader holds the workers back instead of piling finished
-    primes up in this process.  A worker's exception is re-raised here; a
-    worker that dies without one is reported with its wait status.  On
-    every way out, the workers are killed and reaped.
+
+def _forked_map(
+    unit: Callable, primes: list[int], workers: int, write: Callable | None
+) -> Iterator:
+    """unit(p, w) for each of `primes` in order, on `workers` forked
+    processes; the bytes each unit hands to its `w` go to `write` here.
+
+    Prime i goes to worker i % workers, which runs unit on its primes in
+    order.  Per prime, the worker pickles down its own pipe the bytes its
+    unit wrote, in pieces of at most PIECE_BYTES that never split one
+    write, then the unit's result (never bytes), in one pickle, so lists
+    shared between its records stay shared.  Reading prime i from worker
+    i % workers keeps the order; each piece is handed to `write` as it is
+    read, and the result is yielded.  A full pipe blocks its worker, so a
+    slow reader holds the workers back instead of piling finished primes up
+    in this process.  A worker's exception is re-raised here; a worker that
+    dies without one is reported with its wait status.  On every way out,
+    the workers are killed and reaped.
     """
     import pickle  # here, not at the top: a --jobs 1 run starts without them
     import signal
@@ -229,24 +252,28 @@ def _forked_map(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(write_fd, pipes, mask, primes[w::workers], config)
+                    _work(write_fd, pipes, mask, primes[w::workers], unit)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for i, p in enumerate(primes):
-            try:
-                records = pickle.load(pipes[i % workers])
-            except (EOFError, pickle.UnpicklingError):
-                pid = pids.pop(i % workers)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
-                raise RuntimeError(
-                    f"worker {i % workers} (pid {pid}) ended before p = {p}: {how}"
-                ) from None
-            if isinstance(records, BaseException):
-                raise records
-            yield records
+            while True:
+                try:
+                    message = pickle.load(pipes[i % workers])
+                except (EOFError, pickle.UnpicklingError):
+                    pid = pids.pop(i % workers)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
+                    raise RuntimeError(
+                        f"worker {i % workers} (pid {pid}) ended before p = {p}: {how}"
+                    ) from None
+                if type(message) is not bytes:
+                    break
+                write(message)
+            if isinstance(message, BaseException):
+                raise message
+            yield message
     finally:
         for pipe in pipes:
             pipe.close()
@@ -257,15 +284,15 @@ def _forked_map(
 
 
 def _work(
-    write_fd: int, pipes: list[io.BufferedReader], mask: set, primes: list[int],
-    config: SweepConfig,
+    write_fd: int, pipes: list[io.BufferedReader], mask: set, primes: list[int], unit: Callable,
 ) -> None:
-    """A forked worker: pickle _check_prime(p, config) for each of `primes`
-    down `write_fd`, or the exception that stopped it, then leave through
-    os._exit, so that nothing of the parent's stack (its report sink, its
-    unflushed stdout) runs or is flushed here.  `pipes` are the parent's
-    read ends, closed here so that a worker whose parent is gone fails its
-    next write; `mask` is the signal mask to restore."""
+    """A forked worker: for each of `primes`, pickle down `write_fd` the
+    bytes that unit(p, w) hands to `w`, in pieces, then its result; or the
+    exception that stopped it.  Leave through os._exit, so that nothing of
+    the parent's stack (its report sink, its unflushed stdout) runs or is
+    flushed here.  `pipes` are the parent's read ends, closed here so that
+    a worker whose parent is gone fails its next write; `mask` is the signal
+    mask to restore."""
     import pickle
     import signal
 
@@ -275,9 +302,24 @@ def _work(
         for pipe in pipes:
             pipe.close()
         with open(write_fd, "wb") as out:
+            piece = io.BytesIO()
+
+            def ship() -> None:  # the bytes written since the last piece, if any
+                if piece.tell():
+                    pickle.dump(piece.getvalue(), out, pickle.HIGHEST_PROTOCOL)
+                    piece.seek(0)
+                    piece.truncate()
+
+            def write(data: bytes) -> None:
+                if piece.tell() + len(data) > PIECE_BYTES:
+                    ship()
+                piece.write(data)
+
             try:
                 for p in primes:
-                    pickle.dump(_check_prime(p, config), out, pickle.HIGHEST_PROTOCOL)
+                    result = unit(p, write)
+                    ship()
+                    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
                     out.flush()
             except BaseException as exc:
                 pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
@@ -344,6 +386,58 @@ def _lines(r: CheckResult, form: tuple, digits: list[str]) -> str:
     return "".join(parts)
 
 
+def _render(
+    records: list[CheckResult], form: tuple, digits: list[str], write: Callable
+) -> Summary:
+    """Tally `records` and hand each one's lines (by _lines, in the FORMATS
+    entry `form`) to `write` as bytes, one call per record; return their
+    tally.  A record with no instances writes nothing and is not tallied."""
+    summary = Summary()
+    per_claim = summary.per_claim
+    for r in records:
+        n = len(r.lhs)
+        if not n:
+            continue
+        passed = _passed(r)
+        tally = per_claim.get(r.claim)
+        if tally is None:
+            tally = per_claim[r.claim] = ClaimTally()
+        tally.records += n
+        tally.passed += passed
+        summary.records += n
+        summary.passed += passed
+        if passed < n and summary.first_failure is None:
+            i = _first_mismatch(r)
+            summary.first_failure = _slice(r, i, i + 1)
+        write(_lines(r, form, digits).encode())
+    return summary
+
+
+def _format(fmt: str) -> tuple:
+    """The FORMATS entry of `fmt`."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return FORMATS[fmt]
+
+
+def _framed(form: tuple, out: io.BufferedIOBase, tallies: Iterable[Summary],
+            fail_fast: bool = False) -> Summary:
+    """Write the header of the FORMATS entry `form` to `out`, take each
+    prime's tally from `tallies` (which writes the prime's records to `out`
+    as it goes), stopping after the first failing prime under fail_fast,
+    then write the trailer; return the summary."""
+    header, *_, trailer = form
+    out.write(header.encode())
+    summary = Summary()
+    for tally in tallies:
+        summary.merge(tally)
+        if fail_fast and tally.failed:
+            break
+    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
+    out.write((trailer(summary) + "\n").encode())
+    return summary
+
+
 def write_report(
     chunks: Iterable[list[CheckResult]], fmt: str, out: io.BufferedIOBase
 ) -> Summary:
@@ -364,16 +458,28 @@ def write_report(
     written last, so a report without one is incomplete.  A record with no
     instances writes nothing and is not tallied.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
-    header, *_, trailer = form = FORMATS[fmt]
+    form = _format(fmt)
     digits: list[str] = []
-    out.write(header.encode())
-    summary = Summary()
-    for chunk in chunks:
-        summary.add(chunk)
-        for r in chunk:
-            out.write(_lines(r, form, digits).encode())
-    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
-    out.write((trailer(summary) + "\n").encode())
-    return summary
+    return _framed(form, out, (_render(chunk, form, digits, out.write) for chunk in chunks))
+
+
+def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summary:
+    """Run `config`'s sweep and write its report to `out`: the bytes
+    write_report(iter_sweep(config), fmt, out) writes; return the summary.
+
+    Each prime is tallied and rendered where it is checked.  At jobs 1 each
+    record is written to `out` as soon as it is rendered.  A forked worker
+    ships its primes' rendered bytes and each prime's tally, never a
+    record, and this process writes the bytes and adds up the tallies.
+    """
+    form = _format(fmt)
+    digits: list[str] = []
+
+    def unit(p: int, write: Callable) -> Summary:
+        return _render(_check_prime(p, config), form, digits, write)
+
+    per_prime = _per_prime(config, unit, out.write)
+    try:
+        return _framed(form, out, per_prime, config.fail_fast)
+    finally:
+        per_prime.close()

@@ -86,6 +86,10 @@ REPORTS = [
      "31a58abcac42c9ff21c095eaab003a1024fa4f04fad3cdf57394740768af33e3", 1, (1, 2)),
     ("fail-fast-csv", ["--pmax", "200", "--fail-fast", "--format", "csv"],
      "8c9631b91a980988b57ba4dd20e46b75e96cc60bd96ad40a3573c78aeddd145a", 1, (1, 2)),
+    # a range horizon above p = 2003, through the forked workers' rendered
+    # bytes and tallies
+    ("summary-only-csv-pmax5000", ["--pmax", "5000", "--summary-only", "--format", "csv"],
+     "b1b158b00b5586cd49de94b63c152ba57b09c9eb4b0c8e01a9b6dfce8da44b07", 1, (2,)),
 ]
 
 

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 from collections import Counter
 from functools import cache
 from itertools import count, groupby, repeat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from trinocheck.sweep import (
     ConfigError,
     SweepConfig,
     iter_sweep,
+    sweep_report,
     write_report,
 )
 
@@ -71,15 +74,15 @@ def _collapsed(instances):
 
 
 def _report(config, fmt="jsonl"):
-    """The report bytes, written as the CLI writes them: each prime's chunk
-    from iter_sweep as it arrives."""
+    """The report bytes, written as the CLI writes them: by sweep_report,
+    which tallies and renders each prime where it is checked."""
     out = io.BytesIO()
-    write_report(iter_sweep(config), fmt, out)
+    sweep_report(config, fmt, out)
     return out.getvalue()
 
 
 def _summary(config):
-    return write_report(iter_sweep(config), "jsonl", io.BytesIO())
+    return sweep_report(config, "jsonl", io.BytesIO())
 
 
 def _falsified(monkeypatch, claim):
@@ -131,6 +134,11 @@ BAD_FIELDS = [
     dict(claims="GL0"),  # a string iterates to its letters
     dict(claims=[None]),
     dict(claims=None),
+    dict(fail_fast=0.0),
+    dict(fail_fast=1),
+    dict(summary_only="no"),
+    dict(nmax=True),
+    dict(jobs=True),
 ]
 
 
@@ -442,7 +450,7 @@ class TestSharedSpecs:
         assert [r for r in records if r.claim is not ClaimId.GL] == untouched
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 @pytest.mark.parametrize("claim", [ClaimId.CONG0, ClaimId.COR4_EQ11])
 class TestFailureInsideRecord:
     """A claim over k whose instance k = 3 fails, in the middle of its
@@ -466,6 +474,15 @@ class TestFailureInsideRecord:
         last = json.loads(lines[-2])
         assert (last["claim"], last["p"], last["k"], last["pass"]) == (claim.value, 5, 3, False)
         assert json.loads(lines[-1])["summary"]["first_failure"] == last
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_fail_fast_report_cut_where_checked(self, claim, jobs, fmt):
+        # the worker that checks p = 5 cuts its bytes after k = 3, and the
+        # report stops after that prime: the bytes of the records' path
+        cfg = self._cfg(claim, jobs, fail_fast=True)
+        records_path = io.BytesIO()
+        write_report(iter_sweep(cfg._replace(jobs=1)), fmt, records_path)
+        assert _report(cfg, fmt) == records_path.getvalue()
 
     def test_trailer_first_failure(self, claim, jobs):
         cfg = self._cfg(claim, jobs)
@@ -589,16 +606,37 @@ def _independent_trailer(s, fmt):
     )
 
 
+def _independent_summary(chunks):
+    """The summary of `chunks`, counted one instance at a time: per-claim
+    tallies in catalog order and the first failing instance as a record."""
+    instances = expand(r for chunk in chunks for r in chunk)
+    records = Counter(i.claim for i in instances)
+    passed = Counter(i.claim for i in instances if i.passed)
+
+    def tally(n, ok):
+        return SimpleNamespace(records=n, passed=ok, failed=n - ok)
+
+    summary = tally(len(instances), passed.total())
+    summary.per_claim = {c: tally(records[c], passed[c]) for c in ClaimId if records[c]}
+    f = next((i for i in instances if not i.passed), None)
+    summary.first_failure = None if f is None else CheckResult(
+        f.claim, f.p, f.n, f.k, f.modulus, [f.lhs], [f.rhs])
+    return summary
+
+
+def _tallied(summary):
+    """What a summary holds, as plain values."""
+    per_claim = {c: (t.records, t.passed, t.failed) for c, t in summary.per_claim.items()}
+    return summary.records, summary.passed, summary.failed, per_claim, summary.first_failure
+
+
 def _independent_writes(chunks, fmt):
     """The writes a report of `chunks` should take: the header, one per
     record, then the trailer, every record rendered independently."""
-    summary = sweep.Summary()
     writes = [sweep.FORMATS[fmt][0]]
     for chunk in chunks:
-        summary.add(chunk)
         writes += [_independent_lines(r, fmt) + "\n" for r in chunk]
-    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
-    writes.append(_independent_trailer(summary, fmt) + "\n")
+    writes.append(_independent_trailer(_independent_summary(chunks), fmt) + "\n")
     return [w.encode() for w in writes]
 
 
@@ -712,6 +750,16 @@ class TestSharedTails:
             out = _RecordingOut()
             write_report(chunks, fmt, out)
             assert out.writes == _independent_writes(chunks, fmt)
+            # the tally-and-render step a worker runs on each prime: the
+            # same record writes, and tallies that add up to the summary
+            writes, digits = [], []
+            total = sweep.Summary()
+            for chunk in chunks:
+                tally = sweep._render(chunk, sweep.FORMATS[fmt], digits, writes.append)
+                assert _tallied(tally) == _tallied(_independent_summary([chunk]))
+                total.merge(tally)
+            assert writes == out.writes[1:-1]
+            assert _tallied(total) == _tallied(_independent_summary(chunks))
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_record_without_instances_writes_nothing(self, fmt):
@@ -994,11 +1042,11 @@ class TestCli:
     def test_bad_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys, out):
         swept = []
 
-        def no_sweep(config):
-            swept.append(config)
-            raise AssertionError("iter_sweep called despite an unwritable --out")
+        def no_sweep(*args):
+            swept.append(args)
+            raise AssertionError("sweep_report called despite an unwritable --out")
 
-        monkeypatch.setattr(cli, "iter_sweep", no_sweep)
+        monkeypatch.setattr(cli, "sweep_report", no_sweep)
         monkeypatch.chdir(tmp_path)
         rc = main(["--pmax", "1009", "--out", out])
         assert rc == 2
@@ -1009,10 +1057,10 @@ class TestCli:
         ]
 
     def test_closed_stdout_fails_before_sweep(self, monkeypatch, capsys):
-        def no_sweep(config):
-            raise AssertionError("iter_sweep called with no stdout to write to")
+        def no_sweep(*args):
+            raise AssertionError("sweep_report called with no stdout to write to")
 
-        monkeypatch.setattr(cli, "iter_sweep", no_sweep)
+        monkeypatch.setattr(cli, "sweep_report", no_sweep)
         monkeypatch.setattr(sys, "stdout", None)  # what Python sets when fd 1 is closed
         assert main(["--pmax", "7", "--claims", "GL0"]) == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -1031,7 +1079,7 @@ class TestCli:
 
     def test_directory_out_path_fails_before_sweep(self, monkeypatch, tmp_path, capsys):
         swept = []
-        monkeypatch.setattr(cli, "iter_sweep", swept.append)
+        monkeypatch.setattr(cli, "sweep_report", lambda *args: swept.append(args))
         rc = main(["--pmax", "1009", "--out", str(tmp_path)])
         assert rc == 2
         assert swept == []
@@ -1043,7 +1091,7 @@ class TestCli:
             raise AssertionError("a worker was forked for a rejected --jobs")
 
         monkeypatch.setattr(os, "fork", no_pool)
-        monkeypatch.setattr(cli, "iter_sweep", no_pool)
+        monkeypatch.setattr(cli, "sweep_report", no_pool)
         rc = main(["--pmax", "11", "--jobs", str(MAX_JOBS + 1)])
         assert rc == 2
         assert f"jobs <= {MAX_JOBS}" in capsys.readouterr().err
@@ -1052,7 +1100,7 @@ class TestCli:
         # where os.fork is missing, --jobs > 1 is a usage error before any work
         swept = []
         monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(cli, "iter_sweep", swept.append)
+        monkeypatch.setattr(cli, "sweep_report", lambda *args: swept.append(args))
         assert SweepConfig(jobs=1).jobs == 1
         with pytest.raises(ConfigError, match="os.fork"):
             SweepConfig(jobs=2)
@@ -1176,6 +1224,52 @@ class TestCli:
         assert [f.name for f in tmp_path.iterdir()] == ["r.jsonl"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("flags", [[], ["--summary-only", "--format", "csv"]],
+                             ids=["jsonl", "summary-only-csv"])
+    def test_workers_ship_no_records(self, monkeypatch, tmp_path, flags):
+        # a worker ships its primes' rendered bytes and tallies: a passing
+        # report at --jobs 2 comes out whole with no record picklable
+        def unpicklable(record):
+            raise AssertionError("a record was pickled")
+
+        args = ["--pmax", "97", "--nmax", "2", *flags,
+                "--claims", ",".join(c.value for c in ClaimId if c is not ClaimId.CARLITZ)]
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(args + ["--out", str(serial)]) == 0
+        monkeypatch.setattr(CheckResult, "__reduce__", unpicklable)
+        with pytest.raises(AssertionError, match="a record was pickled"):
+            pickle.dumps(CheckResult(ClaimId.GL0, 7, None, None, 7, [3], [3]))
+        assert main(args + ["--jobs", "2", "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_workers_ship_bounded_pieces(self, monkeypatch):
+        # each prime's bytes come in pieces of at most PIECE_BYTES, unless
+        # one record is longer (a full Cor4 record is), and add up to the
+        # bytes of one process
+        monkeypatch.setattr(sweep, "PIECE_BYTES", 1 << 9)
+        pieces = []
+        load = pickle.load
+
+        def recording_load(file):
+            message = load(file)
+            if type(message) is bytes:
+                pieces.append(message)
+            return message
+
+        for summary_only in (True, False):
+            cfg = SweepConfig(pmax=61, nmax=2, summary_only=summary_only)
+            serial = _report(cfg, "csv")
+            monkeypatch.setattr(pickle, "load", recording_load)
+            pieces.clear()
+            assert _report(cfg._replace(jobs=2), "csv") == serial
+            monkeypatch.setattr(pickle, "load", load)
+            assert b"".join(pieces) == serial[serial.index(b"\n") + 1 : serial.rindex(b"summary")]
+            oversized = [x for x in pieces if len(x) > 1 << 9]
+            for x in oversized:  # one record alone: one (claim, p, n)
+                assert len({tuple(line.split(b",")[:3]) for line in x.splitlines()}) == 1
+            # 16 primes, some of them in more than one piece
+            assert len(pieces) > 16 and bool(oversized) is not summary_only
 
     def test_jobs_flag(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
