@@ -13,7 +13,7 @@ from .modular import (
     rat_mod,
     sieve_primes,
 )
-from .sweep import ConfigError, SweepConfig, iter_sweep, sweep_report, write_report
+from .sweep import ConfigError, SweepConfig, iter_sweep, sweep_report
 from .trinomial import (
     OddDoubledSum,
     alt_fib_sum,
@@ -53,5 +53,4 @@ __all__ = [
     "row_mod_prefix",
     "sieve_primes",
     "sweep_report",
-    "write_report",
 ]

@@ -81,9 +81,6 @@ class CheckResult(namedtuple("CheckResult", "claim p n k modulus lhs rhs")):
 
     __slots__ = ()
 
-    def __reduce__(self):  # dumps faster than a tuple subclass's default, via copyreg
-        return CheckResult, tuple(self)
-
 
 def result(
     claim: ClaimId,

@@ -38,9 +38,9 @@ class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fas
                              defaults=(5, 1009, 8, tuple(ClaimId), 1, False, False))):
     """What to sweep and how, with the CLI's defaults: primes pmin..pmax,
     n = 1..nmax, the claims, forked workers, --fail-fast and --summary-only;
-    sweep_report() and write_report() take the report format, and the
-    caller chooses where the report goes.  `claims` may be any iterable of
-    ClaimId members or wire names; it is stored as the tuple of the named
+    sweep_report() takes the report format, and the caller chooses where
+    the report goes.  `claims` may be any iterable of ClaimId members or
+    wire names, but not one name; it is stored as the tuple of the named
     members in catalog order, so configs that run the same sweep are equal.
     Immutable, and validated however it is built: by the constructor, _make
     or _replace."""
@@ -49,7 +49,7 @@ class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fas
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.claims, Iterable):
+        if isinstance(self.claims, str) or not isinstance(self.claims, Iterable):
             raise ConfigError(f"claims must be an iterable of claim names, got {self.claims!r}")
         selected = set()
         for entry in self.claims:
@@ -369,7 +369,7 @@ def _lines(r: CheckResult, form: tuple, digits: list[str]) -> str:
     """r's lines in the FORMATS entry `form`, with no Python step per instance:
     a passing line's parts repeated once per instance, then the k, lhs and
     rhs slots (and the ends of failing lines) set by slice assignment.
-    digits[i] is repr(i), grown on demand.  No instances, no lines."""
+    digits[i] is repr(i), grown on demand."""
     _, head, no_k, modulus, between, ends, _ = form
     n = len(r.lhs)
     parts = [head(r), no_k, modulus.format(r.modulus), "", between, "", ends[True]] * n
@@ -391,13 +391,11 @@ def _render(
 ) -> Summary:
     """Tally `records` and hand each one's lines (by _lines, in the FORMATS
     entry `form`) to `write` as bytes, one call per record; return their
-    tally.  A record with no instances writes nothing and is not tallied."""
+    tally."""
     summary = Summary()
     per_claim = summary.per_claim
     for r in records:
         n = len(r.lhs)
-        if not n:
-            continue
         passed = _passed(r)
         tally = per_claim.get(r.claim)
         if tally is None:
@@ -413,36 +411,9 @@ def _render(
     return summary
 
 
-def _format(fmt: str) -> tuple:
-    """The FORMATS entry of `fmt`."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
-    return FORMATS[fmt]
-
-
-def _framed(form: tuple, out: io.BufferedIOBase, tallies: Iterable[Summary],
-            fail_fast: bool = False) -> Summary:
-    """Write the header of the FORMATS entry `form` to `out`, take each
-    prime's tally from `tallies` (which writes the prime's records to `out`
-    as it goes), stopping after the first failing prime under fail_fast,
-    then write the trailer; return the summary."""
-    header, *_, trailer = form
-    out.write(header.encode())
-    summary = Summary()
-    for tally in tallies:
-        summary.merge(tally)
-        if fail_fast and tally.failed:
-            break
-    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
-    out.write((trailer(summary) + "\n").encode())
-    return summary
-
-
-def write_report(
-    chunks: Iterable[list[CheckResult]], fmt: str, out: io.BufferedIOBase
-) -> Summary:
-    """Write each record to `out` as soon as it is rendered (by _lines, with
-    no Python step per instance), one write per record; return the summary.
+def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summary:
+    """Run `config`'s sweep and write its report to `out`, one line per
+    instance; return the summary.
 
     jsonl: one compact object per instance (a record over k gives one line
     per k) with keys claim, p, n, k, modulus, lhs, rhs, pass (residues as
@@ -455,31 +426,33 @@ def write_report(
 
     Every string field is a claim's wire name (a plain word) or a decimal
     integer, so no field needs JSON escaping or CSV quoting.  The trailer is
-    written last, so a report without one is incomplete.  A record with no
-    instances writes nothing and is not tallied.
+    written last, so a report without one is incomplete.
+
+    Each prime is tallied and rendered (by _render) where it is checked.  At
+    jobs 1 each record is written to `out` as soon as it is rendered, one
+    write per record.  A forked worker ships its primes' rendered bytes and
+    each prime's tally, never a record, and this process writes the bytes
+    and adds up the tallies.
     """
-    form = _format(fmt)
-    digits: list[str] = []
-    return _framed(form, out, (_render(chunk, form, digits, out.write) for chunk in chunks))
-
-
-def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summary:
-    """Run `config`'s sweep and write its report to `out`: the bytes
-    write_report(iter_sweep(config), fmt, out) writes; return the summary.
-
-    Each prime is tallied and rendered where it is checked.  At jobs 1 each
-    record is written to `out` as soon as it is rendered.  A forked worker
-    ships its primes' rendered bytes and each prime's tally, never a
-    record, and this process writes the bytes and adds up the tallies.
-    """
-    form = _format(fmt)
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    form = FORMATS[fmt]
+    header, *_, trailer = form
     digits: list[str] = []
 
     def unit(p: int, write: Callable) -> Summary:
         return _render(_check_prime(p, config), form, digits, write)
 
     per_prime = _per_prime(config, unit, out.write)
+    summary = Summary()
     try:
-        return _framed(form, out, per_prime, config.fail_fast)
+        out.write(header.encode())
+        for tally in per_prime:
+            summary.merge(tally)
+            if config.fail_fast and tally.failed:
+                break
     finally:
         per_prime.close()
+    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
+    out.write((trailer(summary) + "\n").encode())
+    return summary

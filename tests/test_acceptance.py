@@ -31,8 +31,11 @@ from trinocheck.congruences import (
 
 
 def _check(claim, ctx, n=None):
-    """The instances of `claim` alone, at `n`, one per k."""
-    return expand(records_of(claim, ctx, n))
+    """The instances of `claim` alone, at `n`, one per k; every record
+    holds at least one, as CheckResult promises and the report relies on."""
+    records = records_of(claim, ctx, n)
+    assert all(r.lhs and r.rhs for r in records), (claim, ctx.p, n)
+    return expand(records)
 
 
 def _conclude(name, failures):

@@ -37,7 +37,6 @@ from trinocheck.sweep import (
     SweepConfig,
     iter_sweep,
     sweep_report,
-    write_report,
 )
 
 
@@ -131,7 +130,7 @@ BAD_FIELDS = [
     dict(pmin=7.5),
     dict(pmax=30.0),
     dict(claims=["NoSuch"]),
-    dict(claims="GL0"),  # a string iterates to its letters
+    dict(claims="GL0"),  # a string would iterate to its letters
     dict(claims=[None]),
     dict(claims=None),
     dict(fail_fast=0.0),
@@ -139,6 +138,7 @@ BAD_FIELDS = [
     dict(summary_only="no"),
     dict(nmax=True),
     dict(jobs=True),
+    dict(claims=ClaimId.GL0),  # a member is a str, so also one name
 ]
 
 
@@ -203,6 +203,14 @@ class TestSweepConfig:
             else:
                 copy.replace(good, **kwargs)
 
+    @pytest.mark.parametrize("claims", ["GL0", ClaimId.GL0], ids=["str", "member"])
+    def test_rejects_a_bare_string_of_claims(self, claims):
+        # a str (a ClaimId member is one) is a name, not a set of names
+        message = f"claims must be an iterable of claim names, got {claims!r}"
+        with pytest.raises(ConfigError) as raised:
+            SweepConfig(claims=claims)
+        assert str(raised.value) == message
+
     def test_immutable_value_equal_defaults(self):
         config = SweepConfig()
         assert config._asdict() == dict(pmin=5, pmax=1009, nmax=8, claims=tuple(ClaimId),
@@ -233,7 +241,7 @@ class TestSweepConfig:
 
 class TestRunSweep:
     """What a sweep yields: records from iter_sweep, the summary from
-    write_report."""
+    sweep_report."""
 
     def test_two_primes_one_claim(self):
         records = _instances(_cfg())
@@ -478,11 +486,11 @@ class TestFailureInsideRecord:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_fail_fast_report_cut_where_checked(self, claim, jobs, fmt):
         # the worker that checks p = 5 cuts its bytes after k = 3, and the
-        # report stops after that prime: the bytes of the records' path
+        # report stops after that prime: the records' bytes, each rendered
+        # on its own
         cfg = self._cfg(claim, jobs, fail_fast=True)
-        records_path = io.BytesIO()
-        write_report(iter_sweep(cfg._replace(jobs=1)), fmt, records_path)
-        assert _report(cfg, fmt) == records_path.getvalue()
+        chunks = list(iter_sweep(cfg._replace(jobs=1)))
+        assert _report(cfg, fmt) == b"".join(_independent_writes(chunks, fmt))
 
     def test_trailer_first_failure(self, claim, jobs):
         cfg = self._cfg(claim, jobs)
@@ -506,7 +514,7 @@ class TestFailureInsideRecord:
 
 
 class TestRender:
-    """The report bytes write_report gives."""
+    """The report bytes sweep_report gives."""
 
     def test_jsonl_record_schema(self):
         payload = _report(_cfg(pmin=7, pmax=7))
@@ -575,7 +583,7 @@ class TestRender:
 
 def _independent_lines(r, fmt):
     """r's report lines, each rendered on its own by one f-string, joined by
-    newlines: the oracle for write_report's list-template rendering."""
+    newlines: the oracle for _lines's list-template rendering."""
     if fmt == "jsonl":
         head = f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
         mid = f',"modulus":{r.modulus},"lhs":"'
@@ -640,6 +648,22 @@ def _independent_writes(chunks, fmt):
     return [w.encode() for w in writes]
 
 
+def _rendered_writes(chunks, fmt):
+    """The format's header, the writes of _render (sweep_report's step on
+    each prime) over `chunks`, then the trailer of their summed tallies;
+    and each chunk's tally, as _tallied values."""
+    form = sweep.FORMATS[fmt]
+    writes, digits, tallies = [form[0].encode()], [], []
+    total = sweep.Summary()
+    for chunk in chunks:
+        tally = sweep._render(chunk, form, digits, writes.append)
+        tallies.append(_tallied(tally))
+        total.merge(tally)
+    total.per_claim = {c: total.per_claim[c] for c in ClaimId if c in total.per_claim}
+    writes.append((form[-1](total) + "\n").encode())
+    return writes, tallies
+
+
 @st.composite
 def _shared_side_chunk(draw):
     """One prime's records: n in {None, 1..64}, k in {None, 0..p-1}, any
@@ -677,18 +701,21 @@ class _RecordingOut:
 
 
 class TestSharedTails:
-    """write_report's bytes are those of rendering every instance on its
-    own, whatever the records share."""
+    """The report's bytes are those of rendering every instance on its own,
+    whatever the records share."""
 
     @pytest.mark.parametrize("fail_fast", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_one_write_per_record_rendered_alone(self, fmt, jobs, fail_fast):
-        # the header, then each record in a write of its own, as if no tail
-        # were shared, then the trailer: no write holds two records
-        chunks = list(iter_sweep(SweepConfig(pmax=97, jobs=jobs, fail_fast=fail_fast)))
+        # sweep_report at jobs 1 writes the header, then each record in a
+        # write of its own, as if no tail were shared, then the trailer: no
+        # write holds two records.  The records come from iter_sweep at
+        # `jobs`, across a worker's pipe too
+        config = SweepConfig(pmax=97, fail_fast=fail_fast)
+        chunks = list(iter_sweep(config._replace(jobs=jobs)))
         out = _RecordingOut()
-        write_report(chunks, fmt, out)
+        sweep_report(config, fmt, out)
         assert out.writes == _independent_writes(chunks, fmt)
         assert len(out.writes) == 2 + sum(map(len, chunks))
 
@@ -708,9 +735,8 @@ class TestSharedTails:
             CheckResult(ClaimId.COR4_EQ11, 7, n, k, modulus, a, b)
             for n, (k, modulus, a, b) in enumerate(variants + variants, start=1)
         ]
-        out = _RecordingOut()
-        write_report([records], fmt, out)
-        assert out.writes == _independent_writes([records], fmt)
+        writes, _ = _rendered_writes([records], fmt)
+        assert writes == _independent_writes([records], fmt)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cor4_tails_built_once_per_prime(self, monkeypatch, jobs):
@@ -722,9 +748,8 @@ class TestSharedTails:
         assert [len(c) for c in chunks] == [8, 8, 8, 8]
         for chunk in chunks:
             assert len({id(r.lhs) for r in chunk}) == len({id(r.rhs) for r in chunk}) == 1
-        out = _RecordingOut()
-        write_report(chunks, "jsonl", out)
-        assert out.writes == _independent_writes(chunks, "jsonl")
+        writes, _ = _rendered_writes(chunks, "jsonl")
+        assert writes == _independent_writes(chunks, "jsonl")
 
         counted = Counter()
         passed = sweep._passed
@@ -745,36 +770,13 @@ class TestSharedTails:
     @settings(max_examples=60, deadline=None)
     @given(chunks=st.lists(_shared_side_chunk(), min_size=1, max_size=3))
     def test_any_records_render_as_if_alone(self, chunks):
-        # both formats, the trailer's first failure included
+        # both formats, the trailer's first failure included: the
+        # tally-and-render step run on each prime gives each record's
+        # writes, and tallies that add up to the summary
         for fmt in ("jsonl", "csv"):
-            out = _RecordingOut()
-            write_report(chunks, fmt, out)
-            assert out.writes == _independent_writes(chunks, fmt)
-            # the tally-and-render step a worker runs on each prime: the
-            # same record writes, and tallies that add up to the summary
-            writes, digits = [], []
-            total = sweep.Summary()
-            for chunk in chunks:
-                tally = sweep._render(chunk, sweep.FORMATS[fmt], digits, writes.append)
-                assert _tallied(tally) == _tallied(_independent_summary([chunk]))
-                total.merge(tally)
-            assert writes == out.writes[1:-1]
-            assert _tallied(total) == _tallied(_independent_summary(chunks))
-
-    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    def test_record_without_instances_writes_nothing(self, fmt):
-        # no checker emits one; write_report writes no line for it and
-        # leaves it out of the summary
-        kept = CheckResult(ClaimId.GL0, 7, None, None, 49, [3], [3])
-        empty = [
-            CheckResult(ClaimId.COR4_EQ11, 7, 1, 0, 49, [], []),
-            CheckResult(ClaimId.BABBAGE, 7, None, None, 343, [], []),
-        ]
-        with_empty, without = io.BytesIO(), io.BytesIO()
-        summary = write_report([[empty[0], kept, empty[1]]], fmt, with_empty)
-        write_report([[kept]], fmt, without)
-        assert with_empty.getvalue() == without.getvalue()
-        assert (summary.records, list(summary.per_claim)) == (1, [ClaimId.GL0])
+            writes, tallies = _rendered_writes(chunks, fmt)
+            assert writes == _independent_writes(chunks, fmt)
+            assert tallies == [_tallied(_independent_summary([chunk])) for chunk in chunks]
 
 
 #: `trinocheck --help` at 80 columns, the same on Python 3.10 to 3.13.
@@ -1130,8 +1132,8 @@ class TestCli:
         assert len(forks) == 5
 
     def test_pool_run_ahead_is_bounded(self, monkeypatch, tmp_path):
-        # a slow reader holds the workers back, and the bytes match one
-        # worker's
+        # a slow reader holds the workers back, and the records render to
+        # the bytes of one process's report
         jobs = 2
 
         def slow(chunks):
@@ -1140,10 +1142,8 @@ class TestCli:
                 yield chunk
 
         config = SweepConfig(pmin=5, pmax=211, nmax=2)
-        serial, pooled = io.BytesIO(), io.BytesIO()
-        write_report(iter_sweep(config), "jsonl", serial)
-        write_report(slow(iter_sweep(config._replace(jobs=jobs))), "jsonl", pooled)
-        assert pooled.getvalue() == serial.getvalue()
+        pooled = list(slow(iter_sweep(config._replace(jobs=jobs))))
+        assert b"".join(_independent_writes(pooled, "jsonl")) == _report(config)
 
         # a reader that stops after the first prime of a cheap, long sweep:
         # a full pipe blocks its worker, so most primes are never checked,
@@ -1230,14 +1230,14 @@ class TestCli:
     def test_workers_ship_no_records(self, monkeypatch, tmp_path, flags):
         # a worker ships its primes' rendered bytes and tallies: a passing
         # report at --jobs 2 comes out whole with no record picklable
-        def unpicklable(record):
+        def unpicklable(record, protocol):
             raise AssertionError("a record was pickled")
 
         args = ["--pmax", "97", "--nmax", "2", *flags,
                 "--claims", ",".join(c.value for c in ClaimId if c is not ClaimId.CARLITZ)]
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
         assert main(args + ["--out", str(serial)]) == 0
-        monkeypatch.setattr(CheckResult, "__reduce__", unpicklable)
+        monkeypatch.setattr(CheckResult, "__reduce_ex__", unpicklable)
         with pytest.raises(AssertionError, match="a record was pickled"):
             pickle.dumps(CheckResult(ClaimId.GL0, 7, None, None, 7, [3], [3]))
         assert main(args + ["--jobs", "2", "--out", str(pooled)]) == 0
