@@ -13,7 +13,7 @@ from .modular import (
     rat_mod,
     sieve_primes,
 )
-from .sweep import ConfigError, SweepConfig, iter_sweep, sweep_report
+from .sweep import ConfigError, SweepConfig, sweep_report
 from .trinomial import (
     OddDoubledSum,
     alt_fib_sum,
@@ -46,7 +46,6 @@ __all__ = [
     "inv_mod",
     "inverse_table",
     "is_prime",
-    "iter_sweep",
     "rat_mod",
     "row_exact",
     "row_mod_p2_prefix",

@@ -50,10 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _report_sink(path: str | None) -> Iterator[io.BufferedIOBase]:
     """The binary file the report goes to: stdout, or a new temporary file in
-    `path`'s directory that is renamed onto `path` once the report is
-    complete, and removed on any exception (Ctrl-C too), so an interrupted
-    run never replaces a previous report.  Opened before the sweep starts,
-    so a bad destination costs no work."""
+    the directory of the file `path` names (through any symlinks) that is
+    renamed onto that file once the report is complete, and removed on any
+    exception (Ctrl-C too), so an interrupted run never replaces a previous
+    report.  An existing FIFO or device is written in place instead.
+    Opened before the sweep starts, so a bad destination costs no work."""
     if path is None:
         if sys.stdout is None:  # started with stdout closed
             raise OSError(errno.EBADF, "stdout is closed")
@@ -64,9 +65,14 @@ def _report_sink(path: str | None) -> Iterator[io.BufferedIOBase]:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path) and not os.path.isfile(path):  # a FIFO or device, through any links
+        with open(path, "wb") as out:
+            yield out
+        return
+    target = os.path.realpath(path)  # rename onto the file a symlink names, not onto the link
     import tempfile  # here, not at the top: a run to stdout starts without it
 
-    directory, name = os.path.split(os.path.abspath(path))
+    directory, name = os.path.split(target)
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     except OSError as exc:  # named after the temporary file, which the user never gave
@@ -77,7 +83,7 @@ def _report_sink(path: str | None) -> Iterator[io.BufferedIOBase]:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 -> what open() gives
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -142,9 +142,8 @@ class Summary(ClaimTally):
 
 
 def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
-    """All records for one prime of `config`'s sweep in report order: what
-    iter_sweep yields for the prime, and what sweep_report tallies and
-    renders where the prime is checked, so only what the report keeps.
+    """All records for one prime of `config`'s sweep in report order, as
+    sweep_report tallies and renders them where the prime is checked.
 
     Each checker in CHECKERS runs once (with nmax when it takes it) if it
     emits a selected claim, and only the selected claims' records are kept.
@@ -182,60 +181,25 @@ def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
     return records
 
 
-def _per_prime(config: SweepConfig, unit: Callable, write: Callable | None = None) -> Iterator:
-    """unit(p, write) for each prime p of `config`'s sweep, in prime order,
-    each as soon as it returns: in this process, or at jobs > 1 on forked
-    workers (see _forked_map), whose units' bytes reach `write` here.  Close
-    the generator to stop the workers."""
-    primes = sieve_primes(config.pmin, config.pmax)
-    workers = min(config.jobs, len(primes))
-    if workers <= 1:
-        return (unit(p, write) for p in primes)
-    return _forked_map(unit, primes, workers, write)
-
-
-def iter_sweep(config: SweepConfig) -> Iterator[list[CheckResult]]:
-    """Yield each prime's records (aggregated when summary_only) in prime
-    order, as soon as that prime is checked.
-
-    With fail_fast the stream stops immediately after the first failing
-    instance: the record holding it is cut after it (identical truncation
-    point at any worker count).  Forked workers, if any, live as long as
-    the generator; close it to stop them before the primes they have not
-    checked.
-    """
-    per_prime = _per_prime(config, lambda p, _: _check_prime(p, config))
-    try:
-        for records in per_prime:
-            yield records
-            if config.fail_fast and any(r.lhs != r.rhs for r in records):
-                return
-    finally:
-        per_prime.close()
-
-
 #: The most bytes a forked worker ships in one piece, unless one record's
 #: lines are longer: this process holds one piece at a time.
 PIECE_BYTES = 1 << 16
 
 
-def _forked_map(
-    unit: Callable, primes: list[int], workers: int, write: Callable | None
-) -> Iterator:
+def _forked_map(unit: Callable, primes: list[int], workers: int, write: Callable) -> Iterator:
     """unit(p, w) for each of `primes` in order, on `workers` forked
     processes; the bytes each unit hands to its `w` go to `write` here.
 
     Prime i goes to worker i % workers, which runs unit on its primes in
     order.  Per prime, the worker pickles down its own pipe the bytes its
     unit wrote, in pieces of at most PIECE_BYTES that never split one
-    write, then the unit's result (never bytes), in one pickle, so lists
-    shared between its records stay shared.  Reading prime i from worker
-    i % workers keeps the order; each piece is handed to `write` as it is
-    read, and the result is yielded.  A full pipe blocks its worker, so a
-    slow reader holds the workers back instead of piling finished primes up
-    in this process.  A worker's exception is re-raised here; a worker that
-    dies without one is reported with its wait status.  On every way out,
-    the workers are killed and reaped.
+    write, then the unit's result (never bytes).  Reading prime i from
+    worker i % workers keeps the order; each piece is handed to `write` as
+    it is read, and the result is yielded.  A full pipe blocks its worker,
+    so a slow reader holds the workers back instead of piling finished
+    primes up in this process.  A worker's exception is re-raised here; a
+    worker that dies without one is reported with its wait status.  On
+    every way out, the workers are killed and reaped.
     """
     import pickle  # here, not at the top: a --jobs 1 run starts without them
     import signal
@@ -443,16 +407,21 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     def unit(p: int, write: Callable) -> Summary:
         return _render(_check_prime(p, config), form, digits, write)
 
-    per_prime = _per_prime(config, unit, out.write)
+    primes = sieve_primes(config.pmin, config.pmax)
+    workers = min(config.jobs, len(primes))
+    if workers > 1:
+        tallies = _forked_map(unit, primes, workers, out.write)
+    else:
+        tallies = (unit(p, out.write) for p in primes)
     summary = Summary()
     try:
         out.write(header.encode())
-        for tally in per_prime:
+        for tally in tallies:
             summary.merge(tally)
             if config.fail_fast and tally.failed:
                 break
     finally:
-        per_prime.close()
+        tallies.close()  # stops the workers, if any
     summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
     out.write((trailer(summary) + "\n").encode())
     return summary

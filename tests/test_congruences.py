@@ -419,7 +419,8 @@ class TestCheckerTable:
 
 
 def test_check_result_pickles_as_its_fields():
-    # iter_sweep's forked workers pickle their records down the pipe
+    # a forked worker's tally carries its first failing instance, the one
+    # record that goes down the worker's pipe
     record = congruences.result(ClaimId.GL0, 7, 7, [3], [3])
     loaded = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     assert type(loaded) is congruences.CheckResult and loaded == record

@@ -4,12 +4,14 @@ import json
 import os
 import pickle
 import signal
+import stat
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from functools import cache
-from itertools import count, groupby, repeat
+from itertools import accumulate, count, groupby, repeat
 from types import SimpleNamespace
 
 import pytest
@@ -35,7 +37,6 @@ from trinocheck.sweep import (
     MAX_JOBS,
     ConfigError,
     SweepConfig,
-    iter_sweep,
     sweep_report,
 )
 
@@ -46,9 +47,20 @@ def _cfg(**kwargs):
     return SweepConfig(**defaults)
 
 
+def _checked(config):
+    """Each prime's records, checked in this process by sweep._check_prime
+    whatever config.jobs is, up to the prime where --fail-fast stops."""
+    chunks = []
+    for p in modular.sieve_primes(config.pmin, config.pmax):
+        chunks.append(sweep._check_prime(p, config))
+        if config.fail_fast and any(r.lhs != r.rhs for r in chunks[-1]):
+            break
+    return chunks
+
+
 def _records(config):
     """Every record of the sweep, in report order."""
-    return [r for chunk in iter_sweep(config) for r in chunk]
+    return [r for chunk in _checked(config) for r in chunk]
 
 
 def _instances(config):
@@ -240,8 +252,8 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
-    """What a sweep yields: records from iter_sweep, the summary from
-    sweep_report."""
+    """What a sweep yields: each prime's records from _check_prime, the
+    summary from sweep_report."""
 
     def test_two_primes_one_claim(self):
         records = _instances(_cfg())
@@ -418,10 +430,14 @@ class TestSharedSpecs:
         pmax=st.integers(5, 61),
     )
     def test_subset_equals_filtered_full_sweep(self, jobs, subset, pmax):
+        # a subset's records are the full sweep's, filtered, and its report
+        # at `jobs` is theirs, each record rendered on its own
         claims = tuple(c for c in ClaimId if c in subset)
-        got = _records(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs))
+        config = SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs)
+        chunks = _checked(config)
         want = [r for r in _all_claims_records() if r.claim in subset and r.p <= pmax]
-        assert got == want
+        assert [r for chunk in chunks for r in chunk] == want
+        assert _report(config) == _independent_report(chunks)
 
     @pytest.mark.parametrize("fail_fast", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -434,8 +450,13 @@ class TestSharedSpecs:
         # Carlitz fails at every 7 <= p <= 61, so with pmax >= 7 fail_fast truncates
         chosen = subset | {ClaimId.CARLITZ, ClaimId.COR4_EQ11}
         claims = tuple(c for c in ClaimId if c in chosen)
-        got = _instances(SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
-                                     fail_fast=fail_fast, summary_only=True))
+        config = SweepConfig(pmin=5, pmax=pmax, nmax=2, claims=claims, jobs=jobs,
+                             fail_fast=fail_fast, summary_only=True)
+        chunks = _checked(config)
+        # the aggregates are made where the prime is checked, so a worker
+        # renders them as this process does
+        assert _report(config) == _independent_report(chunks)
+        got = expand(r for chunk in chunks for r in chunk)
         want = _collapsed(expand(
             r for r in _all_claims_records() if r.claim in chosen and r.p <= pmax
         ))
@@ -489,8 +510,7 @@ class TestFailureInsideRecord:
         # report stops after that prime: the records' bytes, each rendered
         # on its own
         cfg = self._cfg(claim, jobs, fail_fast=True)
-        chunks = list(iter_sweep(cfg._replace(jobs=1)))
-        assert _report(cfg, fmt) == b"".join(_independent_writes(chunks, fmt))
+        assert _report(cfg, fmt) == _independent_report(_checked(cfg), fmt)
 
     def test_trailer_first_failure(self, claim, jobs):
         cfg = self._cfg(claim, jobs)
@@ -505,6 +525,7 @@ class TestFailureInsideRecord:
 
     def test_summary_only_aggregate_fails(self, claim, jobs):
         cfg = self._cfg(claim, jobs, summary_only=True)
+        assert _report(cfg) == _independent_report(_checked(cfg))
         aggregates = [r for r in _instances(cfg) if r.claim is claim]
         assert len(aggregates) == 4 * (2 if checker_of(claim)[1] else 1)
         for r in aggregates:
@@ -648,6 +669,10 @@ def _independent_writes(chunks, fmt):
     return [w.encode() for w in writes]
 
 
+def _independent_report(chunks, fmt="jsonl"):
+    return b"".join(_independent_writes(chunks, fmt))
+
+
 def _rendered_writes(chunks, fmt):
     """The format's header, the writes of _render (sweep_report's step on
     each prime) over `chunks`, then the trailer of their summed tallies;
@@ -708,16 +733,21 @@ class TestSharedTails:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_one_write_per_record_rendered_alone(self, fmt, jobs, fail_fast):
-        # sweep_report at jobs 1 writes the header, then each record in a
-        # write of its own, as if no tail were shared, then the trailer: no
-        # write holds two records.  The records come from iter_sweep at
-        # `jobs`, across a worker's pipe too
-        config = SweepConfig(pmax=97, fail_fast=fail_fast)
-        chunks = list(iter_sweep(config._replace(jobs=jobs)))
+        # sweep_report writes the header, then each record as if no tail
+        # were shared, then the trailer.  At jobs 1 each record is a write of
+        # its own, so no write holds two records; a forked worker's pieces
+        # hold whole records, so no write splits one
+        config = SweepConfig(pmax=97, fail_fast=fail_fast, jobs=jobs)
+        chunks = _checked(config)
+        want = _independent_writes(chunks, fmt)
         out = _RecordingOut()
         sweep_report(config, fmt, out)
-        assert out.writes == _independent_writes(chunks, fmt)
-        assert len(out.writes) == 2 + sum(map(len, chunks))
+        if jobs == 1:
+            assert out.writes == want
+            assert len(out.writes) == 2 + sum(map(len, chunks))
+        else:
+            assert b"".join(out.writes) == b"".join(want)
+            assert set(accumulate(map(len, out.writes))) < set(accumulate(map(len, want)))
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_shared_lhs_with_other_k_modulus_or_rhs(self, fmt):
@@ -741,15 +771,17 @@ class TestSharedTails:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cor4_tails_built_once_per_prime(self, monkeypatch, jobs):
         # a prime's Cor4 row and pattern are built once and shared by the
-        # records of every n, across a worker's pipe too; summary-only counts
-        # their passes once per prime, not nmax = 8 times
+        # records of every n, which render as if alone, here and in the
+        # report at `jobs`; summary-only counts their passes once per prime,
+        # not nmax = 8 times
         config = SweepConfig(pmax=13, nmax=8, jobs=jobs, claims=(ClaimId.COR4_EQ11,))
-        chunks = list(iter_sweep(config))
+        chunks = _checked(config)
         assert [len(c) for c in chunks] == [8, 8, 8, 8]
         for chunk in chunks:
             assert len({id(r.lhs) for r in chunk}) == len({id(r.rhs) for r in chunk}) == 1
         writes, _ = _rendered_writes(chunks, "jsonl")
         assert writes == _independent_writes(chunks, "jsonl")
+        assert _report(config) == b"".join(writes)
 
         counted = Counter()
         passed = sweep._passed
@@ -804,6 +836,20 @@ options:
   --summary-only        report a claim over k as one aggregate per (claim, p,
                         n)
 """
+
+
+def _counted_forks(monkeypatch):
+    """The list of the pids os.fork returns in this process from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        forks.append(pid)  # a child's list is its own copy
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 class TestCli:
@@ -931,6 +977,62 @@ class TestCli:
         assert "ZeroDivisionError" in capsys.readouterr().err
         assert out.read_bytes() == previous
         assert [f.name for f in tmp_path.iterdir()] == ["r.jsonl"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_fifo_is_written_in_place(self, tmp_path, jobs):
+        # a FIFO is opened and written, not replaced by a regular file: a
+        # reader gets the report, several pipe buffers long, as it is
+        # written.  The run is a child process, so that its workers are not
+        # forked from a process with a thread
+        args = ["--pmax", "97", "--nmax", "2", "--jobs", jobs]
+        regular, fifo = tmp_path / "r.jsonl", tmp_path / "fifo"
+        assert main(args + ["--out", str(regular)]) == 1
+        os.mkfifo(fifo)
+        writer = os.open(fifo, os.O_RDWR)  # held open, so the reader's open does not wait
+        got = []
+        with open(fifo, "rb") as reading:
+            reader = threading.Thread(target=lambda: got.append(reading.read()))
+            reader.start()
+            try:
+                run = subprocess.run([sys.executable, "-m", "trinocheck", *args, "--out", str(fifo)],
+                                     timeout=120)
+            finally:
+                os.close(writer)  # the reader's end of file, once the run has closed its end
+                reader.join(timeout=60)
+        assert run.returncode == 1
+        assert not reader.is_alive()
+        assert got == [regular.read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["fifo", "r.jsonl"]
+
+    def test_out_symlink_replaces_the_file_it_names(self, monkeypatch, tmp_path, capsysbinary):
+        # the report is renamed onto the file the link names, and the link
+        # stays; an internal error keeps that file's previous bytes and
+        # leaves no temporary file beside it
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "r.jsonl").write_bytes(b"previous report\n")
+        link = tmp_path / "link.jsonl"
+        os.symlink(os.path.join("real", "r.jsonl"), link)
+        args = ["--pmax", "13", "--claims", "GL0,Thm1_Eq2"]
+        assert main(args) == 0
+        report = capsysbinary.readouterr().out
+
+        def raises_at_11(ctx):
+            if ctx.p == 11:
+                raise ZeroDivisionError("p = 11")
+            return check_half_third_sixth(ctx)
+
+        with monkeypatch.context() as patched:
+            replace_checker(patched, check_half_third_sixth, raises_at_11)
+            assert main(args + ["--out", str(link)]) == 2
+        assert b"ZeroDivisionError" in capsysbinary.readouterr().err
+        assert (real / "r.jsonl").read_bytes() == b"previous report\n"
+        assert main(args + ["--out", str(link)]) == 0
+        assert (real / "r.jsonl").read_bytes() == report
+        assert os.readlink(link) == os.path.join("real", "r.jsonl")
+        assert os.listdir(real) == ["r.jsonl"]
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "real"]
 
     def test_exit_two_on_unwritable_output(self, capsys):
         rc = main(
@@ -1113,15 +1215,7 @@ class TestCli:
         ]
 
     def test_pool_has_no_more_workers_than_primes(self, monkeypatch, tmp_path):
-        forks = []
-        real_fork = os.fork
-
-        def counting_fork():
-            pid = real_fork()
-            forks.append(pid)  # a child's list is its own copy
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forks = _counted_forks(monkeypatch)
         serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
         assert main(["--pmax", "11", "--out", str(serial)]) == 1
         assert forks == []
@@ -1132,67 +1226,94 @@ class TestCli:
         assert len(forks) == 5
 
     def test_pool_run_ahead_is_bounded(self, monkeypatch, tmp_path):
-        # a slow reader holds the workers back, and the records render to
-        # the bytes of one process's report
+        # a slow report file holds the workers back, and gets the bytes of
+        # one process's report
         jobs = 2
 
-        def slow(chunks):
-            for chunk in chunks:
+        class SlowOut(_RecordingOut):
+            def write(self, data):
                 time.sleep(0.005)
-                yield chunk
+                return super().write(data)
 
         config = SweepConfig(pmin=5, pmax=211, nmax=2)
-        pooled = list(slow(iter_sweep(config._replace(jobs=jobs))))
-        assert b"".join(_independent_writes(pooled, "jsonl")) == _report(config)
+        out = SlowOut()
+        sweep_report(config._replace(jobs=jobs), "jsonl", out)
+        assert b"".join(out.writes) == _report(config)
 
-        # a reader that stops after the first prime of a cheap, long sweep:
-        # a full pipe blocks its worker, so most primes are never checked,
-        # and closing the stream leaves no worker behind
+        # a report file whose first write of report bytes waits until the
+        # workers of a cheap, long sweep stop checking primes, then fails: a
+        # full pipe blocks each worker, so most primes are never checked,
+        # and the failed report leaves no worker behind
         checked = tmp_path / "checked"
+        checked.write_bytes(b"")
 
         def cheap(ctx):
-            fd = os.open(checked, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            fd = os.open(checked, os.O_WRONLY | os.O_APPEND)
             os.write(fd, b"%d\n" % ctx.p)
             os.close(fd)
             return [result(ClaimId.GL0, ctx.p, ctx.p, [0], [0])]
 
+        class Stalled(Exception):
+            pass
+
+        class StallingOut:
+            def write(self, data):
+                if not data:  # the jsonl header, written before any prime
+                    return 0
+                settled, self.seen = None, checked.read_bytes()
+                while self.seen != settled:  # until the workers stop checking primes
+                    time.sleep(0.2)
+                    settled, self.seen = self.seen, checked.read_bytes()
+                raise Stalled
+
         replace_checker(monkeypatch, check_half_third_sixth, cheap)
         primes = modular.sieve_primes(5, 200_000)
-        stream = iter_sweep(SweepConfig(pmax=200_000, claims=(ClaimId.GL0,), jobs=jobs))
-        assert next(stream)[0].p == 5
-        settled, seen = None, checked.read_bytes()
-        while seen != settled:  # until the workers stop checking primes
-            time.sleep(0.2)
-            settled, seen = seen, checked.read_bytes()
-        stream.close()
+        out = StallingOut()
+        with pytest.raises(Stalled):
+            sweep_report(SweepConfig(pmax=200_000, claims=(ClaimId.GL0,), jobs=jobs), "jsonl", out)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        seen = [int(line) for line in seen.split()]
+        seen = [int(line) for line in out.seen.split()]
+        assert 5 in seen and len(seen) > jobs  # the workers ran ahead of the report
         assert len(set(seen)) == len(seen)
         assert set(seen) <= set(primes)
         assert len(seen) < len(primes) / 8
 
     @pytest.mark.parametrize("how", ["normal", "fail-fast", "error", "closed"])
     def test_workers_are_reaped(self, monkeypatch, how):
+        # every way out of a report at --jobs 2: complete, stopped by
+        # --fail-fast, stopped by a checker's error, and stopped by a report
+        # file whose reader has gone ("closed") after the first prime
         def raises_at_11(ctx):
             if ctx.p == 11:
                 raise ZeroDivisionError("p = 11")
             return check_half_third_sixth(ctx)
 
+        class ClosedOut(_RecordingOut):
+            def write(self, data):
+                if any(self.writes):
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(data)
+
+        forks = _counted_forks(monkeypatch)
         replace_checker(monkeypatch, check_half_third_sixth, raises_at_11)
         config = SweepConfig(pmax=31, nmax=2, claims=(ClaimId.GL0, ClaimId.CARLITZ), jobs=2)
         if how == "normal":
-            assert len(list(iter_sweep(config._replace(pmin=13)))) == 6
+            report = _report(config._replace(pmin=13))
+            assert report == _report(config._replace(pmin=13, jobs=1))
+            assert len(report.splitlines()) == 13  # 6 primes, 2 claims, the trailer
         elif how == "fail-fast":
-            chunks = list(iter_sweep(config._replace(pmin=13, fail_fast=True)))
-            assert len(chunks) == 1
+            lines = _report(config._replace(pmin=13, fail_fast=True)).splitlines()
+            assert [json.loads(line).get("claim") for line in lines] == ["Carlitz", None]
         elif how == "error":
             with pytest.raises(ZeroDivisionError, match="p = 11"):
-                list(iter_sweep(config))
+                _report(config)
         else:
-            stream = iter_sweep(config)
-            next(stream)
-            stream.close()
+            out = ClosedOut()
+            with pytest.raises(BrokenPipeError):
+                sweep_report(config, "jsonl", out)
+            assert b"".join(out.writes).splitlines() == _report(config._replace(pmax=5)).splitlines()[:2]
+        assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1229,7 +1350,8 @@ class TestCli:
                              ids=["jsonl", "summary-only-csv"])
     def test_workers_ship_no_records(self, monkeypatch, tmp_path, flags):
         # a worker ships its primes' rendered bytes and tallies: a passing
-        # report at --jobs 2 comes out whole with no record picklable
+        # report at --jobs 2 comes out whole with no record picklable, and
+        # this process reads one tally per prime
         def unpicklable(record, protocol):
             raise AssertionError("a record was pickled")
 
@@ -1240,8 +1362,19 @@ class TestCli:
         monkeypatch.setattr(CheckResult, "__reduce_ex__", unpicklable)
         with pytest.raises(AssertionError, match="a record was pickled"):
             pickle.dumps(CheckResult(ClaimId.GL0, 7, None, None, 7, [3], [3]))
+        tallies = []
+        load = pickle.load
+
+        def recording_load(file):
+            message = load(file)
+            if isinstance(message, sweep.Summary):
+                tallies.append(message)
+            return message
+
+        monkeypatch.setattr(pickle, "load", recording_load)
         assert main(args + ["--jobs", "2", "--out", str(pooled)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
+        assert len(tallies) == 23  # one per prime 5 <= p <= 97, from the workers
 
     def test_workers_ship_bounded_pieces(self, monkeypatch):
         # each prime's bytes come in pieces of at most PIECE_BYTES, unless
