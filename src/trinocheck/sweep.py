@@ -29,6 +29,8 @@ MAX_NMAX = 64
 #: processes; it never forks more workers than there are primes.
 MAX_JOBS = 256
 
+_WIRE_NAME = {c: c.value for c in ClaimId}  # read per record: no enum property call
+
 
 class ConfigError(ValueError):
     """Invalid sweep configuration; reported before any work begins."""
@@ -181,25 +183,43 @@ def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
     return records
 
 
-#: The most bytes a forked worker ships in one piece, unless one record's
-#: lines are longer: this process holds one piece at a time.
+#: The most bytes of a report written in one piece, unless one record's
+#: lines, never split, are longer: a process holds one piece at a time.
 PIECE_BYTES = 1 << 16
+
+
+def _in_pieces(unit: Callable, primes: list[int], sink: Callable) -> Iterator:
+    """unit(p, w) for each of `primes`, what it writes to `w` sent to `sink`
+    in PIECE_BYTES pieces of whole writes, a prime's last before its result."""
+    piece = bytearray()
+
+    def ship() -> None:
+        sink(bytes(piece))
+        piece.clear()
+
+    def write(data: bytes) -> None:
+        if piece and len(piece) + len(data) > PIECE_BYTES:
+            ship()
+        piece.extend(data)
+
+    for p in primes:
+        result = unit(p, write)
+        ship()
+        yield result
 
 
 def _forked_map(unit: Callable, primes: list[int], workers: int, write: Callable) -> Iterator:
     """unit(p, w) for each of `primes` in order, on `workers` forked
     processes; the bytes each unit hands to its `w` go to `write` here.
 
-    Prime i goes to worker i % workers, which runs unit on its primes in
-    order.  Per prime, the worker pickles down its own pipe the bytes its
-    unit wrote, in pieces of at most PIECE_BYTES that never split one
-    write, then the unit's result (never bytes).  Reading prime i from
-    worker i % workers keeps the order; each piece is handed to `write` as
-    it is read, and the result is yielded.  A full pipe blocks its worker,
-    so a slow reader holds the workers back instead of piling finished
-    primes up in this process.  A worker's exception is re-raised here; a
-    worker that dies without one is reported with its wait status.  On
-    every way out, the workers are killed and reaped.
+    Prime i goes to worker i % workers, which runs unit on its primes in order
+    and pickles down its own pipe each prime's pieces (by _in_pieces), then the
+    unit's result (never bytes).  Reading prime i from worker i % workers keeps
+    the order; each piece is handed to `write` as it is read, and the result is
+    yielded.  A full pipe blocks its worker, so a slow reader holds the workers
+    back instead of piling finished primes up in this process.  A worker's
+    exception is re-raised here; a worker that dies without one is reported
+    with its wait status.  On every way out, the workers are killed and reaped.
     """
     import pickle  # here, not at the top: a --jobs 1 run starts without them
     import signal
@@ -251,14 +271,15 @@ def _work(
     write_fd: int, pipes: list[io.BufferedReader], mask: set, primes: list[int], unit: Callable,
 ) -> None:
     """A forked worker: for each of `primes`, pickle down `write_fd` the
-    bytes that unit(p, w) hands to `w`, in pieces, then its result; or the
-    exception that stopped it.  Leave through os._exit, so that nothing of
-    the parent's stack (its report sink, its unflushed stdout) runs or is
-    flushed here.  `pipes` are the parent's read ends, closed here so that
-    a worker whose parent is gone fails its next write; `mask` is the signal
-    mask to restore."""
+    bytes that unit(p, w) hands to `w`, in pieces (by _in_pieces), then its
+    result; or the exception that stopped it.  Leave through os._exit, so
+    that nothing of the parent's stack (its report sink, its unflushed
+    stdout) runs or is flushed here.  `pipes` are the parent's read ends,
+    closed here so that a worker whose parent is gone fails its next write;
+    `mask` is the signal mask to restore."""
     import pickle
     import signal
+    from functools import partial
 
     code = 1
     try:
@@ -266,43 +287,29 @@ def _work(
         for pipe in pipes:
             pipe.close()
         with open(write_fd, "wb") as out:
-            piece = io.BytesIO()
-
-            def ship() -> None:  # the bytes written since the last piece, if any
-                if piece.tell():
-                    pickle.dump(piece.getvalue(), out, pickle.HIGHEST_PROTOCOL)
-                    piece.seek(0)
-                    piece.truncate()
-
-            def write(data: bytes) -> None:
-                if piece.tell() + len(data) > PIECE_BYTES:
-                    ship()
-                piece.write(data)
-
+            dump = partial(pickle.dump, file=out, protocol=pickle.HIGHEST_PROTOCOL)
             try:
-                for p in primes:
-                    result = unit(p, write)
-                    ship()
-                    pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                for result in _in_pieces(unit, primes, dump):
+                    dump(result)
                     out.flush()
             except BaseException as exc:
-                pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
+                dump(exc)
         code = 0
     finally:
         os._exit(code)
 
 
 def _jsonl_head(r: CheckResult) -> str:
-    return f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
+    return f'{{"claim":"{_WIRE_NAME[r.claim]}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
 
 
 def _jsonl_trailer(s: Summary) -> str:
     per_claim = ",".join(
-        f'"{c.value}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
+        f'"{_WIRE_NAME[c]}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
         for c, t in s.per_claim.items()
     )
     f = s.first_failure
-    first = "null" if f is None else _lines(f, FORMATS["jsonl"], [])[:-1]
+    first = "null" if f is None else "".join(_parts(f, FORMATS["jsonl"], []))[:-1]
     return (
         f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
         f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
@@ -310,7 +317,7 @@ def _jsonl_trailer(s: Summary) -> str:
 
 
 def _csv_head(r: CheckResult) -> str:
-    return f'{r.claim.value},{r.p},{"" if r.n is None else r.n},'
+    return f'{_WIRE_NAME[r.claim]},{r.p},{"" if r.n is None else r.n},'
 
 
 def _csv_trailer(s: Summary) -> str:
@@ -329,11 +336,11 @@ FORMATS = {
 }
 
 
-def _lines(r: CheckResult, form: tuple, digits: list[str]) -> str:
-    """r's lines in the FORMATS entry `form`, with no Python step per instance:
-    a passing line's parts repeated once per instance, then the k, lhs and
-    rhs slots (and the ends of failing lines) set by slice assignment.
-    digits[i] is repr(i), grown on demand."""
+def _parts(r: CheckResult, form: tuple, digits: list[str]) -> list[str]:
+    """r's lines in the FORMATS entry `form` as parts to join, seven a line,
+    with no Python step per instance: a passing line's parts repeated once per
+    instance, then the k, lhs and rhs slots (and the ends of failing lines) set
+    by slice assignment.  digits[i] is repr(i), grown on demand."""
     _, head, no_k, modulus, between, ends, _ = form
     n = len(r.lhs)
     parts = [head(r), no_k, modulus.format(r.modulus), "", between, "", ends[True]] * n
@@ -347,18 +354,20 @@ def _lines(r: CheckResult, form: tuple, digits: list[str]) -> str:
     else:
         parts[5::7] = map(repr, r.rhs)
         parts[6::7] = map(ends.__getitem__, map(operator.eq, r.lhs, r.rhs))
-    return "".join(parts)
+    return parts
 
 
 def _render(
     records: list[CheckResult], form: tuple, digits: list[str], write: Callable
 ) -> Summary:
-    """Tally `records` and hand each one's lines (by _lines, in the FORMATS
-    entry `form`) to `write` as bytes, one call per record; return their
-    tally."""
+    """Tally `records` and hand each one's lines (by _parts, in the FORMATS
+    entry `form`, or reused from an earlier record of the same lists, k and
+    modulus) to `write` as bytes, one call per record; return their tally."""
     summary = Summary()
     per_claim = summary.per_claim
-    for r in records:
+    last = {id(r.lhs): i for i, r in enumerate(records)}
+    kept: dict[int, tuple] = {}  # by id(lhs): an earlier record and its parts
+    for i, r in enumerate(records):
         n = len(r.lhs)
         passed = _passed(r)
         tally = per_claim.get(r.claim)
@@ -369,9 +378,16 @@ def _render(
         summary.records += n
         summary.passed += passed
         if passed < n and summary.first_failure is None:
-            i = _first_mismatch(r)
-            summary.first_failure = _slice(r, i, i + 1)
-        write(_lines(r, form, digits).encode())
+            j = _first_mismatch(r)
+            summary.first_failure = _slice(r, j, j + 1)
+        was, parts = kept.pop(id(r.lhs), (None, None))
+        if was and was.rhs is r.rhs and was.k == r.k and was.modulus == r.modulus:
+            parts[0::7] = [form[1](r)] * n
+        else:
+            parts = _parts(r, form, digits)
+        if last[id(r.lhs)] > i:
+            kept[id(r.lhs)] = r, parts
+        write("".join(parts).encode())
     return summary
 
 
@@ -392,11 +408,10 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     integer, so no field needs JSON escaping or CSV quoting.  The trailer is
     written last, so a report without one is incomplete.
 
-    Each prime is tallied and rendered (by _render) where it is checked.  At
-    jobs 1 each record is written to `out` as soon as it is rendered, one
-    write per record.  A forked worker ships its primes' rendered bytes and
-    each prime's tally, never a record, and this process writes the bytes
-    and adds up the tallies.
+    Each prime is tallied and rendered (by _render) where it is checked, and
+    its bytes go to `out` in pieces (by _in_pieces) before the next prime is
+    checked.  A forked worker ships its primes' pieces and each prime's tally,
+    never a record, and this process writes the pieces and adds up the tallies.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -412,7 +427,7 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     if workers > 1:
         tallies = _forked_map(unit, primes, workers, out.write)
     else:
-        tallies = (unit(p, out.write) for p in primes)
+        tallies = _in_pieces(unit, primes, out.write)
     summary = Summary()
     try:
         out.write(header.encode())

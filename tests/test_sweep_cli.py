@@ -604,7 +604,7 @@ class TestRender:
 
 def _independent_lines(r, fmt):
     """r's report lines, each rendered on its own by one f-string, joined by
-    newlines: the oracle for _lines's list-template rendering."""
+    newlines: the oracle for _parts's list-template rendering."""
     if fmt == "jsonl":
         head = f'{{"claim":"{r.claim.value}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
         mid = f',"modulus":{r.modulus},"lhs":"'
@@ -734,20 +734,17 @@ class TestSharedTails:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_one_write_per_record_rendered_alone(self, fmt, jobs, fail_fast):
         # sweep_report writes the header, then each record as if no tail
-        # were shared, then the trailer.  At jobs 1 each record is a write of
-        # its own, so no write holds two records; a forked worker's pieces
-        # hold whole records, so no write splits one
+        # were shared, then the trailer.  At every jobs the records go out
+        # in pieces of whole records: no write splits a record, and there
+        # are fewer writes than records
         config = SweepConfig(pmax=97, fail_fast=fail_fast, jobs=jobs)
         chunks = _checked(config)
         want = _independent_writes(chunks, fmt)
         out = _RecordingOut()
         sweep_report(config, fmt, out)
-        if jobs == 1:
-            assert out.writes == want
-            assert len(out.writes) == 2 + sum(map(len, chunks))
-        else:
-            assert b"".join(out.writes) == b"".join(want)
-            assert set(accumulate(map(len, out.writes))) < set(accumulate(map(len, want)))
+        assert b"".join(out.writes) == b"".join(want)
+        assert set(accumulate(map(len, out.writes))) < set(accumulate(map(len, want)))
+        assert len(out.writes) < sum(map(len, chunks))
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_shared_lhs_with_other_k_modulus_or_rhs(self, fmt):
@@ -798,6 +795,26 @@ class TestSharedTails:
         cor4 = {p: counted[ClaimId.COR4_EQ11, p] for p in (5, 7, 11, 13)}
         assert cor4 == {5: 1, 7: 1, 11: 1, 13: 1}
         assert counted[ClaimId.TRIPLE_SUM_A, 13] == 8  # fresh lists per n
+
+    def test_shared_side_formatted_once_per_prime(self, monkeypatch):
+        # the Cor4 records of a prime share its row and pattern at every n:
+        # the row's residues are formatted once per prime, not nmax = 8
+        # times, and each record still renders as if alone
+        config = SweepConfig(pmax=13, nmax=8, claims=(ClaimId.COR4_EQ11,))
+        chunks = _checked(config)
+        assert all(r.lhs == r.rhs for chunk in chunks for r in chunk)
+        calls = Counter()
+
+        def counting(x):
+            calls[type(x)] += 1
+            return repr(x)
+
+        monkeypatch.setattr(sweep, "repr", counting, raising=False)
+        report = _report(config)
+        monkeypatch.undo()
+        assert report == _independent_report(chunks)
+        ks = max(r.k + len(r.lhs) for chunk in chunks for r in chunk)  # digits, shared by all
+        assert calls == {int: sum(len(chunk[0].lhs) for chunk in chunks) + ks}
 
     @settings(max_examples=60, deadline=None)
     @given(chunks=st.lists(_shared_side_chunk(), min_size=1, max_size=3))
@@ -1403,6 +1420,28 @@ class TestCli:
                 assert len({tuple(line.split(b",")[:3]) for line in x.splitlines()}) == 1
             # 16 primes, some of them in more than one piece
             assert len(pieces) > 16 and bool(oversized) is not summary_only
+            # at jobs 1 the same pieces are written to `out`
+            out = _RecordingOut()
+            sweep_report(cfg, "csv", out)
+            assert out.writes[1:-1] == pieces
+
+    def test_each_prime_written_before_the_next_is_checked(self, monkeypatch):
+        # at jobs 1 a prime's last piece reaches `out` before the next prime
+        # is checked, so the first record leaves as soon as its prime is done
+        out = _RecordingOut()
+        written = {}
+        check = sweep._check_prime
+
+        def recording(p, config):
+            written[p] = b"".join(out.writes)
+            return check(p, config)
+
+        monkeypatch.setattr(sweep, "_check_prime", recording)
+        sweep_report(SweepConfig(pmax=61, nmax=2), "csv", out)
+        header, *lines, _ = b"".join(out.writes).splitlines(keepends=True)
+        assert list(written) == modular.sieve_primes(5, 61)
+        for q, before in written.items():
+            assert before == header + b"".join(x for x in lines if int(x.split(b",")[1]) < q)
 
     def test_jobs_flag(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
