@@ -156,7 +156,7 @@ def check_row_np_minus1(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     ]
 
 
-def check_thm2_eq6(ctx: PrimeContext) -> list[CheckResult]:
+def check_thm2_eq6(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """sum_{k=0..(p-1)/2} C(2k,k) * H_k mod p vs -+q3 per p mod 3.
 
     Central binomials mod p come from the multiplicative recurrence
@@ -174,7 +174,7 @@ def check_thm2_eq6(ctx: PrimeContext) -> list[CheckResult]:
     return [result(ClaimId.THM2_EQ6, p, p, [acc], [rhs])]
 
 
-def check_thm2_eq7(ctx: PrimeContext) -> list[CheckResult]:
+def check_thm2_eq7(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """sum_{k=1..floor((p-1)/4)} C(4k,2k)/4**k * (2*H_{2k} - H_k) mod p vs
     -+(-1)**((p-1)/2) * q3/2 per p mod 6."""
     p = ctx.p
@@ -279,7 +279,7 @@ def check_classical(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     ]
 
 
-def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
+def halfrow_binomial_check(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """(-1)**k * C((p-1)/2 - k, k) vs C(4k, 2k) / 4**k mod p, for k in
     1..floor((p-1)/4).
 
@@ -300,7 +300,7 @@ def halfrow_binomial_check(ctx: PrimeContext) -> list[CheckResult]:
     return [result(ClaimId.HALF_ROW_BINOM, p, p, lhs, central4[1:], k=1)]
 
 
-def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
+def check_half_third_sixth(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """H at the floor(p/2), floor(p/3), floor(p/6) prefixes vs -2*q2, -(3/2)*q3
     and their sum, all mod p."""
     table = ctx.cached(harmonic_table)
@@ -315,7 +315,7 @@ def check_half_third_sixth(ctx: PrimeContext) -> list[CheckResult]:
     ]
 
 
-def check_reflections(ctx: PrimeContext) -> list[CheckResult]:
+def check_reflections(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """Reflection rules, over the index k:
 
     H_{p-k} == H_{k-1} for 1 <= k <= p-1, and
@@ -335,7 +335,7 @@ def check_reflections(ctx: PrimeContext) -> list[CheckResult]:
     ]
 
 
-def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
+def check_progression_lemmas(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """Arithmetic-progression harmonic sums against their closed forms mod p.
 
     Emits only the claims applicable to ctx's residue class; inapplicable
@@ -374,25 +374,23 @@ def check_progression_lemmas(ctx: PrimeContext) -> list[CheckResult]:
     ]
 
 
-#: Each checker once: whether it takes nmax, and the claims it emits.  A
-#: checker is run(ctx) or run(ctx, nmax), and runs once per prime: it returns
-#: one record per claim it emits at p, except that a checker that takes nmax
-#: returns one at each (p, n) for n = 1..nmax for the claims that have an n;
+#: Each checker once, with the claims it emits.  A checker is run(ctx, nmax)
+#: and runs once per prime: it returns one record per claim it emits at p,
+#: except that a claim that has an n gets one at each (p, n) for n = 1..nmax;
 #: a claim over k holds all its instances in one record.
-CHECKERS: dict[Callable[..., list[CheckResult]], tuple[bool, tuple[ClaimId, ...]]] = {
+CHECKERS: dict[Callable[[PrimeContext, int], list[CheckResult]], tuple[ClaimId, ...]] = {
     check_row_np_minus1:
-        (True, (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10)),
-    check_thm2_eq6: (False, (ClaimId.THM2_EQ6,)),
-    check_thm2_eq7: (False, (ClaimId.THM2_EQ7,)),
-    check_cor4_eq11: (True, (ClaimId.COR4_EQ11,)),
-    check_triple_sum: (True, (ClaimId.TRIPLE_SUM_A,)),
+        (ClaimId.THM1_EQ2, ClaimId.THM1_EQ4, ClaimId.PROP3_EQ9, ClaimId.PROP3_EQ10),
+    check_thm2_eq6: (ClaimId.THM2_EQ6,),
+    check_thm2_eq7: (ClaimId.THM2_EQ7,),
+    check_cor4_eq11: (ClaimId.COR4_EQ11,),
+    check_triple_sum: (ClaimId.TRIPLE_SUM_A,),
     check_classical:
-        (True, (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME, ClaimId.GLAISHER, ClaimId.MORLEY,
-                ClaimId.CARLITZ)),
-    halfrow_binomial_check: (False, (ClaimId.HALF_ROW_BINOM,)),
-    check_half_third_sixth: (False, (ClaimId.GL0, ClaimId.GL, ClaimId.GL2)),
-    check_reflections: (False, (ClaimId.CONG0, ClaimId.CONG1)),
+        (ClaimId.BABBAGE, ClaimId.WOLSTENHOLME, ClaimId.GLAISHER, ClaimId.MORLEY, ClaimId.CARLITZ),
+    halfrow_binomial_check: (ClaimId.HALF_ROW_BINOM,),
+    check_half_third_sixth: (ClaimId.GL0, ClaimId.GL, ClaimId.GL2),
+    check_reflections: (ClaimId.CONG0, ClaimId.CONG1),
     check_progression_lemmas:
-        (False, (ClaimId.C1B, ClaimId.C1C, ClaimId.C2B, ClaimId.C2C, ClaimId.C3, ClaimId.C3B,
-                 ClaimId.H0, ClaimId.H1, ClaimId.H2, ClaimId.H3)),
+        (ClaimId.C1B, ClaimId.C1C, ClaimId.C2B, ClaimId.C2C, ClaimId.C3, ClaimId.C3B,
+         ClaimId.H0, ClaimId.H1, ClaimId.H2, ClaimId.H3),
 }

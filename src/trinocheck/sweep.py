@@ -143,44 +143,57 @@ class Summary(ClaimTally):
             self.first_failure = later.first_failure
 
 
-def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
-    """All records for one prime of `config`'s sweep in report order, as
-    sweep_report tallies and renders them where the prime is checked.
+def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], Summary]:
+    """One prime of `config`'s sweep: its records in report order, as
+    sweep_report renders them, and their tally.
 
-    Each checker in CHECKERS runs once (with nmax when it takes it) if it
-    emits a selected claim, and only the selected claims' records are kept.
-    With summary_only, each record over k becomes one aggregate carrying its
-    passed-count in lhs and its instance-count in rhs, as plain counts (not
-    reduced mod the claim's modulus), so an aggregate passes iff every
-    instance does; a record that shares both lists with the one before it
-    (the Cor4 row and pattern at every n) reuses its count.  With fail_fast,
-    the records end with the first failing instance: the record holding it
-    is cut after it.
+    Each checker in CHECKERS that emits a selected claim runs once, as
+    run(ctx, nmax), and the selected claims' records are kept.  One pass
+    then judges each record once; a record over k that shares both lists
+    with an earlier one (the Cor4 row and pattern at every n) reuses its
+    pass count.  With summary_only, each record over k becomes one aggregate
+    of its passed-count (lhs) and instance-count (rhs), unreduced, so it
+    passes iff every instance does; it is tallied as one instance.  With
+    fail_fast, the record holding the first failing instance ends the
+    records, cut after that instance.
     """
     ctx = PrimeContext(p)
     selected = set(config.claims)
-    nmax = config.nmax
     records: list[CheckResult] = []
-    for run, (per_n, emits) in CHECKERS.items():
-        if selected.isdisjoint(emits):
-            continue
-        records.extend(r for r in (run(ctx, nmax) if per_n else run(ctx)) if r.claim in selected)
-    if config.summary_only:
-        prev = None
-        for i, r in enumerate(records):
-            if r.k is None:
-                continue
-            if prev is None or r.lhs is not prev.lhs or r.rhs is not prev.rhs:
-                passed = _passed(r)
-            prev = r
-            records[i] = CheckResult(r.claim, p, r.n, None, r.modulus, [passed], [len(r.lhs)])
+    for run, emits in CHECKERS.items():
+        if not selected.isdisjoint(emits):
+            records.extend(r for r in run(ctx, config.nmax) if r.claim in selected)
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
-    if config.fail_fast:
-        for i, r in enumerate(records):
+    summary = Summary()
+    per_claim = summary.per_claim
+    # pass counts by the ids of both lists; only lists alive before the pass are looked up
+    counts: dict[tuple[int, int], int] = {}
+    for i, r in enumerate(records):
+        size = len(r.lhs)
+        if r.k is None:
+            passed = _passed(r)
+        else:
+            key = id(r.lhs), id(r.rhs)
+            passed = counts.get(key)
+            if passed is None:
+                passed = counts[key] = _passed(r)
+            if config.summary_only:
+                records[i] = r = CheckResult(r.claim, p, r.n, None, r.modulus, [passed], [size])
+                passed, size = int(passed == size), 1
+        if passed < size and summary.first_failure is None:
             j = _first_mismatch(r)
-            if j is not None:
-                return records[:i] + [_slice(r, 0, j + 1)]
-    return records
+            summary.first_failure = _slice(r, j, j + 1)
+            if config.fail_fast:  # the cut record is the last, so the loop ends with it
+                passed, size = j, j + 1
+                records[i:] = [r := _slice(r, 0, size)]
+        tally = per_claim.get(r.claim)
+        if tally is None:
+            tally = per_claim[r.claim] = ClaimTally()
+        tally.records += size
+        tally.passed += passed
+        summary.records += size
+        summary.passed += passed
+    return records, summary
 
 
 #: The most bytes of a report written in one piece, unless one record's
@@ -357,38 +370,21 @@ def _parts(r: CheckResult, form: tuple, digits: list[str]) -> list[str]:
     return parts
 
 
-def _render(
-    records: list[CheckResult], form: tuple, digits: list[str], write: Callable
-) -> Summary:
-    """Tally `records` and hand each one's lines (by _parts, in the FORMATS
-    entry `form`, or reused from an earlier record of the same lists, k and
-    modulus) to `write` as bytes, one call per record; return their tally."""
-    summary = Summary()
-    per_claim = summary.per_claim
+def _render(records: list[CheckResult], form: tuple, digits: list[str], write: Callable) -> None:
+    """Hand each of `records`' lines (by _parts, in the FORMATS entry `form`,
+    or reused from an earlier record of the same lists, k and modulus) to
+    `write` as bytes, one call per record."""
     last = {id(r.lhs): i for i, r in enumerate(records)}
     kept: dict[int, tuple] = {}  # by id(lhs): an earlier record and its parts
     for i, r in enumerate(records):
-        n = len(r.lhs)
-        passed = _passed(r)
-        tally = per_claim.get(r.claim)
-        if tally is None:
-            tally = per_claim[r.claim] = ClaimTally()
-        tally.records += n
-        tally.passed += passed
-        summary.records += n
-        summary.passed += passed
-        if passed < n and summary.first_failure is None:
-            j = _first_mismatch(r)
-            summary.first_failure = _slice(r, j, j + 1)
         was, parts = kept.pop(id(r.lhs), (None, None))
         if was and was.rhs is r.rhs and was.k == r.k and was.modulus == r.modulus:
-            parts[0::7] = [form[1](r)] * n
+            parts[0::7] = [form[1](r)] * len(r.lhs)
         else:
             parts = _parts(r, form, digits)
         if last[id(r.lhs)] > i:
             kept[id(r.lhs)] = r, parts
         write("".join(parts).encode())
-    return summary
 
 
 def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summary:
@@ -408,10 +404,11 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     integer, so no field needs JSON escaping or CSV quoting.  The trailer is
     written last, so a report without one is incomplete.
 
-    Each prime is tallied and rendered (by _render) where it is checked, and
-    its bytes go to `out` in pieces (by _in_pieces) before the next prime is
-    checked.  A forked worker ships its primes' pieces and each prime's tally,
-    never a record, and this process writes the pieces and adds up the tallies.
+    Each prime is checked and tallied (by _check_prime) and rendered (by
+    _render) in one place, and its bytes go to `out` in pieces (by
+    _in_pieces) before the next prime is checked.  A forked worker ships its
+    primes' pieces and each prime's tally, never a record, and this process
+    writes the pieces and adds up the tallies.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -420,7 +417,9 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     digits: list[str] = []
 
     def unit(p: int, write: Callable) -> Summary:
-        return _render(_check_prime(p, config), form, digits, write)
+        records, tally = _check_prime(p, config)
+        _render(records, form, digits, write)
+        return tally
 
     primes = sieve_primes(config.pmin, config.pmax)
     workers = min(config.jobs, len(primes))

@@ -3,7 +3,8 @@
 A CheckResult holds all instances of one (claim, p, n) in its lhs/rhs lists;
 the tests read them one instance at a time, with k counted from the
 record's first index, exactly as the report prints them.  The checker
-helpers look claims up in, and swap fakes into, the checker table.
+helpers look claims up in, and swap fakes into, the checker table, whose
+every checker is run(ctx, nmax).
 """
 
 from typing import NamedTuple
@@ -42,25 +43,21 @@ def expand(records):
 
 
 def checker_of(claim):
-    """(checker, per_n) of the CHECKERS entry that emits `claim`; per_n means
-    the checker takes nmax, and returns records at each n = 1..nmax only for
-    the claims that have an n (CLAIMS_WITH_N)."""
-    [entry] = [(run, per_n) for run, (per_n, claims) in CHECKERS.items() if claim in claims]
-    return entry
+    """The checker whose CHECKERS entry emits `claim`."""
+    [run] = [run for run, claims in CHECKERS.items() if claim in claims]
+    return run
 
 
 def records_of(claim, ctx, n=None):
     """The records of `claim` alone, at `n` (None for a claim without n),
-    from the checker that emits it, run to nmax = n (1 when n is None) when
-    it takes nmax."""
-    run, per_n = checker_of(claim)
-    records = run(ctx, n or 1) if per_n else run(ctx)
+    from the checker that emits it, run to nmax = n (1 when n is None)."""
+    records = checker_of(claim)(ctx, n or 1)
     return [r for r in records if r.claim is claim and r.n == n]
 
 
 def replace_checker(monkeypatch, checker, fake):
-    """Run `fake` in `checker`'s place, with its entry's per_n and claims,
-    until the test ends."""
-    entry = CHECKERS[checker]
+    """Run `fake` in `checker`'s place, with its entry's claims, until the
+    test ends."""
+    claims = CHECKERS[checker]
     monkeypatch.delitem(CHECKERS, checker)
-    monkeypatch.setitem(CHECKERS, fake, entry)
+    monkeypatch.setitem(CHECKERS, fake, claims)

@@ -97,9 +97,9 @@ def test_criterion_5_lemma_sweep():
     failures = []
     for p in tc.sieve_primes(5, 2003):
         ctx = tc.PrimeContext(p)
-        _collect(expand(check_half_third_sixth(ctx)), failures)
-        _collect(expand(check_reflections(ctx)), failures)
-        _collect(expand(check_progression_lemmas(ctx)), failures)
+        _collect(expand(check_half_third_sixth(ctx, 1)), failures)
+        _collect(expand(check_reflections(ctx, 1)), failures)
+        _collect(expand(check_progression_lemmas(ctx, 1)), failures)
     _conclude("5 harmonic-lemma sweep (p <= 2003, mod p)", failures)
 
 
@@ -288,7 +288,7 @@ def test_criterion_10_cli_contract(monkeypatch, tmp_path, capsysbinary):
         failures.append(f"expected exit 2, got {rc}")
 
     # fault injection: a deliberately falsified claim must yield exit 1
-    def broken(ctx):
+    def broken(ctx, nmax):
         return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1])]
 
     replace_checker(monkeypatch, check_half_third_sixth, broken)

@@ -305,7 +305,7 @@ def test_progression_sums_match_ap_harmonic():
     }
     for p in sieve_primes(5, 1009):
         ctx = PrimeContext(p)
-        records = congruences.check_progression_lemmas(ctx)
+        records = congruences.check_progression_lemmas(ctx, 1)
         assert len(records) == 5
         for r in records:
             m, d, r0 = terms[r.claim]
@@ -379,12 +379,10 @@ def test_one_record_per_claim_and_n(p):
 
 @pytest.mark.parametrize("p", [5, 7, 13, 101])
 def test_per_n_values_do_not_depend_on_nmax(p):
-    # a checker that takes nmax gives the same records at n <= m, and the
-    # same records without n, whether it runs to m or to 64 (n*p passes
-    # p**2), each run on a fresh context
-    for run, (per_n, _) in CHECKERS.items():
-        if not per_n:
-            continue
+    # every checker gives the same records at n <= m, and the same records
+    # without n, whether it runs to m or to 64 (n*p passes p**2), each run
+    # on a fresh context
+    for run in CHECKERS:
         wide = run(PrimeContext(p), 64)
         for m in (1, 8):
             kept = [r for r in wide if r.n is None or r.n <= m]
@@ -395,25 +393,27 @@ class TestCheckerTable:
     """CHECKERS lists each checker once, with the claims it emits."""
 
     def test_each_claim_in_exactly_one_entry(self):
-        listed = [c for _, claims in CHECKERS.values() for c in claims]
+        listed = [c for claims in CHECKERS.values() for c in claims]
         assert sorted(listed) == sorted(ClaimId)
+        assert all(type(claims) is tuple for claims in CHECKERS.values())
+        assert all(type(c) is ClaimId for c in listed)
         assert len(CHECKERS) == 10
 
     def test_checkers_emit_their_entries(self):
         # p = 11 and p = 13 are 5 and 1 mod 6, so between them every claim
         # of the residue-class lemmas applies; n-free records carry n None,
-        # and a checker that takes nmax emits n = 1..nmax for the claims
-        # that have an n
-        for run, (per_n, claims) in CHECKERS.items():
+        # the claims that have an n get records at n = 1..nmax, and every
+        # value is a canonical residue mod its record's modulus
+        for run, claims in CHECKERS.items():
             emitted = set()
             for p in (11, 13):
-                ctx = PrimeContext(p)
-                records = run(ctx, 2) if per_n else run(ctx)
+                records = run(PrimeContext(p), 2)
                 assert {r.claim for r in records} <= set(claims), run.__name__
                 for claim in {r.claim for r in records}:
                     ns = {r.n for r in records if r.claim is claim}
-                    with_n = per_n and claim in CLAIMS_WITH_N
-                    assert ns == ({1, 2} if with_n else {None}), claim
+                    assert ns == ({1, 2} if claim in CLAIMS_WITH_N else {None}), claim
+                for r in records:
+                    assert all(0 <= v < r.modulus for v in r.lhs + r.rhs), (r.claim, p, r.n)
                 emitted |= {r.claim for r in records}
             assert emitted == set(claims), run.__name__
 

@@ -100,18 +100,18 @@ class TestApHarmonic:
 
 class TestHalfThirdSixth:
     def test_spot_values(self):
-        by_claim = {r.claim: r for r in expand(check_half_third_sixth(PrimeContext(5)))}
+        by_claim = {r.claim: r for r in expand(check_half_third_sixth(PrimeContext(5), 1))}
         gl0 = by_claim[ClaimId.GL0]
         assert (gl0.lhs, gl0.rhs, gl0.passed) == (4, 4, True)  # H_2 vs -2*3
 
-        by_claim = {r.claim: r for r in expand(check_half_third_sixth(PrimeContext(7)))}
+        by_claim = {r.claim: r for r in expand(check_half_third_sixth(PrimeContext(7), 1))}
         gl = by_claim[ClaimId.GL]
         assert (gl.lhs, gl.rhs, gl.passed) == (5, 5, True)  # H_2 vs -(3/2)*6
         gl2 = by_claim[ClaimId.GL2]
         assert (gl2.lhs, gl2.rhs, gl2.passed) == (1, 1, True)  # H_1 vs -2*2-(3/2)*6
 
     def test_emits_exactly_three(self):
-        assert _claims(expand(check_half_third_sixth(PrimeContext(13)))) == {
+        assert _claims(expand(check_half_third_sixth(PrimeContext(13), 1))) == {
             ClaimId.GL0,
             ClaimId.GL,
             ClaimId.GL2,
@@ -120,18 +120,18 @@ class TestHalfThirdSixth:
 
 class TestReflections:
     def test_spot_values(self):
-        results = expand(check_reflections(PrimeContext(7)))
+        results = expand(check_reflections(PrimeContext(7), 1))
         cong0 = {r.k: r for r in results if r.claim is ClaimId.CONG0}
         assert (cong0[3].lhs, cong0[3].rhs) == (5, 5)  # H_4 vs H_2
         assert cong0[1].lhs == cong0[1].rhs == 0  # H_{p-1} vs H_0
 
-        results = expand(check_reflections(PrimeContext(5)))
+        results = expand(check_reflections(PrimeContext(5), 1))
         cong1 = {r.k: r for r in results if r.claim is ClaimId.CONG1}
         assert (cong1[1].lhs, cong1[1].rhs, cong1[1].passed) == (1, 1, True)
 
     def test_record_counts(self):
         p = 31
-        results = expand(check_reflections(PrimeContext(p)))
+        results = expand(check_reflections(PrimeContext(p), 1))
         assert sum(r.claim is ClaimId.CONG0 for r in results) == p - 1
         assert sum(r.claim is ClaimId.CONG1 for r in results) == (p - 1) // 2
 
@@ -139,21 +139,21 @@ class TestReflections:
 class TestProgressionLemmas:
     def test_residue_class_dispatch(self):
         # p == 1 mod 6 claims only; no vacuous records for the other class
-        assert _claims(expand(check_progression_lemmas(PrimeContext(7)))) == {
+        assert _claims(expand(check_progression_lemmas(PrimeContext(7), 1))) == {
             ClaimId.C1B, ClaimId.C1C, ClaimId.C3, ClaimId.H0, ClaimId.H1,
         }
-        assert _claims(expand(check_progression_lemmas(PrimeContext(11)))) == {
+        assert _claims(expand(check_progression_lemmas(PrimeContext(11), 1))) == {
             ClaimId.C2B, ClaimId.C2C, ClaimId.C3B, ClaimId.H3, ClaimId.H2,
         }
 
     def test_spot_values(self):
-        by_claim = {r.claim: r for r in expand(check_progression_lemmas(PrimeContext(7)))}
+        by_claim = {r.claim: r for r in expand(check_progression_lemmas(PrimeContext(7), 1))}
         # 1 + 1/4 = 3 vs -(2/3)*2 + 2
         assert (by_claim[ClaimId.H0].lhs, by_claim[ClaimId.H0].rhs) == (3, 3)
         # 1 + 1/3 = 6 vs 2 - (3/4)*6 + 3/2
         assert (by_claim[ClaimId.C3].lhs, by_claim[ClaimId.C3].rhs) == (6, 6)
 
-        by_claim = {r.claim: r for r in expand(check_progression_lemmas(PrimeContext(11)))}
+        by_claim = {r.claim: r for r in expand(check_progression_lemmas(PrimeContext(11), 1))}
         # 1 + 1/4 = 4 vs (1/2)*0 - (2/3)*5
         assert (by_claim[ClaimId.H3].lhs, by_claim[ClaimId.H3].rhs) == (4, 4)
 
@@ -162,8 +162,8 @@ class TestProgressionLemmas:
 def test_all_lemma_checkers_pass_small_sweep(p):
     ctx = PrimeContext(p)
     results = expand(
-        check_half_third_sixth(ctx)
-        + check_reflections(ctx)
-        + check_progression_lemmas(ctx)
+        check_half_third_sixth(ctx, 1)
+        + check_reflections(ctx, 1)
+        + check_progression_lemmas(ctx, 1)
     )
     assert all(r.passed for r in results)

@@ -13,12 +13,13 @@ from collections import Counter
 from functools import cache
 from itertools import accumulate, count, groupby, repeat
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from instances import Instance, checker_of, expand, replace_checker
+from instances import CLAIMS_WITH_N, Instance, checker_of, expand, replace_checker
 from trinocheck import cli, congruences, modular, sweep, trinomial
 from trinocheck.cli import main
 from trinocheck.congruences import (
@@ -52,7 +53,7 @@ def _checked(config):
     whatever config.jobs is, up to the prime where --fail-fast stops."""
     chunks = []
     for p in modular.sieve_primes(config.pmin, config.pmax):
-        chunks.append(sweep._check_prime(p, config))
+        chunks.append(sweep._check_prime(p, config)[0])
         if config.fail_fast and any(r.lhs != r.rhs for r in chunks[-1]):
             break
     return chunks
@@ -98,23 +99,23 @@ def _summary(config):
 
 def _falsified(monkeypatch, claim):
     """Replace the checker that emits `claim` with one whose records, all of
-    `claim` (one per n when it takes nmax), fail."""
+    `claim` (one per n when the claim has an n), fail."""
 
-    def run(ctx, nmax=None):
-        ns = [None] if nmax is None else range(1, nmax + 1)
+    def run(ctx, nmax):
+        ns = range(1, nmax + 1) if claim in CLAIMS_WITH_N else [None]
         return [result(claim, ctx.p, ctx.p2, [0], [1], n=n) for n in ns]
 
-    replace_checker(monkeypatch, checker_of(claim)[0], run)
+    replace_checker(monkeypatch, checker_of(claim), run)
 
 
 def _failing_at_k3(monkeypatch, claim):
     """Replace the checker that emits `claim` with itself, but with the
     instance k = 3 of `claim` broken."""
-    checker, _ = checker_of(claim)
+    checker = checker_of(claim)
 
-    def run(*args):
+    def run(ctx, nmax):
         out = []
-        for r in checker(*args):
+        for r in checker(ctx, nmax):
             if r.claim is claim:
                 rhs = list(r.rhs)
                 rhs[3 - r.k] = (rhs[3 - r.k] + 1) % r.modulus
@@ -342,7 +343,7 @@ def _all_claims_records():
 
 class TestSharedSpecs:
     """Claims checked by one function share its one CHECKERS entry, which runs
-    once per prime (with nmax when per_n)."""
+    once per prime, as run(ctx, nmax)."""
 
     def test_work_counts_one_prime(self, monkeypatch):
         calls = Counter()
@@ -362,7 +363,7 @@ class TestSharedSpecs:
                 assert calls[grouped] == 1, grouped
             assert calls["check_row_np_minus1"] == 1
             # each checker once in the table, and each runs once per prime
-            # at any nmax: the 4 that take nmax loop over n themselves
+            # at any nmax: those with per-n claims loop over n themselves
             assert len(checkers) == 10
             assert sum(calls[run.__name__] for run in checkers) == 10
             # the progression sums are slices of the inverse table; the
@@ -466,9 +467,9 @@ class TestSharedSpecs:
         assert got == want
 
     def test_replacing_one_shared_claim(self, monkeypatch):
-        def falsified_gl(ctx):
+        def falsified_gl(ctx, nmax):
             return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1]) if r.claim is ClaimId.GL else r
-                    for r in check_half_third_sixth(ctx)]
+                    for r in check_half_third_sixth(ctx, nmax)]
 
         untouched = [r for r in _all_claims_records() if r.claim is not ClaimId.GL]
         replace_checker(monkeypatch, check_half_third_sixth, falsified_gl)
@@ -518,16 +519,16 @@ class TestFailureInsideRecord:
         first = summary["first_failure"]
         assert (first["claim"], first["p"], first["k"], first["pass"]) == (
             claim.value, 5, 3, False)
-        # one failure per prime, and per n for a claim that takes n
-        per_n = 2 if checker_of(claim)[1] else 1
-        assert summary["per_claim"][claim.value]["failed"] == 4 * per_n
-        assert summary["failed"] == 4 * per_n
+        # one failure per prime, and per n for a claim that has an n
+        ns = 2 if claim in CLAIMS_WITH_N else 1
+        assert summary["per_claim"][claim.value]["failed"] == 4 * ns
+        assert summary["failed"] == 4 * ns
 
     def test_summary_only_aggregate_fails(self, claim, jobs):
         cfg = self._cfg(claim, jobs, summary_only=True)
         assert _report(cfg) == _independent_report(_checked(cfg))
         aggregates = [r for r in _instances(cfg) if r.claim is claim]
-        assert len(aggregates) == 4 * (2 if checker_of(claim)[1] else 1)
+        assert len(aggregates) == 4 * (2 if claim in CLAIMS_WITH_N else 1)
         for r in aggregates:
             assert r.k is None
             assert r.lhs == r.rhs - 1  # every instance but k = 3 passes
@@ -673,15 +674,48 @@ def _independent_report(chunks, fmt="jsonl"):
     return b"".join(_independent_writes(chunks, fmt))
 
 
+def _judged(chunk, **kwargs):
+    """sweep._check_prime's records and tally for the prime of `chunk`, a
+    list of records in report order, under SweepConfig(**kwargs), with one
+    checker in CHECKERS: it emits every claim and returns `chunk`."""
+
+    def run(ctx, nmax):
+        return chunk
+
+    with mock.patch.dict(sweep.CHECKERS, {run: tuple(ClaimId)}, clear=True):
+        return sweep._check_prime(chunk[0].p, SweepConfig(**kwargs))
+
+
+def _independent_judging(chunk, summary_only, fail_fast):
+    """What _judged should give: under summary_only each record over k one
+    aggregate of its passed and instance counts, under fail_fast the records
+    cut after the first failing instance, and their tally (as _tallied
+    values) counted one instance at a time."""
+    records = []
+    for r in chunk:
+        if summary_only and r.k is not None:
+            passed = sum(a == b for a, b in zip(r.lhs, r.rhs))
+            r = CheckResult(r.claim, r.p, r.n, None, r.modulus, [passed], [len(r.lhs)])
+        bad = [j for j, (a, b) in enumerate(zip(r.lhs, r.rhs)) if a != b]
+        if fail_fast and bad:
+            cut = bad[0] + 1
+            records.append(CheckResult(r.claim, r.p, r.n, r.k, r.modulus, r.lhs[:cut], r.rhs[:cut]))
+            break
+        records.append(r)
+    return records, _tallied(_independent_summary([records]))
+
+
 def _rendered_writes(chunks, fmt):
-    """The format's header, the writes of _render (sweep_report's step on
-    each prime) over `chunks`, then the trailer of their summed tallies;
-    and each chunk's tally, as _tallied values."""
+    """The format's header, the writes of sweep_report's steps on each prime
+    (_check_prime's judging, by _judged, then _render) over `chunks`, then
+    the trailer of their summed tallies; and each chunk's tally, as _tallied
+    values."""
     form = sweep.FORMATS[fmt]
     writes, digits, tallies = [form[0].encode()], [], []
     total = sweep.Summary()
     for chunk in chunks:
-        tally = sweep._render(chunk, form, digits, writes.append)
+        records, tally = _judged(chunk)
+        sweep._render(records, form, digits, writes.append)
         tallies.append(_tallied(tally))
         total.merge(tally)
     total.per_claim = {c: total.per_claim[c] for c in ClaimId if c in total.per_claim}
@@ -691,29 +725,35 @@ def _rendered_writes(chunks, fmt):
 
 @st.composite
 def _shared_side_chunk(draw):
-    """One prime's records: n in {None, 1..64}, k in {None, 0..p-1}, any
-    modulus, sides of 1..40 instances of which a random subset fail, and
-    some records sharing their lists (lhs and rhs one list, or both lists
-    of an earlier record)."""
+    """One prime's records in report order: n in {None, 1..64}, k in
+    {None, 0..p-1}, any modulus, sides of 1..40 instances of which a random
+    subset fail, and some records sharing their lists (lhs and rhs one list,
+    both lists of an earlier record, or its lhs alone)."""
     p = draw(st.sampled_from([5, 7, 11, 101]))
+
+    def rhs_of(lhs):
+        unequal = draw(st.sets(st.integers(0, len(lhs) - 1)))
+        if not unequal and draw(st.booleans()):
+            return lhs
+        return [a + 1 if i in unequal else a for i, a in enumerate(lhs)]
+
     drawn = []
     records = []
     for _ in range(draw(st.integers(1, 6))):
         if drawn and draw(st.booleans()):
             lhs, rhs = draw(st.sampled_from(drawn))
+            if draw(st.booleans()):
+                rhs = rhs_of(lhs)
         else:
             size = draw(st.integers(1, 40))
             lhs = draw(st.lists(st.integers(0, p**4), min_size=size, max_size=size))
-            unequal = draw(st.sets(st.integers(0, size - 1)))
-            rhs = [a + 1 if i in unequal else a for i, a in enumerate(lhs)]
-            if not unequal and draw(st.booleans()):
-                rhs = lhs
+            rhs = rhs_of(lhs)
             drawn.append((lhs, rhs))
         n = draw(st.none() | st.integers(1, 64))
         k = draw(st.none() | st.integers(0, p - 1))
         modulus = draw(st.integers(2, p**4))
         records.append(CheckResult(draw(st.sampled_from(ClaimId)), p, n, k, modulus, lhs, rhs))
-    return records
+    return sorted(records, key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
 
 
 class _RecordingOut:
@@ -769,8 +809,8 @@ class TestSharedTails:
     def test_cor4_tails_built_once_per_prime(self, monkeypatch, jobs):
         # a prime's Cor4 row and pattern are built once and shared by the
         # records of every n, which render as if alone, here and in the
-        # report at `jobs`; summary-only counts their passes once per prime,
-        # not nmax = 8 times
+        # report at `jobs`; a report, full or summary-only, counts their
+        # passes once per prime, not nmax = 8 times
         config = SweepConfig(pmax=13, nmax=8, jobs=jobs, claims=(ClaimId.COR4_EQ11,))
         chunks = _checked(config)
         assert [len(c) for c in chunks] == [8, 8, 8, 8]
@@ -788,13 +828,13 @@ class TestSharedTails:
             return passed(r)
 
         monkeypatch.setattr(sweep, "_passed", counting)
-        config = SweepConfig(nmax=8, claims=(ClaimId.COR4_EQ11, ClaimId.TRIPLE_SUM_A),
-                             summary_only=True)
-        for p in (5, 7, 11, 13):
-            sweep._check_prime(p, config)
-        cor4 = {p: counted[ClaimId.COR4_EQ11, p] for p in (5, 7, 11, 13)}
-        assert cor4 == {5: 1, 7: 1, 11: 1, 13: 1}
-        assert counted[ClaimId.TRIPLE_SUM_A, 13] == 8  # fresh lists per n
+        for summary_only in (False, True):
+            counted.clear()
+            _summary(SweepConfig(pmax=13, nmax=8, summary_only=summary_only,
+                                 claims=(ClaimId.COR4_EQ11, ClaimId.TRIPLE_SUM_A)))
+            cor4 = {p: counted[ClaimId.COR4_EQ11, p] for p in (5, 7, 11, 13)}
+            assert cor4 == {5: 1, 7: 1, 11: 1, 13: 1}, summary_only
+            assert counted[ClaimId.TRIPLE_SUM_A, 13] == 8  # fresh lists per n
 
     def test_shared_side_formatted_once_per_prime(self, monkeypatch):
         # the Cor4 records of a prime share its row and pattern at every n:
@@ -819,13 +859,25 @@ class TestSharedTails:
     @settings(max_examples=60, deadline=None)
     @given(chunks=st.lists(_shared_side_chunk(), min_size=1, max_size=3))
     def test_any_records_render_as_if_alone(self, chunks):
-        # both formats, the trailer's first failure included: the
-        # tally-and-render step run on each prime gives each record's
-        # writes, and tallies that add up to the summary
+        # both formats, the trailer's first failure included: the judging
+        # and render steps run on each prime give each record's writes, and
+        # tallies that add up to the summary
         for fmt in ("jsonl", "csv"):
             writes, tallies = _rendered_writes(chunks, fmt)
             assert writes == _independent_writes(chunks, fmt)
             assert tallies == [_tallied(_independent_summary([chunk])) for chunk in chunks]
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=_shared_side_chunk())
+    def test_any_records_judged_as_if_alone(self, chunk):
+        # every summary_only and fail_fast setting: each record is judged as
+        # if no list were shared, collapsed, cut and tallied as the oracle
+        # does it one instance at a time
+        for summary_only in (False, True):
+            for fail_fast in (False, True):
+                records, tally = _judged(chunk, summary_only=summary_only, fail_fast=fail_fast)
+                want = _independent_judging(chunk, summary_only, fail_fast)
+                assert (records, _tallied(tally)) == want, (summary_only, fail_fast)
 
 
 #: `trinocheck --help` at 80 columns, the same on Python 3.10 to 3.13.
@@ -891,7 +943,7 @@ class TestCli:
     def test_summary_only_aggregate_is_a_count(self, monkeypatch, capsys):
         # an aggregate carries its passed and instance counts unreduced: 5 of
         # 10 instances mod 5 pass, which must not read 0 of 0 and pass
-        def half_failing(ctx):
+        def half_failing(ctx, nmax):
             return [CheckResult(ClaimId.CONG0, ctx.p, None, 1, 5, [0] * 10, [0] * 5 + [1] * 5)]
 
         replace_checker(monkeypatch, check_reflections, half_failing)
@@ -982,7 +1034,7 @@ class TestCli:
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_internal_error_keeps_previous_out_file(self, monkeypatch, tmp_path, capsys):
-        def raises(ctx):
+        def raises(ctx, nmax):
             return [1 // 0]
 
         replace_checker(monkeypatch, check_half_third_sixth, raises)
@@ -1035,10 +1087,10 @@ class TestCli:
         assert main(args) == 0
         report = capsysbinary.readouterr().out
 
-        def raises_at_11(ctx):
+        def raises_at_11(ctx, nmax):
             if ctx.p == 11:
                 raise ZeroDivisionError("p = 11")
-            return check_half_third_sixth(ctx)
+            return check_half_third_sixth(ctx, nmax)
 
         with monkeypatch.context() as patched:
             replace_checker(patched, check_half_third_sixth, raises_at_11)
@@ -1061,7 +1113,7 @@ class TestCli:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_exit_two_on_internal_error(self, monkeypatch, capfdbinary, jobs):
-        def raises(ctx):
+        def raises(ctx, nmax):
             return [1 // 0]
 
         # pool workers are forked, so they see the patched table too
@@ -1081,10 +1133,10 @@ class TestCli:
     def test_internal_error_mid_stream(self, monkeypatch, capfdbinary, tmp_path, jobs, fmt):
         # the records of p = 5 and 7 are streamed before p = 11 raises; the
         # trailer, which marks a report complete, is never written
-        def raises_at_11(ctx):
+        def raises_at_11(ctx, nmax):
             if ctx.p == 11:
                 raise ZeroDivisionError("p = 11")
-            return check_half_third_sixth(ctx)
+            return check_half_third_sixth(ctx, nmax)
 
         replace_checker(monkeypatch, check_half_third_sixth, raises_at_11)
         args = ["--claims", "GL0,Thm1_Eq2", "--nmax", "2", "--format", fmt, "--jobs", jobs]
@@ -1132,10 +1184,10 @@ class TestCli:
     def test_ctrl_c_keeps_previous_out_file(self, monkeypatch, tmp_path, jobs):
         # Ctrl-C is not an error to report: it leaves main, and the partial
         # report is removed, never renamed onto the previous one
-        def interrupted_at_11(ctx):
+        def interrupted_at_11(ctx, nmax):
             if ctx.p == 11:
                 raise KeyboardInterrupt
-            return check_half_third_sixth(ctx)
+            return check_half_third_sixth(ctx, nmax)
 
         replace_checker(monkeypatch, check_half_third_sixth, interrupted_at_11)
         out = tmp_path / "r.jsonl"
@@ -1264,7 +1316,7 @@ class TestCli:
         checked = tmp_path / "checked"
         checked.write_bytes(b"")
 
-        def cheap(ctx):
+        def cheap(ctx, nmax):
             fd = os.open(checked, os.O_WRONLY | os.O_APPEND)
             os.write(fd, b"%d\n" % ctx.p)
             os.close(fd)
@@ -1301,10 +1353,10 @@ class TestCli:
         # every way out of a report at --jobs 2: complete, stopped by
         # --fail-fast, stopped by a checker's error, and stopped by a report
         # file whose reader has gone ("closed") after the first prime
-        def raises_at_11(ctx):
+        def raises_at_11(ctx, nmax):
             if ctx.p == 11:
                 raise ZeroDivisionError("p = 11")
-            return check_half_third_sixth(ctx)
+            return check_half_third_sixth(ctx, nmax)
 
         class ClosedOut(_RecordingOut):
             def write(self, data):
@@ -1340,10 +1392,10 @@ class TestCli:
         # was and leaves no child unreaped
         this_process = os.getpid()
 
-        def killed_at_11(ctx):
+        def killed_at_11(ctx, nmax):
             if ctx.p == 11 and os.getpid() != this_process:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return check_half_third_sixth(ctx)
+            return check_half_third_sixth(ctx, nmax)
 
         replace_checker(monkeypatch, check_half_third_sixth, killed_at_11)
         args = ["--pmax", "13", "--claims", "GL0,Thm1_Eq2", "--nmax", "2", "--jobs", "2"]

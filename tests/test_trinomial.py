@@ -211,19 +211,19 @@ class TestAltFibSum:
 
 class TestHalfrowBinomialCheck:
     def test_p5(self):
-        results = expand(halfrow_binomial_check(PrimeContext(5)))
+        results = expand(halfrow_binomial_check(PrimeContext(5), 1))
         assert len(results) == 1  # k ranges over 1..floor((p-1)/4)
         r = results[0]
         assert (r.claim, r.k) == (ClaimId.HALF_ROW_BINOM, 1)
         assert (r.lhs, r.rhs, r.passed) == (4, 4, True)  # -C(1,1) vs 6/4 mod 5
 
     def test_p13_spot(self):
-        results = {r.k: r for r in expand(halfrow_binomial_check(PrimeContext(13)))}
+        results = {r.k: r for r in expand(halfrow_binomial_check(PrimeContext(13), 1))}
         assert (results[3].lhs, results[3].rhs) == (12, 12)
 
     @pytest.mark.parametrize("p", sieve_primes(5, 199))
     def test_sweep(self, p):
-        results = expand(halfrow_binomial_check(PrimeContext(p)))
+        results = expand(halfrow_binomial_check(PrimeContext(p), 1))
         assert len(results) == (p - 1) // 4
         assert all(r.passed for r in results)
 
@@ -233,7 +233,7 @@ class TestHalfrowBinomialCheck:
         for p in sieve_primes(5, 1009):
             half = (p - 1) // 2
             ks = range(1, (p - 1) // 4 + 1)
-            [r] = halfrow_binomial_check(PrimeContext(p))
+            [r] = halfrow_binomial_check(PrimeContext(p), 1)
             assert r.lhs == [(-1) ** k * math.comb(half - k, k) % p for k in ks], p
             assert r.rhs == [math.comb(4 * k, 2 * k) * pow(4, -k, p) % p for k in ks], p
 
@@ -241,6 +241,6 @@ class TestHalfrowBinomialCheck:
     def test_lhs_matches_exact_binomials(self, p):
         # the left side's mod-p recurrence against exact big-integer binomials
         half = (p - 1) // 2
-        [r] = halfrow_binomial_check(PrimeContext(p))
+        [r] = halfrow_binomial_check(PrimeContext(p), 1)
         assert r.lhs == [(-1) ** k * math.comb(half - k, k) % p
                          for k in range(1, (p - 1) // 4 + 1)]
