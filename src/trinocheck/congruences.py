@@ -136,7 +136,8 @@ def check_row_np_minus1(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     N == -1 == p**2 - 1 (the Cor4_Eq11 row, under the same memo key) and
     A + B the row at N = p - 1.  Two counted rows fix every n: each of the
     four functionals is a + n*b at every n >= 0, so each n costs O(1), as
-    does each right side, constant + n*p*coefficient from _row_forms.
+    does each right side, constant + n*p*coefficient from _row_forms.  Each
+    record is built from its two values reduced here, not through result().
     """
     p, p2 = ctx.p, ctx.p2
     half = (p - 1) // 2
@@ -150,7 +151,7 @@ def check_row_np_minus1(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     laws = [(claim, a, b - a, const, coef)
             for claim, a, b, (const, coef) in zip(claims, at0, at1, _row_forms(ctx))]
     return [
-        result(claim, p, p2, [a + n * b], [const + n * p * coef], n=n)
+        CheckResult(claim, p, n, None, p2, [(a + n * b) % p2], [(const + n * p * coef) % p2])
         for n in range(1, nmax + 1)
         for claim, a, b, const, coef in laws
     ]

@@ -143,13 +143,14 @@ class Summary(ClaimTally):
             self.first_failure = later.first_failure
 
 
-def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], Summary]:
+def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], list[bool], Summary]:
     """One prime of `config`'s sweep: its records in report order, as
-    sweep_report renders them, and their tally.
+    sweep_report renders them, whether each passes in full, and their tally.
 
     Each checker in CHECKERS that emits a selected claim runs once, as
-    run(ctx, nmax), and the selected claims' records are kept.  One pass
-    then judges each record once; a record over k that shares both lists
+    run(ctx, nmax); its whole list is kept if all its claims are selected,
+    else its selected claims' records.  One pass then judges each record
+    once (a k-None record inline); a record over k that shares both lists
     with an earlier one (the Cor4 row and pattern at every n) reuses its
     pass count.  With summary_only, each record over k becomes one aggregate
     of its passed-count (lhs) and instance-count (rhs), unreduced, so it
@@ -161,17 +162,20 @@ def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], Summar
     selected = set(config.claims)
     records: list[CheckResult] = []
     for run, emits in CHECKERS.items():
-        if not selected.isdisjoint(emits):
+        if selected.issuperset(emits):
+            records += run(ctx, config.nmax)
+        elif not selected.isdisjoint(emits):
             records.extend(r for r in run(ctx, config.nmax) if r.claim in selected)
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
     summary = Summary()
     per_claim = summary.per_claim
+    ok: list[bool] = []
     # pass counts by the ids of both lists; only lists alive before the pass are looked up
     counts: dict[tuple[int, int], int] = {}
     for i, r in enumerate(records):
         size = len(r.lhs)
         if r.k is None:
-            passed = _passed(r)
+            passed = size if r.lhs == r.rhs else sum(map(operator.eq, r.lhs, r.rhs))
         else:
             key = id(r.lhs), id(r.rhs)
             passed = counts.get(key)
@@ -186,6 +190,7 @@ def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], Summar
             if config.fail_fast:  # the cut record is the last, so the loop ends with it
                 passed, size = j, j + 1
                 records[i:] = [r := _slice(r, 0, size)]
+        ok.append(passed == size)
         tally = per_claim.get(r.claim)
         if tally is None:
             tally = per_claim[r.claim] = ClaimTally()
@@ -193,7 +198,7 @@ def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], Summar
         tally.passed += passed
         summary.records += size
         summary.passed += passed
-    return records, summary
+    return records, ok, summary
 
 
 #: The most bytes of a report written in one piece, unless one record's
@@ -322,7 +327,7 @@ def _jsonl_trailer(s: Summary) -> str:
         for c, t in s.per_claim.items()
     )
     f = s.first_failure
-    first = "null" if f is None else "".join(_parts(f, FORMATS["jsonl"], []))[:-1]
+    first = "null" if f is None else "".join(_parts(f, False, FORMATS["jsonl"], []))[:-1]
     return (
         f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
         f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
@@ -349,11 +354,11 @@ FORMATS = {
 }
 
 
-def _parts(r: CheckResult, form: tuple, digits: list[str]) -> list[str]:
+def _parts(r: CheckResult, ok: bool, form: tuple, digits: list[str]) -> list[str]:
     """r's lines in the FORMATS entry `form` as parts to join, seven a line,
     with no Python step per instance: a passing line's parts repeated once per
-    instance, then the k, lhs and rhs slots (and the ends of failing lines) set
-    by slice assignment.  digits[i] is repr(i), grown on demand."""
+    instance, then the k, lhs and rhs slots (and, unless `ok`, the ends of
+    failing lines) set by slice assignment.  digits[i] is repr(i), grown on demand."""
     _, head, no_k, modulus, between, ends, _ = form
     n = len(r.lhs)
     parts = [head(r), no_k, modulus.format(r.modulus), "", between, "", ends[True]] * n
@@ -362,7 +367,7 @@ def _parts(r: CheckResult, form: tuple, digits: list[str]) -> list[str]:
         parts[1::7] = digits[r.k : r.k + n]
     lhs = list(map(repr, r.lhs))  # an int's repr is its str, at half the cost
     parts[3::7] = lhs
-    if r.lhs == r.rhs:
+    if ok:
         parts[5::7] = lhs
     else:
         parts[5::7] = map(repr, r.rhs)
@@ -370,18 +375,26 @@ def _parts(r: CheckResult, form: tuple, digits: list[str]) -> list[str]:
     return parts
 
 
-def _render(records: list[CheckResult], form: tuple, digits: list[str], write: Callable) -> None:
-    """Hand each of `records`' lines (by _parts, in the FORMATS entry `form`,
-    or reused from an earlier record of the same lists, k and modulus) to
-    `write` as bytes, one call per record."""
-    last = {id(r.lhs): i for i, r in enumerate(records)}
+def _render(
+    records: list[CheckResult], ok: list[bool], form: tuple, digits: list[str], write: Callable,
+) -> None:
+    """Hand each of `records`' lines, in the FORMATS entry `form`, to `write`
+    as bytes, one call per record; ok[i] is True iff records[i] passes in full.
+    A one-instance record is one f-string; a longer one is joined from _parts,
+    or from the parts of an earlier record of the same lists, k and modulus."""
+    _, head, no_k, modulus, between, ends, _ = form
+    last = {id(r.lhs): i for i, r in enumerate(records) if len(r.lhs) > 1}
     kept: dict[int, tuple] = {}  # by id(lhs): an earlier record and its parts
     for i, r in enumerate(records):
+        if len(r.lhs) == 1:
+            write(f"{head(r)}{no_k if r.k is None else r.k}{modulus.format(r.modulus)}"
+                  f"{r.lhs[0]}{between}{r.rhs[0]}{ends[ok[i]]}".encode())
+            continue
         was, parts = kept.pop(id(r.lhs), (None, None))
         if was and was.rhs is r.rhs and was.k == r.k and was.modulus == r.modulus:
-            parts[0::7] = [form[1](r)] * len(r.lhs)
+            parts[0::7] = [head(r)] * len(r.lhs)
         else:
-            parts = _parts(r, form, digits)
+            parts = _parts(r, ok[i], form, digits)
         if last[id(r.lhs)] > i:
             kept[id(r.lhs)] = r, parts
         write("".join(parts).encode())
@@ -417,8 +430,8 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     digits: list[str] = []
 
     def unit(p: int, write: Callable) -> Summary:
-        records, tally = _check_prime(p, config)
-        _render(records, form, digits, write)
+        records, ok, tally = _check_prime(p, config)
+        _render(records, ok, form, digits, write)
         return tally
 
     primes = sieve_primes(config.pmin, config.pmax)

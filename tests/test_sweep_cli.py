@@ -11,7 +11,7 @@ import threading
 import time
 from collections import Counter
 from functools import cache
-from itertools import accumulate, count, groupby, repeat
+from itertools import accumulate, count, groupby, product, repeat
 from types import SimpleNamespace
 from unittest import mock
 
@@ -675,9 +675,9 @@ def _independent_report(chunks, fmt="jsonl"):
 
 
 def _judged(chunk, **kwargs):
-    """sweep._check_prime's records and tally for the prime of `chunk`, a
-    list of records in report order, under SweepConfig(**kwargs), with one
-    checker in CHECKERS: it emits every claim and returns `chunk`."""
+    """sweep._check_prime's records, verdicts and tally for the prime of
+    `chunk`, a list of records in report order, under SweepConfig(**kwargs),
+    with one checker in CHECKERS: it emits every claim and returns `chunk`."""
 
     def run(ctx, nmax):
         return chunk
@@ -714,8 +714,8 @@ def _rendered_writes(chunks, fmt):
     writes, digits, tallies = [form[0].encode()], [], []
     total = sweep.Summary()
     for chunk in chunks:
-        records, tally = _judged(chunk)
-        sweep._render(records, form, digits, writes.append)
+        records, ok, tally = _judged(chunk)
+        sweep._render(records, ok, form, digits, writes.append)
         tallies.append(_tallied(tally))
         total.merge(tally)
     total.per_claim = {c: total.per_claim[c] for c in ClaimId if c in total.per_claim}
@@ -875,9 +875,55 @@ class TestSharedTails:
         # does it one instance at a time
         for summary_only in (False, True):
             for fail_fast in (False, True):
-                records, tally = _judged(chunk, summary_only=summary_only, fail_fast=fail_fast)
+                records, ok, tally = _judged(chunk, summary_only=summary_only, fail_fast=fail_fast)
                 want = _independent_judging(chunk, summary_only, fail_fast)
                 assert (records, _tallied(tally)) == want, (summary_only, fail_fast)
+                assert ok == [r.lhs == r.rhs for r in records], (summary_only, fail_fast)
+
+
+def _one_instance_chunk(p):
+    """One prime's records in report order: at each n a one-instance record,
+    for every k in {None, 3}, verdict, and lhs list shared with the other
+    one-instance records or not; then two records over k, four instances
+    each, sharing one lhs list at every n: one failing, one passing."""
+    shared = [p + 1]
+    row, pattern = [1, 2, 3, 4], [1, 2, 0, 4]
+    records = []
+    for n, (k, passes, shares) in enumerate(product([None, 3], [True, False], [True, False]), 1):
+        lhs = shared if shares else [p + n]
+        rhs = lhs if passes and shares else [lhs[0] + (0 if passes else 1)]
+        records += [
+            CheckResult(ClaimId.THM1_EQ2, p, n, k, p * p, lhs, rhs),
+            CheckResult(ClaimId.COR4_EQ11, p, n, 0, p * p, row, pattern),
+            CheckResult(ClaimId.TRIPLE_SUM_A, p, n, 1, p * p, row, row),
+        ]
+    return records
+
+
+class TestOneInstanceRecords:
+    """A one-instance record is judged and rendered on a path of its own;
+    the report is still that of rendering every instance alone."""
+
+    @pytest.mark.parametrize("summary_only", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_one_instance_records_render_as_if_alone(self, fmt, jobs, summary_only):
+        # k None or an int, passing or failing, the lhs list shared or not,
+        # among records over k that share theirs; under summary_only every
+        # record over k, one-instance or not, becomes an aggregate
+        def run(ctx, nmax):
+            return _one_instance_chunk(ctx.p)
+
+        chunks = [_independent_judging(_one_instance_chunk(p), summary_only, False)[0]
+                  for p in (5, 7)]
+        assert [len(r.lhs) for r in chunks[0]].count(1) == (24 if summary_only else 8)
+        want = _independent_writes(chunks, fmt)
+        out = _RecordingOut()
+        with mock.patch.dict(sweep.CHECKERS, {run: tuple(ClaimId)}, clear=True):
+            sweep_report(SweepConfig(pmax=7, jobs=jobs, summary_only=summary_only), fmt, out)
+        assert b"".join(out.writes) == b"".join(want)
+        if not summary_only:  # one write per record
+            assert _rendered_writes(chunks, fmt)[0] == want
 
 
 #: `trinocheck --help` at 80 columns, the same on Python 3.10 to 3.13.
