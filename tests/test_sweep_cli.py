@@ -1,8 +1,10 @@
 import copy
+import importlib
 import io
 import json
 import os
 import pickle
+import pkgutil
 import signal
 import stat
 import subprocess
@@ -20,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instances import CLAIMS_WITH_N, Instance, checker_of, expand, replace_checker
+from oracles import ap_harmonic, row_mod_prefix
+import trinocheck
 from trinocheck import cli, congruences, modular, sweep, trinomial
 from trinocheck.cli import main
 from trinocheck.congruences import (
@@ -31,9 +35,9 @@ from trinocheck.congruences import (
     check_reflections,
     result,
 )
-from trinocheck.harmonic import ap_harmonic, harmonic_table, inverse_table
+from trinocheck.harmonic import harmonic_table, inverse_table
 from trinocheck.modular import PrimeContext, fermat_quotient, inv_mod
-from trinocheck.trinomial import central4_table, row_mod_p2_prefix, row_mod_prefix
+from trinocheck.trinomial import central4_table, row_mod_p2_prefix
 from trinocheck.sweep import (
     MAX_JOBS,
     ConfigError,
@@ -367,7 +371,8 @@ class TestSharedSpecs:
             assert len(checkers) == 10
             assert sum(calls[run.__name__] for run in checkers) == 10
             # the progression sums are slices of the inverse table; the
-            # general ap_harmonic is their test oracle only
+            # general ap_harmonic is their test oracle only, and
+            # test_oracles_stay_out_of_the_package keeps it out of reach
             assert calls["ap_harmonic"] == 0
             assert calls["inverse_table"] == 1
             # q2 and q3, once each, when the prime's context is built
@@ -378,6 +383,26 @@ class TestSharedSpecs:
             # them.  Schoolbook powering is a test oracle only
             assert calls["row_mod_p2_prefix"] == 2
             assert calls["row_mod_prefix"] == 0
+
+    def test_oracles_stay_out_of_the_package(self):
+        # the package exports what the sweep runs; the engines only tests
+        # call live in tests/oracles.py, where no checker can reach them
+        assert trinocheck.__all__ == [
+            "CheckResult", "ClaimId", "ConfigError", "DivisibleBase", "NotInvertible",
+            "PrimeContext", "SweepConfig", "fermat_quotient", "harmonic_table", "inv_mod",
+            "inverse_table", "is_prime", "rat_mod", "row_mod_p2_prefix", "sieve_primes",
+            "sweep_report",
+        ]
+        moved = {"row_exact", "_poly_mul_trunc", "row_mod_prefix", "coeff_via_cosine",
+                 "DOUBLED_COSINE", "OddDoubledSum", "coeff_via_convolution",
+                 "binom_np_minus1_mod_p2", "alt_fib_sum", "ap_harmonic"}
+        # __main__ runs the CLI on import, and it only imports cli
+        names = [m.name for m in pkgutil.iter_modules(trinocheck.__path__)]
+        assert {"harmonic", "trinomial", "__main__"} <= set(names)
+        modules = [trinocheck] + [importlib.import_module(f"trinocheck.{name}")
+                                  for name in names if name != "__main__"]
+        for module in modules:
+            assert not moved & set(vars(module)), module.__name__
 
     def test_per_prime_quantities_built_once(self, monkeypatch):
         # the checkers' inv_mod calls, and their per-prime table lookups, do

@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 
 from closed_forms import closed_row_mod_p2
 from instances import expand
-from trinocheck.congruences import ClaimId, halfrow_binomial_check
-from trinocheck.modular import PrimeContext, sieve_primes
-from trinocheck.trinomial import (
+from oracles import (
     alt_fib_sum,
     binom_np_minus1_mod_p2,
     coeff_via_convolution,
     coeff_via_cosine,
     row_exact,
-    row_mod_p2_prefix,
     row_mod_prefix,
 )
+from trinocheck.congruences import ClaimId, halfrow_binomial_check
+from trinocheck.modular import PrimeContext, sieve_primes
+from trinocheck.trinomial import row_mod_p2_prefix
 
 ROW_6 = [1, 6, 21, 50, 90, 126, 141, 126, 90, 50, 21, 6, 1]
 
