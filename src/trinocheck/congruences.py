@@ -5,7 +5,9 @@ The engine modules (harmonic, trinomial, modular) compute numbers only; this
 is the one module that builds records.  Every checker computes its two sides
 by disjoint codepaths: the left side comes from a counting engine
 (trinomial rows, binomial products, explicit summation), the right side from
-Fermat-quotient closed forms or plain constants.  Where a proven law in n
+Fermat-quotient closed forms or plain constants; but both sides of Cong0 and
+Cong1 slice one harmonic table, so they check a symmetry of that table, and
+tests/test_congruences.py's test_perturbation_gate allows no other.  Where a proven law in n
 gives every per-n left side from a few counted values (the row claims,
 TripleSum_a, Glaisher), the checker counts those values once per prime and
 says in its docstring why the law holds.  Right-hand terms that carry an
@@ -324,6 +326,8 @@ def check_reflections(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
 
     Both left sides and Cong0's right side are slices of the harmonic
     table, already reduced; Cong1's right side is reduced as it is built.
+    So both sides read one table, and these claims check a symmetry of it,
+    not the congruence: the two pairs test_perturbation_gate allows.
     """
     table = ctx.cached(harmonic_table)
     p = ctx.p

@@ -1,9 +1,10 @@
 """Batch sweeps over primes and report writing.
 
-Reports are byte-deterministic: record order is (p, n, claim, k) ascending
-regardless of worker count, residues are serialized as decimal strings so
-downstream consumers with 53-bit floats cannot corrupt them, and nothing
-run-dependent (timestamps, durations, host names) ever enters the output.
+Reports are byte-deterministic: record order is (p, n, claim, k) ascending,
+n None first, regardless of worker count, residues are serialized as
+decimal strings so downstream consumers with 53-bit floats cannot corrupt
+them, and nothing run-dependent (timestamps, durations, host names) ever
+enters the output.
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ class ClaimTally:
         return self.records - self.passed
 
 
-def _first_mismatch(r: CheckResult) -> int | None:
-    """The position of r's first failing instance, or None if all pass."""
-    return next(compress(count(), map(operator.ne, r.lhs, r.rhs)), None)
-
-
 def _passed(r: CheckResult) -> int:
     """How many of r's instances pass; one list compare when all of them do."""
     return len(r.lhs) if r.lhs == r.rhs else sum(map(operator.eq, r.lhs, r.rhs))
@@ -143,54 +139,60 @@ class Summary(ClaimTally):
             self.first_failure = later.first_failure
 
 
-def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], list[bool], Summary]:
-    """One prime of `config`'s sweep: its records in report order, as
-    sweep_report renders them, whether each passes in full, and their tally.
-
-    Each checker in CHECKERS that emits a selected claim runs once, as
-    run(ctx, nmax); its whole list is kept if all its claims are selected,
-    else its selected claims' records.  One pass then judges each record
-    once (a k-None record inline); a record over k that shares both lists
-    with an earlier one (the Cor4 row and pattern at every n) reuses its
-    pass count.  With summary_only, each record over k becomes one aggregate
-    of its passed-count (lhs) and instance-count (rhs), unreduced, so it
-    passes iff every instance does; it is tallied as one instance.  With
-    fail_fast, the record holding the first failing instance ends the
-    records, cut after that instance.
-    """
+def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
+    """The records of `config`'s selected claims at prime p, in report
+    order: each checker in CHECKERS that emits a selected claim runs once,
+    as run(ctx, nmax), and its records of selected claims are kept."""
     ctx = PrimeContext(p)
     selected = set(config.claims)
-    records: list[CheckResult] = []
-    for run, emits in CHECKERS.items():
-        if selected.issuperset(emits):
-            records += run(ctx, config.nmax)
-        elif not selected.isdisjoint(emits):
-            records.extend(r for r in run(ctx, config.nmax) if r.claim in selected)
+    records = [r for run, emits in CHECKERS.items() if not selected.isdisjoint(emits)
+               for r in run(ctx, config.nmax) if r.claim in selected]
     records.sort(key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
+    return records
+
+
+def _report_prime(
+    records: list[CheckResult], config: SweepConfig, form: tuple, digits: list[str], write: Callable,
+) -> Summary:
+    """Judge, tally and render a prime's `records`, in report order, in one
+    pass: each record's lines, in the FORMATS entry `form`, go to `write` as
+    bytes, one call per record.  Return the tally.
+
+    A record over k is judged, and its parts built, once per key (both lists'
+    ids, k and modulus), as the Cor4 records of every n share one row and one
+    pattern: the memo holds [pass count, parts] from the first record with a
+    key to the last.  `records` keeps every list alive, so no id is reused.
+    With summary_only, a record over k is written as one aggregate of its
+    passed-count (lhs) and instance-count (rhs), unreduced, so it passes iff
+    every instance does.  With fail_fast, the pass ends with the record of
+    the first failing instance, cut after it."""
+    last = {(id(r.lhs), id(r.rhs), r.k, r.modulus): i
+            for i, r in enumerate(records) if r.k is not None}
+    memo: dict[tuple, list] = {}
     summary = Summary()
     per_claim = summary.per_claim
-    ok: list[bool] = []
-    # pass counts by the ids of both lists; only lists alive before the pass are looked up
-    counts: dict[tuple[int, int], int] = {}
     for i, r in enumerate(records):
+        if config.fail_fast and summary.first_failure:
+            break
         size = len(r.lhs)
+        held = None
         if r.k is None:
             passed = size if r.lhs == r.rhs else sum(map(operator.eq, r.lhs, r.rhs))
         else:
-            key = id(r.lhs), id(r.rhs)
-            passed = counts.get(key)
-            if passed is None:
-                passed = counts[key] = _passed(r)
+            key = id(r.lhs), id(r.rhs), r.k, r.modulus
+            held = memo.pop(key, None) or [_passed(r), None]
+            if last[key] > i:
+                memo[key] = held
+            passed = held[0]
             if config.summary_only:
-                records[i] = r = CheckResult(r.claim, p, r.n, None, r.modulus, [passed], [size])
+                r = CheckResult(r.claim, r.p, r.n, None, r.modulus, [passed], [size])
                 passed, size = int(passed == size), 1
         if passed < size and summary.first_failure is None:
-            j = _first_mismatch(r)
+            j = next(compress(count(), map(operator.ne, r.lhs, r.rhs)))
             summary.first_failure = _slice(r, j, j + 1)
-            if config.fail_fast:  # the cut record is the last, so the loop ends with it
-                passed, size = j, j + 1
-                records[i:] = [r := _slice(r, 0, size)]
-        ok.append(passed == size)
+            if config.fail_fast:
+                passed, size, held = j, j + 1, None
+                r = _slice(r, 0, size)
         tally = per_claim.get(r.claim)
         if tally is None:
             tally = per_claim[r.claim] = ClaimTally()
@@ -198,7 +200,17 @@ def _check_prime(p: int, config: SweepConfig) -> tuple[list[CheckResult], list[b
         tally.passed += passed
         summary.records += size
         summary.passed += passed
-    return records, ok, summary
+        if size == 1:
+            write(_line(r, passed == 1, form).encode())
+            continue
+        if held is None:
+            held = [passed, None]
+        if held[1] is None:
+            held[1] = _parts(r, passed == size, form, digits)
+        else:
+            held[1][0::7] = [form[1](r)] * size  # only the heads differ
+        write("".join(held[1]).encode())
+    return summary
 
 
 #: The most bytes of a report written in one piece, unless one record's
@@ -327,7 +339,7 @@ def _jsonl_trailer(s: Summary) -> str:
         for c, t in s.per_claim.items()
     )
     f = s.first_failure
-    first = "null" if f is None else "".join(_parts(f, False, FORMATS["jsonl"], []))[:-1]
+    first = "null" if f is None else _line(f, False, FORMATS["jsonl"])[:-1]
     return (
         f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
         f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
@@ -354,6 +366,13 @@ FORMATS = {
 }
 
 
+def _line(r: CheckResult, ok: bool, form: tuple) -> str:
+    """The line of r, a one-instance record, in the FORMATS entry `form`."""
+    _, head, no_k, modulus, between, ends, _ = form
+    return (f"{head(r)}{no_k if r.k is None else r.k}{modulus.format(r.modulus)}"
+            f"{r.lhs[0]}{between}{r.rhs[0]}{ends[ok]}")
+
+
 def _parts(r: CheckResult, ok: bool, form: tuple, digits: list[str]) -> list[str]:
     """r's lines in the FORMATS entry `form` as parts to join, seven a line,
     with no Python step per instance: a passing line's parts repeated once per
@@ -375,31 +394,6 @@ def _parts(r: CheckResult, ok: bool, form: tuple, digits: list[str]) -> list[str
     return parts
 
 
-def _render(
-    records: list[CheckResult], ok: list[bool], form: tuple, digits: list[str], write: Callable,
-) -> None:
-    """Hand each of `records`' lines, in the FORMATS entry `form`, to `write`
-    as bytes, one call per record; ok[i] is True iff records[i] passes in full.
-    A one-instance record is one f-string; a longer one is joined from _parts,
-    or from the parts of an earlier record of the same lists, k and modulus."""
-    _, head, no_k, modulus, between, ends, _ = form
-    last = {id(r.lhs): i for i, r in enumerate(records) if len(r.lhs) > 1}
-    kept: dict[int, tuple] = {}  # by id(lhs): an earlier record and its parts
-    for i, r in enumerate(records):
-        if len(r.lhs) == 1:
-            write(f"{head(r)}{no_k if r.k is None else r.k}{modulus.format(r.modulus)}"
-                  f"{r.lhs[0]}{between}{r.rhs[0]}{ends[ok[i]]}".encode())
-            continue
-        was, parts = kept.pop(id(r.lhs), (None, None))
-        if was and was.rhs is r.rhs and was.k == r.k and was.modulus == r.modulus:
-            parts[0::7] = [head(r)] * len(r.lhs)
-        else:
-            parts = _parts(r, ok[i], form, digits)
-        if last[id(r.lhs)] > i:
-            kept[id(r.lhs)] = r, parts
-        write("".join(parts).encode())
-
-
 def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summary:
     """Run `config`'s sweep and write its report to `out`, one line per
     instance; return the summary.
@@ -417,11 +411,11 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     integer, so no field needs JSON escaping or CSV quoting.  The trailer is
     written last, so a report without one is incomplete.
 
-    Each prime is checked and tallied (by _check_prime) and rendered (by
-    _render) in one place, and its bytes go to `out` in pieces (by
-    _in_pieces) before the next prime is checked.  A forked worker ships its
-    primes' pieces and each prime's tally, never a record, and this process
-    writes the pieces and adds up the tallies.
+    Each prime's records (from _check_prime) are judged, tallied and rendered
+    in one pass (by _report_prime) where the prime is checked, and its bytes
+    go to `out` in pieces (by _in_pieces) before the next prime is checked.
+    A forked worker ships its primes' pieces and each prime's tally, never a
+    record, and this process writes the pieces and adds up the tallies.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -430,9 +424,7 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     digits: list[str] = []
 
     def unit(p: int, write: Callable) -> Summary:
-        records, ok, tally = _check_prime(p, config)
-        _render(records, ok, form, digits, write)
-        return tally
+        return _report_prime(_check_prime(p, config), config, form, digits, write)
 
     primes = sieve_primes(config.pmin, config.pmax)
     workers = min(config.jobs, len(primes))

@@ -6,10 +6,11 @@ import pytest
 from closed_forms import closed_row_mod_p2
 from instances import CLAIMS_WITH_N, expand, records_of
 from oracles import ap_harmonic, row_mod_prefix
-from trinocheck import congruences
+from trinocheck import congruences, trinomial
 from trinocheck.congruences import CHECKERS, ClaimId, check_row_np_minus1
+from trinocheck.harmonic import harmonic_table, inverse_table
 from trinocheck.modular import PrimeContext, sieve_primes
-from trinocheck.trinomial import row_mod_p2_prefix
+from trinocheck.trinomial import central4_table, row_mod_p2_prefix
 
 
 def _check(claim, ctx, n=None):
@@ -424,3 +425,56 @@ def test_check_result_pickles_as_its_fields():
     record = congruences.result(ClaimId.GL0, 7, 7, [3], [3])
     loaded = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     assert type(loaded) is congruences.CheckResult and loaded == record
+
+
+#: Every table a checker reads through PrimeContext.cached.
+CACHED_BUILDERS = (inverse_table, harmonic_table, central4_table,
+                   trinomial._inverse_table_p2, row_mod_p2_prefix)
+
+#: The (claim, input) pairs whose two sides both move when the input is
+#: perturbed.  Both sides of Cong0 and Cong1 are slices of one harmonic
+#: table, so they check a symmetry of that table, not the congruence.  The
+#: set may not grow; right sides that read neither table empty it.
+BOTH_SIDES_MOVE = {(claim, table) for claim in (ClaimId.CONG0, ClaimId.CONG1)
+                   for table in ("inverse_table", "harmonic_table")}
+
+
+def _perturb(monkeypatch, name, ctx):
+    """Perturb the shared input `name` for the checkers run on ctx: a cached
+    table with entry i shifted by 1 + i, q2 or q3 shifted by 1, or each
+    classical product doubled (shifting it could leave no inverse)."""
+    if name in ("q2", "q3"):
+        setattr(ctx, name, getattr(ctx, name) + 1)
+    elif name == "_product_mod":
+        product_mod = congruences._product_mod
+        monkeypatch.setattr(congruences, "_product_mod",
+                            lambda lo, hi, m: 2 * product_mod(lo, hi, m) % m)
+    else:
+        cached = PrimeContext.cached
+
+        def perturbed(self, build, *args):
+            table = cached(self, build, *args)
+            return [t + 1 + i for i, t in enumerate(table)] if build.__name__ == name else table
+
+        monkeypatch.setattr(PrimeContext, "cached", perturbed)
+
+
+def test_perturbation_gate(monkeypatch):
+    # each shared per-prime input is perturbed in turn, at one prime of each
+    # class mod 6, and every checker run on a fresh context at nmax 2 (at
+    # nmax >= 3 a perturbed product trips Glaisher's counted binomial): a
+    # claim whose two sides both move does not compare independent sides
+    inputs = [b.__name__ for b in CACHED_BUILDERS] + ["q2", "q3", "_product_mod"]
+    for p in (101, 103):
+        base = [r for run in CHECKERS for r in run(PrimeContext(p), 2)]
+        both = set()
+        for name in inputs:
+            with monkeypatch.context() as patched:
+                ctx = PrimeContext(p)
+                _perturb(patched, name, ctx)
+                moved = [r for run in CHECKERS for r in run(ctx, 2)]
+            assert [r[:5] for r in moved] == [r[:5] for r in base], name
+            assert moved != base, name
+            both |= {(r.claim, name) for r, m in zip(base, moved)
+                     if r.lhs != m.lhs and r.rhs != m.rhs}
+        assert both == BOTH_SIDES_MOVE, p

@@ -53,11 +53,13 @@ def _cfg(**kwargs):
 
 
 def _checked(config):
-    """Each prime's records, checked in this process by sweep._check_prime
-    whatever config.jobs is, up to the prime where --fail-fast stops."""
+    """Each prime's records as the report holds them: checked in this process
+    by sweep._check_prime whatever config.jobs is, then collapsed and cut by
+    the oracle _independent_judging, up to the prime where --fail-fast stops."""
     chunks = []
     for p in modular.sieve_primes(config.pmin, config.pmax):
-        chunks.append(sweep._check_prime(p, config)[0])
+        records = sweep._check_prime(p, config)
+        chunks.append(_independent_judging(records, config.summary_only, config.fail_fast)[0])
         if config.fail_fast and any(r.lhs != r.rhs for r in chunks[-1]):
             break
     return chunks
@@ -257,8 +259,8 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
-    """What a sweep yields: each prime's records from _check_prime, the
-    summary from sweep_report."""
+    """What a sweep yields: each prime's records from _check_prime, as the
+    report holds them, and the summary from sweep_report."""
 
     def test_two_primes_one_claim(self):
         records = _instances(_cfg())
@@ -699,23 +701,19 @@ def _independent_report(chunks, fmt="jsonl"):
     return b"".join(_independent_writes(chunks, fmt))
 
 
-def _judged(chunk, **kwargs):
-    """sweep._check_prime's records, verdicts and tally for the prime of
-    `chunk`, a list of records in report order, under SweepConfig(**kwargs),
-    with one checker in CHECKERS: it emits every claim and returns `chunk`."""
-
-    def run(ctx, nmax):
-        return chunk
-
-    with mock.patch.dict(sweep.CHECKERS, {run: tuple(ClaimId)}, clear=True):
-        return sweep._check_prime(chunk[0].p, SweepConfig(**kwargs))
+def _judged(chunk, fmt, **kwargs):
+    """sweep._report_prime's writes, in `fmt`, and tally for `chunk`, one
+    prime's records in report order, under SweepConfig(**kwargs)."""
+    writes = []
+    tally = sweep._report_prime(chunk, SweepConfig(**kwargs), sweep.FORMATS[fmt], [], writes.append)
+    return writes, tally
 
 
 def _independent_judging(chunk, summary_only, fail_fast):
-    """What _judged should give: under summary_only each record over k one
-    aggregate of its passed and instance counts, under fail_fast the records
-    cut after the first failing instance, and their tally (as _tallied
-    values) counted one instance at a time."""
+    """The records _judged should write: under summary_only each record over
+    k one aggregate of its passed and instance counts, under fail_fast the
+    records cut after the first failing instance; and their tally (as
+    _tallied values) counted one instance at a time."""
     records = []
     for r in chunk:
         if summary_only and r.k is not None:
@@ -731,16 +729,15 @@ def _independent_judging(chunk, summary_only, fail_fast):
 
 
 def _rendered_writes(chunks, fmt):
-    """The format's header, the writes of sweep_report's steps on each prime
-    (_check_prime's judging, by _judged, then _render) over `chunks`, then
+    """The format's header, the writes of sweep_report's pass on each prime
+    (_report_prime, sharing its digits across primes) over `chunks`, then
     the trailer of their summed tallies; and each chunk's tally, as _tallied
     values."""
     form = sweep.FORMATS[fmt]
     writes, digits, tallies = [form[0].encode()], [], []
     total = sweep.Summary()
     for chunk in chunks:
-        records, ok, tally = _judged(chunk)
-        sweep._render(records, ok, form, digits, writes.append)
+        tally = sweep._report_prime(chunk, SweepConfig(), form, digits, writes.append)
         tallies.append(_tallied(tally))
         total.merge(tally)
     total.per_claim = {c: total.per_claim[c] for c in ClaimId if c in total.per_claim}
@@ -884,9 +881,9 @@ class TestSharedTails:
     @settings(max_examples=60, deadline=None)
     @given(chunks=st.lists(_shared_side_chunk(), min_size=1, max_size=3))
     def test_any_records_render_as_if_alone(self, chunks):
-        # both formats, the trailer's first failure included: the judging
-        # and render steps run on each prime give each record's writes, and
-        # tallies that add up to the summary
+        # both formats, the trailer's first failure included: the pass run
+        # on each prime gives each record's writes, and tallies that add up
+        # to the summary
         for fmt in ("jsonl", "csv"):
             writes, tallies = _rendered_writes(chunks, fmt)
             assert writes == _independent_writes(chunks, fmt)
@@ -895,15 +892,15 @@ class TestSharedTails:
     @settings(max_examples=60, deadline=None)
     @given(chunk=_shared_side_chunk())
     def test_any_records_judged_as_if_alone(self, chunk):
-        # every summary_only and fail_fast setting: each record is judged as
-        # if no list were shared, collapsed, cut and tallied as the oracle
-        # does it one instance at a time
-        for summary_only in (False, True):
-            for fail_fast in (False, True):
-                records, ok, tally = _judged(chunk, summary_only=summary_only, fail_fast=fail_fast)
-                want = _independent_judging(chunk, summary_only, fail_fast)
-                assert (records, _tallied(tally)) == want, (summary_only, fail_fast)
-                assert ok == [r.lhs == r.rhs for r in records], (summary_only, fail_fast)
+        # every summary_only and fail_fast setting, both formats: each record
+        # is judged as if no list were shared, collapsed, cut, tallied and
+        # written as the oracle does it one instance at a time
+        for summary_only, fail_fast, fmt in product([False, True], [False, True], ["jsonl", "csv"]):
+            records, tally = _independent_judging(chunk, summary_only, fail_fast)
+            writes, got = _judged(chunk, fmt, summary_only=summary_only, fail_fast=fail_fast)
+            want = [(_independent_lines(r, fmt) + "\n").encode() for r in records]
+            assert writes == want, (summary_only, fail_fast, fmt)
+            assert _tallied(got) == tally, (summary_only, fail_fast)
 
 
 def _one_instance_chunk(p):
