@@ -71,33 +71,20 @@ CLAIM_ORDER: dict[ClaimId, int] = {c: i for i, c in enumerate(ClaimId)}
 
 
 class CheckResult(namedtuple("CheckResult", "claim p n k modulus lhs rhs")):
-    """One claim's instances at (p, n): instance i passes iff lhs[i] == rhs[i],
-    canonical residues mod `modulus`.
+    """One claim's instances at (p, n): instance i passes iff lhs[i] == rhs[i].
 
-    `claim` is a ClaimId; `k` is the index of instance 0 (instance i has
-    k + i), or None for a claim without an index, which has exactly one
-    instance; `n` is None for claims without n.  The lists are never empty,
-    and a side may be a ctx.cached table, so nothing may mutate them.  A
-    --summary-only aggregate holds unreduced counts instead of residues.
+    The record contract, which every checker keeps and
+    tests/test_congruences.py's test_checkers_emit_their_entries checks:
+    `claim` is a ClaimId; `n` is None for claims without n; `k` is the index
+    of instance 0 (instance i has k + i), or None for a claim without an
+    index, which has exactly one instance; lhs and rhs are nonempty lists of
+    one length, of plain ints in [0, modulus), reduced by the checker that
+    builds the record.  A side may be a ctx.cached table, so nothing may
+    mutate them.  A --summary-only aggregate holds unreduced counts instead
+    of residues.
     """
 
     __slots__ = ()
-
-
-def result(
-    claim: ClaimId,
-    p: int,
-    modulus: int,
-    lhs: list[int],
-    rhs: list[int],
-    *,
-    n: int | None = None,
-    k: int | None = None,
-) -> CheckResult:
-    """Build a CheckResult, reducing both sides mod `modulus`."""
-    return CheckResult(
-        claim, p, n, k, modulus, [a % modulus for a in lhs], [b % modulus for b in rhs]
-    )
 
 
 #: Factors per exact product in _product_mod: enough that most of the work
@@ -138,8 +125,7 @@ def check_row_np_minus1(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     N == -1 == p**2 - 1 (the Cor4_Eq11 row, under the same memo key) and
     A + B the row at N = p - 1.  Two counted rows fix every n: each of the
     four functionals is a + n*b at every n >= 0, so each n costs O(1), as
-    does each right side, constant + n*p*coefficient from _row_forms.  Each
-    record is built from its two values reduced here, not through result().
+    does each right side, constant + n*p*coefficient from _row_forms.
     """
     p, p2 = ctx.p, ctx.p2
     half = (p - 1) // 2
@@ -174,7 +160,7 @@ def check_thm2_eq6(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
         central = central * (2 * (2 * k - 1)) % p * inv[k] % p
         acc = (acc + central * table[k]) % p
     rhs = -ctx.q3 % p if ctx.rc6 == 1 else ctx.q3  # rc6 == 1 iff p == 1 (mod 3)
-    return [result(ClaimId.THM2_EQ6, p, p, [acc], [rhs])]
+    return [CheckResult(ClaimId.THM2_EQ6, p, None, None, p, [acc], [rhs])]
 
 
 def check_thm2_eq7(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
@@ -189,14 +175,14 @@ def check_thm2_eq7(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
     half_q3 = rat_mod(ctx.q3, 2, p)
     rhs = -sign * half_q3 % p if ctx.rc6 == 1 else sign * half_q3 % p
-    return [result(ClaimId.THM2_EQ7, p, p, [acc], [rhs])]
+    return [CheckResult(ClaimId.THM2_EQ7, p, None, None, p, [acc], [rhs])]
 
 
 def check_cor4_eq11(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """C(n*p**2 - 1, k)_2 mod p**2 vs the 1, -1, 0 pattern by k mod 3, for
     k in 0..p-1 and n = 1..nmax.  The exponent is p**2 - 1 mod p**2 at every
-    n, so all nmax records share one row, which is the lhs as cached
-    (already reduced), and one pattern."""
+    n, so all nmax records share one row, the lhs as cached, and one
+    pattern."""
     p, p2 = ctx.p, ctx.p2
     row = ctx.cached(row_mod_p2_prefix, p2 - 1)
     pattern = ([1, p2 - 1, 0] * (p // 3 + 1))[:p]
@@ -257,7 +243,7 @@ def check_classical(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     B_{p-3} == 1 (mod p): p = 5 (B_2 = 1/6) and p = 557 up to 1009.  See the
     Carlitz note in the README.
     """
-    p, p3, p4 = ctx.p, ctx.p3, ctx.p4
+    p, p2, p3, p4 = ctx.p, ctx.p2, ctx.p3, ctx.p4
     h = (p - 1) // 2
     low = _product_mod(1, h + 1, p4)
     high = _product_mod(h + 1, p, p4)
@@ -273,10 +259,11 @@ def check_classical(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     sign = 1 if h % 2 == 0 else -1
     four = pow(4, p - 1, p4)
     return [
-        result(ClaimId.BABBAGE, p, ctx.p2, [w], [1]),
-        result(ClaimId.WOLSTENHOLME, p, p3, [w], [1]),
-        result(ClaimId.MORLEY, p, p3, [central], [sign * four]),
-        result(ClaimId.CARLITZ, p, p4, [sign * central], [four + p3 * inv_mod(12, p4)]),
+        CheckResult(ClaimId.BABBAGE, p, None, None, p2, [w % p2], [1]),
+        CheckResult(ClaimId.WOLSTENHOLME, p, None, None, p3, [w % p3], [1]),
+        CheckResult(ClaimId.MORLEY, p, None, None, p3, [central % p3], [sign * four % p3]),
+        CheckResult(ClaimId.CARLITZ, p, None, None, p4, [sign * central % p4],
+                    [(four + p3 * inv_mod(12, p4)) % p4]),
         *(CheckResult(ClaimId.GLAISHER, p, n, None, p3, [a], [1])
           for n, a in enumerate(glaisher, 1)),
     ]
@@ -299,8 +286,8 @@ def halfrow_binomial_check(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     for k in range(1, len(central4)):
         binom = (binom * (half - 2 * k + 2) * (half - 2 * k + 1)
                  * pow(k * (half - k + 1), -1, p) % p)
-        lhs.append(-binom if k % 2 else binom)
-    return [result(ClaimId.HALF_ROW_BINOM, p, p, lhs, central4[1:], k=1)]
+        lhs.append(-binom % p if k % 2 else binom)
+    return [CheckResult(ClaimId.HALF_ROW_BINOM, p, None, 1, p, lhs, central4[1:])]
 
 
 def check_half_third_sixth(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
@@ -312,9 +299,9 @@ def check_half_third_sixth(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     third_rhs = rat_mod(-3 * ctx.q3, 2, p)
     sixth_rhs = (half_rhs + third_rhs) % p
     return [
-        result(ClaimId.GL0, p, p, [table[p // 2]], [half_rhs]),
-        result(ClaimId.GL, p, p, [table[p // 3]], [third_rhs]),
-        result(ClaimId.GL2, p, p, [table[p // 6]], [sixth_rhs]),
+        CheckResult(ClaimId.GL0, p, None, None, p, [table[p // 2]], [half_rhs]),
+        CheckResult(ClaimId.GL, p, None, None, p, [table[p // 3]], [third_rhs]),
+        CheckResult(ClaimId.GL2, p, None, None, p, [table[p // 6]], [sixth_rhs]),
     ]
 
 
@@ -325,9 +312,9 @@ def check_reflections(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     H_{(p-1)/2 - k} == -2*q2 + 2*H_{2k} - H_k for 1 <= k <= (p-1)/2.
 
     Both left sides and Cong0's right side are slices of the harmonic
-    table, already reduced; Cong1's right side is reduced as it is built.
-    So both sides read one table, and these claims check a symmetry of it,
-    not the congruence: the two pairs test_perturbation_gate allows.
+    table, and Cong1's right side is built from it.  So both sides read one
+    table, and these claims check a symmetry of it, not the congruence:
+    the two pairs test_perturbation_gate allows.
     """
     table = ctx.cached(harmonic_table)
     p = ctx.p
@@ -374,7 +361,7 @@ def check_progression_lemmas(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
             (ClaimId.H2, m, 3, 2, two_thirds_q2),
         ]
     return [
-        result(claim, p, p, [sum(inv[r : r + d * m + 1 : d])], [rhs])
+        CheckResult(claim, p, None, None, p, [sum(inv[r : r + d * m + 1 : d]) % p], [rhs % p])
         for claim, m, d, r, rhs in sums
     ]
 

@@ -176,8 +176,8 @@ def _report_prime(
             break
         size = len(r.lhs)
         held = None
-        if r.k is None:
-            passed = size if r.lhs == r.rhs else sum(map(operator.eq, r.lhs, r.rhs))
+        if r.k is None:  # one instance
+            passed = int(r.lhs == r.rhs)
         else:
             key = id(r.lhs), id(r.rhs), r.k, r.modulus
             held = memo.pop(key, None) or [_passed(r), None]
@@ -377,13 +377,13 @@ def _parts(r: CheckResult, ok: bool, form: tuple, digits: list[str]) -> list[str
     """r's lines in the FORMATS entry `form` as parts to join, seven a line,
     with no Python step per instance: a passing line's parts repeated once per
     instance, then the k, lhs and rhs slots (and, unless `ok`, the ends of
-    failing lines) set by slice assignment.  digits[i] is repr(i), grown on demand."""
-    _, head, no_k, modulus, between, ends, _ = form
+    failing lines) set by slice assignment.  r has a k, as a record of several
+    instances does.  digits[i] is repr(i), grown on demand."""
+    _, head, _, modulus, between, ends, _ = form
     n = len(r.lhs)
-    parts = [head(r), no_k, modulus.format(r.modulus), "", between, "", ends[True]] * n
-    if r.k is not None:
-        digits.extend(map(repr, range(len(digits), r.k + n)))
-        parts[1::7] = digits[r.k : r.k + n]
+    parts = [head(r), "", modulus.format(r.modulus), "", between, "", ends[True]] * n
+    digits.extend(map(repr, range(len(digits), r.k + n)))
+    parts[1::7] = digits[r.k : r.k + n]
     lhs = list(map(repr, r.lhs))  # an int's repr is its str, at half the cost
     parts[3::7] = lhs
     if ok:

@@ -23,11 +23,11 @@ from closed_forms import closed_row_mod_p2
 from instances import expand, records_of, replace_checker
 from oracles import coeff_via_convolution, coeff_via_cosine, row_exact, row_mod_prefix
 from trinocheck.congruences import (
+    CheckResult,
     ClaimId,
     check_half_third_sixth,
     check_progression_lemmas,
     check_reflections,
-    result,
 )
 
 
@@ -290,7 +290,7 @@ def test_criterion_10_cli_contract(monkeypatch, tmp_path, capsysbinary):
 
     # fault injection: a deliberately falsified claim must yield exit 1
     def broken(ctx, nmax):
-        return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1])]
+        return [CheckResult(ClaimId.GL, ctx.p, None, None, ctx.p, [0], [1])]
 
     replace_checker(monkeypatch, check_half_third_sixth, broken)
     out = tmp_path / "injected.jsonl"

@@ -402,27 +402,37 @@ class TestCheckerTable:
 
     def test_checkers_emit_their_entries(self):
         # p = 11 and p = 13 are 5 and 1 mod 6, so between them every claim
-        # of the residue-class lemmas applies; n-free records carry n None,
-        # the claims that have an n get records at n = 1..nmax, and every
-        # value is a canonical residue mod its record's modulus
+        # of the residue-class lemmas applies, and p = 5 and 7 reach the
+        # one-instance records over k (HalfRowBinom, and TripleSum_a at 5);
+        # n-free records carry n None, the claims that have an n get records
+        # at n = 1..nmax, and every record keeps CheckResult's contract
+        one_instance_over_k = set()
         for run, claims in CHECKERS.items():
             emitted = set()
-            for p in (11, 13):
+            for p in (5, 7, 11, 13):
                 records = run(PrimeContext(p), 2)
                 assert {r.claim for r in records} <= set(claims), run.__name__
                 for claim in {r.claim for r in records}:
                     ns = {r.n for r in records if r.claim is claim}
                     assert ns == ({1, 2} if claim in CLAIMS_WITH_N else {None}), claim
                 for r in records:
-                    assert all(0 <= v < r.modulus for v in r.lhs + r.rhs), (r.claim, p, r.n)
+                    where = (r.claim, p, r.n)
+                    assert type(r.lhs) is type(r.rhs) is list, where
+                    assert len(r.lhs) == len(r.rhs) > 0, where
+                    assert r.k is None and len(r.lhs) == 1 or type(r.k) is int, where
+                    assert all(type(v) is int and 0 <= v < r.modulus
+                               for v in r.lhs + r.rhs), where
+                    if r.k is not None and len(r.lhs) == 1:
+                        one_instance_over_k.add(r.claim)
                 emitted |= {r.claim for r in records}
             assert emitted == set(claims), run.__name__
+        assert one_instance_over_k == {ClaimId.HALF_ROW_BINOM, ClaimId.TRIPLE_SUM_A}
 
 
 def test_check_result_pickles_as_its_fields():
     # a forked worker's tally carries its first failing instance, the one
     # record that goes down the worker's pipe
-    record = congruences.result(ClaimId.GL0, 7, 7, [3], [3])
+    record = congruences.CheckResult(ClaimId.GL0, 7, None, None, 7, [3], [3])
     loaded = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
     assert type(loaded) is congruences.CheckResult and loaded == record
 

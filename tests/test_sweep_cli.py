@@ -33,7 +33,6 @@ from trinocheck.congruences import (
     ClaimId,
     check_half_third_sixth,
     check_reflections,
-    result,
 )
 from trinocheck.harmonic import harmonic_table, inverse_table
 from trinocheck.modular import PrimeContext, fermat_quotient, inv_mod
@@ -109,7 +108,7 @@ def _falsified(monkeypatch, claim):
 
     def run(ctx, nmax):
         ns = range(1, nmax + 1) if claim in CLAIMS_WITH_N else [None]
-        return [result(claim, ctx.p, ctx.p2, [0], [1], n=n) for n in ns]
+        return [CheckResult(claim, ctx.p, n, None, ctx.p2, [0], [1]) for n in ns]
 
     replace_checker(monkeypatch, checker_of(claim), run)
 
@@ -495,7 +494,8 @@ class TestSharedSpecs:
 
     def test_replacing_one_shared_claim(self, monkeypatch):
         def falsified_gl(ctx, nmax):
-            return [result(ClaimId.GL, ctx.p, ctx.p, [0], [1]) if r.claim is ClaimId.GL else r
+            return [CheckResult(ClaimId.GL, ctx.p, None, None, ctx.p, [0], [1])
+                    if r.claim is ClaimId.GL else r
                     for r in check_half_third_sixth(ctx, nmax)]
 
         untouched = [r for r in _all_claims_records() if r.claim is not ClaimId.GL]
@@ -748,9 +748,10 @@ def _rendered_writes(chunks, fmt):
 @st.composite
 def _shared_side_chunk(draw):
     """One prime's records in report order: n in {None, 1..64}, k in
-    {None, 0..p-1}, any modulus, sides of 1..40 instances of which a random
-    subset fail, and some records sharing their lists (lhs and rhs one list,
-    both lists of an earlier record, or its lhs alone)."""
+    {None, 0..p-1}, any modulus, sides of 1..40 instances (one when k is
+    None, as CheckResult's contract says) of which a random subset fail, and
+    some records sharing their lists (lhs and rhs one list, both lists of an
+    earlier record, or its lhs alone) where the lists fit their k."""
     p = draw(st.sampled_from([5, 7, 11, 101]))
 
     def rhs_of(lhs):
@@ -762,17 +763,18 @@ def _shared_side_chunk(draw):
     drawn = []
     records = []
     for _ in range(draw(st.integers(1, 6))):
-        if drawn and draw(st.booleans()):
-            lhs, rhs = draw(st.sampled_from(drawn))
+        k = draw(st.none() | st.integers(0, p - 1))
+        fits = drawn if k is not None else [sides for sides in drawn if len(sides[0]) == 1]
+        if fits and draw(st.booleans()):
+            lhs, rhs = draw(st.sampled_from(fits))
             if draw(st.booleans()):
                 rhs = rhs_of(lhs)
         else:
-            size = draw(st.integers(1, 40))
+            size = 1 if k is None else draw(st.integers(1, 40))
             lhs = draw(st.lists(st.integers(0, p**4), min_size=size, max_size=size))
             rhs = rhs_of(lhs)
             drawn.append((lhs, rhs))
         n = draw(st.none() | st.integers(1, 64))
-        k = draw(st.none() | st.integers(0, p - 1))
         modulus = draw(st.integers(2, p**4))
         records.append(CheckResult(draw(st.sampled_from(ClaimId)), p, n, k, modulus, lhs, rhs))
     return sorted(records, key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
@@ -1388,7 +1390,7 @@ class TestCli:
             fd = os.open(checked, os.O_WRONLY | os.O_APPEND)
             os.write(fd, b"%d\n" % ctx.p)
             os.close(fd)
-            return [result(ClaimId.GL0, ctx.p, ctx.p, [0], [0])]
+            return [CheckResult(ClaimId.GL0, ctx.p, None, None, ctx.p, [0], [0])]
 
         class Stalled(Exception):
             pass
