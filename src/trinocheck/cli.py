@@ -37,7 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=FORMATS, default="jsonl", dest="fmt")
     parser.add_argument("--out", default=None, metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--jobs", type=int, metavar="N", help="forked worker processes; prime i goes to worker i mod N")
+    parser.add_argument(
+        "--jobs", type=int, metavar="N",
+        help="processes that check primes: this one and N - 1 forked workers; prime i goes to process i mod N",
+    )
     parser.add_argument("--fail-fast", action="store_true", help="stop after the first failing instance (one report line)")
     parser.add_argument(
         "--summary-only",

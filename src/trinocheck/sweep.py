@@ -27,7 +27,7 @@ MAX_NMAX = 64
 
 #: Upper bound on --jobs.  The sweep forks all of its workers before the
 #: first prime, so the bound keeps a typo from forking thousands of
-#: processes; it never forks more workers than there are primes.
+#: processes; it forks min(jobs, primes) - 1, as it checks a share itself.
 MAX_JOBS = 256
 
 _WIRE_NAME = {c: c.value for c in ClaimId}  # read per record: no enum property call
@@ -238,97 +238,6 @@ def _in_pieces(unit: Callable, primes: list[int], sink: Callable) -> Iterator:
         yield result
 
 
-def _forked_map(unit: Callable, primes: list[int], workers: int, write: Callable) -> Iterator:
-    """unit(p, w) for each of `primes` in order, on `workers` forked
-    processes; the bytes each unit hands to its `w` go to `write` here.
-
-    Prime i goes to worker i % workers, which runs unit on its primes in order
-    and pickles down its own pipe each prime's pieces (by _in_pieces), then the
-    unit's result (never bytes).  Reading prime i from worker i % workers keeps
-    the order; each piece is handed to `write` as it is read, and the result is
-    yielded.  A full pipe blocks its worker, so a slow reader holds the workers
-    back instead of piling finished primes up in this process.  A worker's
-    exception is re-raised here; a worker that dies without one is reported
-    with its wait status.  On every way out, the workers are killed and reaped.
-    """
-    import pickle  # here, not at the top: a --jobs 1 run starts without them
-    import signal
-
-    pids: list[int] = []
-    pipes: list[io.BufferedReader] = []
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            # Ctrl-C waits until the child is inside _work's try and the
-            # parent has the pid to reap
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(write_fd, pipes, mask, primes[w::workers], unit)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i, p in enumerate(primes):
-            while True:
-                try:
-                    message = pickle.load(pipes[i % workers])
-                except (EOFError, pickle.UnpicklingError):
-                    pid = pids.pop(i % workers)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
-                    raise RuntimeError(
-                        f"worker {i % workers} (pid {pid}) ended before p = {p}: {how}"
-                    ) from None
-                if type(message) is not bytes:
-                    break
-                write(message)
-            if isinstance(message, BaseException):
-                raise message
-            yield message
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _work(
-    write_fd: int, pipes: list[io.BufferedReader], mask: set, primes: list[int], unit: Callable,
-) -> None:
-    """A forked worker: for each of `primes`, pickle down `write_fd` the
-    bytes that unit(p, w) hands to `w`, in pieces (by _in_pieces), then its
-    result; or the exception that stopped it.  Leave through os._exit, so
-    that nothing of the parent's stack (its report sink, its unflushed
-    stdout) runs or is flushed here.  `pipes` are the parent's read ends,
-    closed here so that a worker whose parent is gone fails its next write;
-    `mask` is the signal mask to restore."""
-    import pickle
-    import signal
-    from functools import partial
-
-    code = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for pipe in pipes:
-            pipe.close()
-        with open(write_fd, "wb") as out:
-            dump = partial(pickle.dump, file=out, protocol=pickle.HIGHEST_PROTOCOL)
-            try:
-                for result in _in_pieces(unit, primes, dump):
-                    dump(result)
-                    out.flush()
-            except BaseException as exc:
-                dump(exc)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _jsonl_head(r: CheckResult) -> str:
     return f'{{"claim":"{_WIRE_NAME[r.claim]}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
 
@@ -414,7 +323,8 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     Each prime's records (from _check_prime) are judged, tallied and rendered
     in one pass (by _report_prime) where the prime is checked, and its bytes
     go to `out` in pieces (by _in_pieces) before the next prime is checked.
-    A forked worker ships its primes' pieces and each prime's tally, never a
+    At --jobs N this process checks every N-th prime itself (by pool.forked_map);
+    a forked worker ships its primes' pieces and each prime's tally, never a
     record, and this process writes the pieces and adds up the tallies.
     """
     if fmt not in FORMATS:
@@ -427,9 +337,11 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
         return _report_prime(_check_prime(p, config), config, form, digits, write)
 
     primes = sieve_primes(config.pmin, config.pmax)
-    workers = min(config.jobs, len(primes))
-    if workers > 1:
-        tallies = _forked_map(unit, primes, workers, out.write)
+    jobs = min(config.jobs, len(primes))
+    if jobs > 1:
+        from .pool import forked_map  # here, not at the top: a --jobs 1 run never loads it
+
+        tallies = forked_map(unit, primes, jobs, out.write)
     else:
         tallies = _in_pieces(unit, primes, out.write)
     summary = Summary()

@@ -2,6 +2,7 @@ import copy
 import importlib
 import io
 import json
+import marshal
 import os
 import pickle
 import pkgutil
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from instances import CLAIMS_WITH_N, Instance, checker_of, expand, replace_checker
 from oracles import ap_harmonic, row_mod_prefix
 import trinocheck
-from trinocheck import cli, congruences, modular, sweep, trinomial
+from trinocheck import cli, congruences, modular, pool, sweep, trinomial
 from trinocheck.cli import main
 from trinocheck.congruences import (
     CHECKERS,
@@ -161,7 +162,8 @@ BAD_FIELDS = [
 
 
 #: What importing trinocheck.cli must not load.
-UNUSED_AT_IMPORT = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "tempfile")
+UNUSED_AT_IMPORT = ("numpy", "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "tempfile",
+                    "trinocheck.pool")
 
 
 def _bare_python(code, *args):
@@ -747,35 +749,38 @@ def _rendered_writes(chunks, fmt):
 
 @st.composite
 def _shared_side_chunk(draw):
-    """One prime's records in report order: n in {None, 1..64}, k in
-    {None, 0..p-1}, any modulus, sides of 1..40 instances (one when k is
-    None, as CheckResult's contract says) of which a random subset fail, and
-    some records sharing their lists (lhs and rhs one list, both lists of an
-    earlier record, or its lhs alone) where the lists fit their k."""
+    """One prime's records in report order, each kept to CheckResult's
+    contract: n in {None, 1..64}, k in {None, 0..p-1}, a modulus among p,
+    p**2, p**3 and p**4, sides of residues in [0, modulus) and of 1..40
+    instances (one when k is None), of which a random subset fail, and some
+    records sharing their lists (lhs and rhs one list, both lists of an
+    earlier record, or its lhs alone) where the lists fit their k and
+    modulus."""
     p = draw(st.sampled_from([5, 7, 11, 101]))
 
-    def rhs_of(lhs):
+    def rhs_of(lhs, modulus):
         unequal = draw(st.sets(st.integers(0, len(lhs) - 1)))
         if not unequal and draw(st.booleans()):
             return lhs
-        return [a + 1 if i in unequal else a for i, a in enumerate(lhs)]
+        return [(a + 1) % modulus if i in unequal else a for i, a in enumerate(lhs)]
 
     drawn = []
     records = []
     for _ in range(draw(st.integers(1, 6))):
         k = draw(st.none() | st.integers(0, p - 1))
-        fits = drawn if k is not None else [sides for sides in drawn if len(sides[0]) == 1]
+        modulus = p ** draw(st.integers(1, 4))
+        fits = [(lhs, rhs) for lhs, rhs in drawn
+                if (k is not None or len(lhs) == 1) and max(lhs + rhs) < modulus]
         if fits and draw(st.booleans()):
             lhs, rhs = draw(st.sampled_from(fits))
             if draw(st.booleans()):
-                rhs = rhs_of(lhs)
+                rhs = rhs_of(lhs, modulus)
         else:
             size = 1 if k is None else draw(st.integers(1, 40))
-            lhs = draw(st.lists(st.integers(0, p**4), min_size=size, max_size=size))
-            rhs = rhs_of(lhs)
+            lhs = draw(st.lists(st.integers(0, modulus - 1), min_size=size, max_size=size))
+            rhs = rhs_of(lhs, modulus)
             drawn.append((lhs, rhs))
         n = draw(st.none() | st.integers(1, 64))
-        modulus = draw(st.integers(2, p**4))
         records.append(CheckResult(draw(st.sampled_from(ClaimId)), p, n, k, modulus, lhs, rhs))
     return sorted(records, key=lambda r: (-1 if r.n is None else r.n, CLAIM_ORDER[r.claim]))
 
@@ -893,6 +898,27 @@ class TestSharedTails:
 
     @settings(max_examples=60, deadline=None)
     @given(chunk=_shared_side_chunk())
+    def test_tally_crosses_a_pipe_as_itself(self, chunk):
+        # a forked worker sends each prime's tally as marshal data: it comes
+        # back with the same counts, claims and first failure
+        for summary_only, fail_fast in product([False, True], [False, True]):
+            _, tally = _judged(chunk, "jsonl", summary_only=summary_only, fail_fast=fail_fast)
+            sent = pool._unplain(marshal.loads(marshal.dumps(pool._plain(tally))))
+            assert _tallied(sent) == _tallied(tally)
+            assert list(sent.per_claim) == list(tally.per_claim)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=_shared_side_chunk())
+    def test_drawn_records_keep_the_record_contract(self, chunk):
+        # what the tests above draw is what a checker may emit
+        for r in chunk:
+            assert len(r.lhs) == len(r.rhs) >= 1
+            assert r.k is not None or len(r.lhs) == 1
+            assert r.modulus in (r.p, r.p**2, r.p**3, r.p**4)
+            assert all(type(a) is int and 0 <= a < r.modulus for a in r.lhs + r.rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunk=_shared_side_chunk())
     def test_any_records_judged_as_if_alone(self, chunk):
         # every summary_only and fail_fast setting, both formats: each record
         # is judged as if no list were shared, collapsed, cut, tallied and
@@ -968,13 +994,18 @@ options:
                         for the catalog)
   --format {jsonl,csv}
   --out PATH            output file (default: stdout)
-  --jobs N              forked worker processes; prime i goes to worker i mod
-                        N
+  --jobs N              processes that check primes: this one and N - 1 forked
+                        workers; prime i goes to process i mod N
   --fail-fast           stop after the first failing instance (one report
                         line)
   --summary-only        report a claim over k as one aggregate per (claim, p,
                         n)
 """
+
+
+class _CheckerBug(Exception):
+    """An error of a checker, defined here: it reaches the caller as itself
+    from any process."""
 
 
 def _counted_forks(monkeypatch):
@@ -1359,10 +1390,10 @@ class TestCli:
         assert main(["--pmax", "11", "--out", str(serial)]) == 1
         assert forks == []
         assert main(["--pmax", "11", "--jobs", "8", "--out", str(pooled)]) == 1
-        assert len(forks) == 3  # the primes 5, 7 and 11
+        assert len(forks) == 2  # the primes 7 and 11; this process checks 5
         assert pooled.read_bytes() == serial.read_bytes()
         assert main(["--pmax", "31", "--jobs", "2", "--out", str(pooled)]) == 1
-        assert len(forks) == 5
+        assert len(forks) == 3
 
     def test_pool_run_ahead_is_bounded(self, monkeypatch, tmp_path):
         # a slow report file holds the workers back, and gets the bytes of
@@ -1452,31 +1483,33 @@ class TestCli:
             with pytest.raises(BrokenPipeError):
                 sweep_report(config, "jsonl", out)
             assert b"".join(out.writes).splitlines() == _report(config._replace(pmax=5)).splitlines()[:2]
-        assert len(forks) == 2
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_dead_worker(self, monkeypatch, capfdbinary, tmp_path):
-        # a worker killed at p = 11 sends no exception: the sweep stops with
-        # an internal error naming it, writes no trailer, keeps --out as it
-        # was and leaves no child unreaped
+        # the worker killed at p = 13, which it checks (this process checks
+        # 5 and 11), sends no exception: the sweep stops with an internal
+        # error naming it, writes no trailer, keeps --out as it was and
+        # leaves no child unreaped
         this_process = os.getpid()
 
-        def killed_at_11(ctx, nmax):
-            if ctx.p == 11 and os.getpid() != this_process:
+        def killed_at_13(ctx, nmax):
+            if ctx.p == 13 and os.getpid() != this_process:
                 os.kill(os.getpid(), signal.SIGKILL)
             return check_half_third_sixth(ctx, nmax)
 
-        replace_checker(monkeypatch, check_half_third_sixth, killed_at_11)
-        args = ["--pmax", "13", "--claims", "GL0,Thm1_Eq2", "--nmax", "2", "--jobs", "2"]
+        replace_checker(monkeypatch, check_half_third_sixth, killed_at_13)
+        args = ["--pmax", "17", "--claims", "GL0,Thm1_Eq2", "--nmax", "2", "--jobs", "2"]
         assert main(args) == 2
         sys.stdout.flush()
         captured = capfdbinary.readouterr()
-        assert b"summary" not in captured.out and b'"p":7' in captured.out
+        assert b"summary" not in captured.out and b'"p":11' in captured.out
+        assert b'"p":13' not in captured.out
         err = captured.err.decode().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("trinocheck: error: internal error: RuntimeError: worker 0 ")
-        assert err[0].endswith("ended before p = 11: SIGKILL")
+        assert err[0].startswith("trinocheck: error: internal error: RuntimeError: worker 1 ")
+        assert err[0].endswith("ended before p = 13: SIGKILL")
         out = tmp_path / "r.jsonl"
         out.write_bytes(b"previous report\n")
         assert main(args + ["--out", str(out)]) == 2
@@ -1488,9 +1521,10 @@ class TestCli:
     @pytest.mark.parametrize("flags", [[], ["--summary-only", "--format", "csv"]],
                              ids=["jsonl", "summary-only-csv"])
     def test_workers_ship_no_records(self, monkeypatch, tmp_path, flags):
-        # a worker ships its primes' rendered bytes and tallies: a passing
-        # report at --jobs 2 comes out whole with no record picklable, and
-        # this process reads one tally per prime
+        # a worker ships its primes' rendered bytes and tallies as marshal
+        # data, which cannot hold a record: a passing report at --jobs 2
+        # comes out whole with no record picklable, and this process reads
+        # one tally, a plain tuple, per prime the worker checks
         def unpicklable(record, protocol):
             raise AssertionError("a record was pickled")
 
@@ -1498,30 +1532,37 @@ class TestCli:
                 "--claims", ",".join(c.value for c in ClaimId if c is not ClaimId.CARLITZ)]
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
         assert main(args + ["--out", str(serial)]) == 0
+        record = CheckResult(ClaimId.GL0, 7, None, None, 7, [3], [3])
+        with pytest.raises(ValueError, match="unmarshallable"):
+            marshal.dumps(record)
         monkeypatch.setattr(CheckResult, "__reduce_ex__", unpicklable)
         with pytest.raises(AssertionError, match="a record was pickled"):
-            pickle.dumps(CheckResult(ClaimId.GL0, 7, None, None, 7, [3], [3]))
-        tallies = []
-        load = pickle.load
+            pickle.dumps(record)
+        messages = []
+        load = marshal.load
 
         def recording_load(file):
             message = load(file)
-            if isinstance(message, sweep.Summary):
-                tallies.append(message)
+            messages.append(type(message))
             return message
 
-        monkeypatch.setattr(pickle, "load", recording_load)
+        monkeypatch.setattr(marshal, "load", recording_load)
         assert main(args + ["--jobs", "2", "--out", str(pooled)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
-        assert len(tallies) == 23  # one per prime 5 <= p <= 97, from the workers
+        # the 11 primes at odd places among the 23 primes 5 <= p <= 97
+        assert messages.count(tuple) == 11
+        assert set(messages) == {bytes, tuple}
 
     def test_workers_ship_bounded_pieces(self, monkeypatch):
         # each prime's bytes come in pieces of at most PIECE_BYTES, unless
-        # one record is longer (a full Cor4 record is), and add up to the
-        # bytes of one process
+        # one record is longer (a full Cor4 record is), and `out` gets the
+        # pieces of one process: at jobs 2 and 3, those of the primes the
+        # workers check (i % jobs != 0) are read from their pipes, the others
+        # are written here as at jobs 1
         monkeypatch.setattr(sweep, "PIECE_BYTES", 1 << 9)
+        primes = modular.sieve_primes(5, 61)
         pieces = []
-        load = pickle.load
+        load = marshal.load
 
         def recording_load(file):
             message = load(file)
@@ -1529,23 +1570,82 @@ class TestCli:
                 pieces.append(message)
             return message
 
-        for summary_only in (True, False):
+        for summary_only, jobs in product((True, False), (2, 3)):
             cfg = SweepConfig(pmax=61, nmax=2, summary_only=summary_only)
-            serial = _report(cfg, "csv")
-            monkeypatch.setattr(pickle, "load", recording_load)
+            serial = _RecordingOut()
+            sweep_report(cfg, "csv", serial)
+            monkeypatch.setattr(marshal, "load", recording_load)
             pieces.clear()
-            assert _report(cfg._replace(jobs=2), "csv") == serial
-            monkeypatch.setattr(pickle, "load", load)
-            assert b"".join(pieces) == serial[serial.index(b"\n") + 1 : serial.rindex(b"summary")]
-            oversized = [x for x in pieces if len(x) > 1 << 9]
+            pooled = _RecordingOut()
+            sweep_report(cfg._replace(jobs=jobs), "csv", pooled)
+            monkeypatch.setattr(marshal, "load", load)
+            assert pooled.writes == serial.writes
+            shipped = [x for x in serial.writes[1:-1]
+                       if primes.index(int(x.split(b",")[1])) % jobs]
+            assert pieces == shipped
+            oversized = [x for x in serial.writes[1:-1] if len(x) > 1 << 9]
             for x in oversized:  # one record alone: one (claim, p, n)
                 assert len({tuple(line.split(b",")[:3]) for line in x.splitlines()}) == 1
             # 16 primes, some of them in more than one piece
-            assert len(pieces) > 16 and bool(oversized) is not summary_only
-            # at jobs 1 the same pieces are written to `out`
+            assert len(serial.writes) > 18 and bool(oversized) is not summary_only
+
+    @pytest.mark.parametrize("jobs, p, parents", [
+        (2, 11, True), (3, 13, True), (2, 13, False), (3, 11, False),
+    ], ids=["jobs2-parent", "jobs3-parent", "jobs2-worker1", "jobs3-worker2"])
+    def test_error_keeps_its_type_wherever_checked(self, monkeypatch, jobs, p, parents):
+        # among the primes 5, 7, 11, 13, ..., prime i is checked here when
+        # i % jobs == 0: an exception raised at p, here or in a worker,
+        # reaches the caller with its own type and arguments after the bytes
+        # of the primes before p, and no child is left unreaped
+        def raises_at_p(ctx, nmax):
+            if ctx.p == p:
+                raise _CheckerBug(ctx.p, os.getpid())
+            return check_half_third_sixth(ctx, nmax)
+
+        forks = _counted_forks(monkeypatch)
+        replace_checker(monkeypatch, check_half_third_sixth, raises_at_p)
+        config = SweepConfig(pmax=31, nmax=2, claims=(ClaimId.GL0, ClaimId.THM1_EQ2))
+        written = {}
+        for j in (1, jobs):
             out = _RecordingOut()
-            sweep_report(cfg, "csv", out)
-            assert out.writes[1:-1] == pieces
+            with pytest.raises(_CheckerBug) as raised:
+                sweep_report(config._replace(jobs=j), "jsonl", out)
+            written[j] = out.writes
+        assert written[jobs] == written[1]
+        assert b'"p":7' in b"".join(written[1]) and b'"p":%d' % p not in b"".join(written[1])
+        assert raised.value.args[0] == p
+        assert (raised.value.args[1] == os.getpid()) is parents
+        assert len(forks) == jobs - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("jobs, p", [(2, 11), (2, 13), (3, 13), (3, 17)],
+                             ids=["jobs2-parent", "jobs2-worker", "jobs3-parent", "jobs3-worker"])
+    def test_fail_fast_wherever_the_first_failure_is_checked(self, monkeypatch, jobs, p):
+        # every prime from p on fails: the report stops at p's first failing
+        # record, whether this process or a worker checked p, with the bytes
+        # of --jobs 1
+        def failing_from_p(ctx, nmax):
+            return [CheckResult(ClaimId.GL0, ctx.p, None, None, ctx.p, [0], [int(ctx.p >= p)])]
+
+        replace_checker(monkeypatch, check_half_third_sixth, failing_from_p)
+        config = SweepConfig(pmax=61, nmax=2, claims=(ClaimId.GL0, ClaimId.THM1_EQ2), fail_fast=True)
+        report = _report(config)
+        assert report.splitlines()[-2].startswith(b'{"claim":"GL0","p":%d,' % p)
+        for fmt in ("jsonl", "csv"):
+            assert _report(config._replace(jobs=jobs), fmt) == _report(config, fmt)
+
+    @pytest.mark.parametrize("flags", [{}, {"summary_only": True}, {"fail_fast": True}],
+                             ids=["full", "summary-only", "fail-fast"])
+    def test_writes_as_at_jobs_1(self, flags):
+        # at --jobs 2, `out` gets the writes of --jobs 1, piece for piece:
+        # the pieces of this process's primes and those read from the worker
+        config = SweepConfig(pmax=97, nmax=2, **flags)
+        for fmt in ("jsonl", "csv"):
+            serial, pooled = _RecordingOut(), _RecordingOut()
+            sweep_report(config, fmt, serial)
+            sweep_report(config._replace(jobs=2), fmt, pooled)
+            assert pooled.writes == serial.writes
 
     def test_each_prime_written_before_the_next_is_checked(self, monkeypatch):
         # at jobs 1 a prime's last piece reaches `out` before the next prime
@@ -1582,16 +1682,17 @@ class TestCli:
             *UNUSED_AT_IMPORT)
         assert loaded == b"\n"
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_concurrent_futures_never_imported(self, tmp_path, jobs):
-        # pickle only with forked workers, tempfile only with --out
+        # pickle only to carry a worker's exception, tempfile only with
+        # --out, the pool only with forked workers
         code = ("import sys, trinocheck.cli; rc = trinocheck.cli.main(sys.argv[1:]); "
                 "print(rc, *(m in sys.modules for m in "
-                "('concurrent.futures', 'pickle', 'tempfile')), file=sys.stderr)")
+                "('concurrent.futures', 'pickle', 'tempfile', 'trinocheck.pool')), file=sys.stderr)")
         args = ["--pmax", "11", "--jobs", str(jobs)]
         to_file = _bare_python(code, *args, "--out", str(tmp_path / "r.jsonl"))
-        assert to_file == f"1 False {jobs > 1} True\n".encode()
-        assert _bare_python(code, *args) == f"1 False {jobs > 1} False\n".encode()
+        assert to_file == f"1 False False True {jobs > 1}\n".encode()
+        assert _bare_python(code, *args) == f"1 False False False {jobs > 1}\n".encode()
 
     def test_module_entrypoint(self, tmp_path):
         out = tmp_path / "r.csv"
