@@ -1,10 +1,11 @@
 """Forked workers for a sweep at --jobs N > 1: sweep_report imports this
 module only then, so a --jobs 1 run neither compiles nor holds it.
 
-The parent checks every N-th prime itself and forks N - 1 workers for the
-others.  A worker sends its primes' report bytes and tallies down a pipe as
-marshal data, never a record; pickle is loaded only to carry a worker's
-exception.
+forked_map is an ordered map over primes: this process runs every N-th
+prime's unit itself and N - 1 forked workers run the others.  A worker sends
+the bytes its units write and their results down a pipe as marshal data, as
+they are, so a result must be marshal data (a prime's tally, never a
+record); pickle is loaded only to carry a worker's exception.
 """
 
 from __future__ import annotations
@@ -15,40 +16,18 @@ import os
 import signal
 from collections.abc import Callable, Iterator
 
-from .congruences import CheckResult, ClaimId
-from .sweep import _WIRE_NAME, ClaimTally, Summary, _in_pieces
+from .sweep import _in_pieces
 
 
-def _plain(s: Summary) -> tuple:
-    """s as marshal data: its counts, each claim's (wire name, records,
-    passed), and its first failure's fields with the claim's wire name."""
-    f = s.first_failure
-    return (s.records, s.passed,
-            tuple((_WIRE_NAME[c], t.records, t.passed) for c, t in s.per_claim.items()),
-            None if f is None else (_WIRE_NAME[f.claim], *f[1:]))
-
-
-def _unplain(message: tuple) -> Summary:
-    """The Summary that _plain made `message` of."""
-    s = Summary()
-    s.records, s.passed, per_claim, first = message
-    for name, records, passed in per_claim:
-        tally = s.per_claim[ClaimId(name)] = ClaimTally()
-        tally.records, tally.passed = records, passed
-    if first is not None:
-        s.first_failure = CheckResult(ClaimId(first[0]), *first[1:])
-    return s
-
-
-def forked_map(unit: Callable, primes: list[int], jobs: int, write: Callable) -> Iterator[Summary]:
-    """unit(p, w), which returns a Summary, for each of `primes` in order, on
-    this process and jobs - 1 forked workers; the bytes each unit hands to
-    its `w` go to `write` here.
+def forked_map(unit: Callable, primes: list[int], jobs: int, write: Callable) -> Iterator:
+    """unit(p, w), which returns marshal data, for each of `primes` in order,
+    on this process and jobs - 1 forked workers; the bytes each unit hands
+    to its `w` go to `write` here.
 
     Prime i is checked here when i % jobs == 0, by _in_pieces as at --jobs 1,
     and otherwise by worker i % jobs, which runs unit on its primes in order
     and sends down its own pipe, as marshal data, each prime's pieces (by
-    _in_pieces), then the unit's result as a _plain tuple.  Reading prime i
+    _in_pieces), then the unit's result as it is, in a 1-tuple.  Reading prime i
     from worker i % jobs keeps the order; each piece is handed to `write` as
     it is read, and the result is yielded.  A full pipe blocks its worker, so
     a slow reader holds the workers back instead of piling finished primes up
@@ -94,7 +73,7 @@ def forked_map(unit: Callable, primes: list[int], jobs: int, write: Callable) ->
                 import pickle
 
                 raise pickle.loads(message[0])
-            yield _unplain(message)
+            yield message[0]
     finally:
         own.close()
         for pipe in pipes:
@@ -110,12 +89,13 @@ def _work(
 ) -> None:
     """A forked worker: for each of `primes`, send down `write_fd` as marshal
     data the bytes that unit(p, w) hands to `w`, in pieces (by _in_pieces),
-    then its result as a _plain tuple; or [the pickled exception] that
-    stopped it.  Leave through os._exit, so that nothing of the parent's
-    stack (its report sink, its unflushed stdout) runs or is flushed here.
-    `pipes` are the parent's read ends, closed here so that a worker whose
-    parent is gone fails its next write; `mask` is the signal mask to
-    restore."""
+    then (its result,); or [the pickled exception] that stopped it, or, if
+    that exception does not come back from pickle as itself, a pickled
+    RuntimeError naming its type and message.  Leave through os._exit, so
+    that nothing of the parent's stack (its report sink, its unflushed
+    stdout) runs or is flushed here.  `pipes` are the parent's read ends,
+    closed here so that a worker whose parent is gone fails its next write;
+    `mask` is the signal mask to restore."""
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -124,12 +104,18 @@ def _work(
         with open(write_fd, "wb") as out:
             try:
                 for result in _in_pieces(unit, primes, lambda piece: marshal.dump(piece, out)):
-                    marshal.dump(_plain(result), out)
+                    marshal.dump((result,), out)
                     out.flush()
             except BaseException as exc:
                 import pickle
 
-                marshal.dump([pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)], out)
+                try:
+                    message = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+                    pickle.loads(message)
+                except Exception:
+                    error = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+                    message = pickle.dumps(error, pickle.HIGHEST_PROTOCOL)
+                marshal.dump([message], out)
         code = 0
     finally:
         os._exit(code)

@@ -94,9 +94,9 @@ class SweepConfig(namedtuple("SweepConfig", "pmin pmax nmax claims jobs fail_fas
 class ClaimTally:
     """Instances tallied, and how many of them passed."""
 
-    def __init__(self) -> None:
-        self.records = 0
-        self.passed = 0
+    def __init__(self, records: int, passed: int) -> None:
+        self.records = records
+        self.passed = passed
 
     @property
     def failed(self) -> int:
@@ -115,28 +115,16 @@ def _slice(r: CheckResult, start: int, stop: int) -> CheckResult:
 
 
 class Summary(ClaimTally):
-    """The tally over all claims, each claim's tally and the first failing
-    instance, as a one-instance record."""
+    """The tally over all claims, each claim's tally, in catalog order and
+    for the claims with instances only, and the first failing instance, as
+    a one-instance record: built from a tally (counts, first) as
+    _report_prime returns one."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.per_claim: dict[ClaimId, ClaimTally] = {}
-        self.first_failure: CheckResult | None = None
-
-    def merge(self, later: Summary) -> None:
-        """Add the tally of the records that follow this one's in the
-        report; `later`'s claim tallies may become this one's."""
-        self.records += later.records
-        self.passed += later.passed
-        for claim, tally in later.per_claim.items():
-            mine = self.per_claim.get(claim)
-            if mine is None:
-                self.per_claim[claim] = tally
-            else:
-                mine.records += tally.records
-                mine.passed += tally.passed
-        if self.first_failure is None:
-            self.first_failure = later.first_failure
+    def __init__(self, counts: list[int], first: tuple | None) -> None:
+        super().__init__(sum(counts[0::2]), sum(counts[1::2]))
+        self.per_claim = {c: ClaimTally(counts[2 * i], counts[2 * i + 1])
+                          for c, i in CLAIM_ORDER.items() if counts[2 * i]}
+        self.first_failure = None if first is None else CheckResult(ClaimId(first[0]), *first[1:])
 
 
 def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
@@ -153,10 +141,14 @@ def _check_prime(p: int, config: SweepConfig) -> list[CheckResult]:
 
 def _report_prime(
     records: list[CheckResult], config: SweepConfig, form: tuple, digits: list[str], write: Callable,
-) -> Summary:
+) -> tuple:
     """Judge, tally and render a prime's `records`, in report order, in one
     pass: each record's lines, in the FORMATS entry `form`, go to `write` as
-    bytes, one call per record.  Return the tally.
+    bytes, one call per record.  Return the tally, as marshal data that a
+    forked worker sends as it is: (counts, first), where counts[2 * i] and
+    counts[2 * i + 1] are the instances and passes of the claim at
+    CLAIM_ORDER i, and first is None or the fields of the first failing
+    instance, a one-instance record, with the claim's wire name.
 
     A record over k is judged, and its parts built, once per key (both lists'
     ids, k and modulus), as the Cor4 records of every n share one row and one
@@ -169,10 +161,10 @@ def _report_prime(
     last = {(id(r.lhs), id(r.rhs), r.k, r.modulus): i
             for i, r in enumerate(records) if r.k is not None}
     memo: dict[tuple, list] = {}
-    summary = Summary()
-    per_claim = summary.per_claim
+    counts = [0] * (2 * len(CLAIM_ORDER))
+    first = None
     for i, r in enumerate(records):
-        if config.fail_fast and summary.first_failure:
+        if config.fail_fast and first:
             break
         size = len(r.lhs)
         held = None
@@ -187,19 +179,15 @@ def _report_prime(
             if config.summary_only:
                 r = CheckResult(r.claim, r.p, r.n, None, r.modulus, [passed], [size])
                 passed, size = int(passed == size), 1
-        if passed < size and summary.first_failure is None:
+        if passed < size and first is None:
             j = next(compress(count(), map(operator.ne, r.lhs, r.rhs)))
-            summary.first_failure = _slice(r, j, j + 1)
+            first = (_WIRE_NAME[r.claim], *_slice(r, j, j + 1)[1:])
             if config.fail_fast:
                 passed, size, held = j, j + 1, None
                 r = _slice(r, 0, size)
-        tally = per_claim.get(r.claim)
-        if tally is None:
-            tally = per_claim[r.claim] = ClaimTally()
-        tally.records += size
-        tally.passed += passed
-        summary.records += size
-        summary.passed += passed
+        c = 2 * CLAIM_ORDER[r.claim]
+        counts[c] += size
+        counts[c + 1] += passed
         if size == 1:
             write(_line(r, passed == 1, form).encode())
             continue
@@ -210,7 +198,7 @@ def _report_prime(
         else:
             held[1][0::7] = [form[1](r)] * size  # only the heads differ
         write("".join(held[1]).encode())
-    return summary
+    return counts, first
 
 
 #: The most bytes of a report written in one piece, unless one record's
@@ -323,9 +311,11 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     Each prime's records (from _check_prime) are judged, tallied and rendered
     in one pass (by _report_prime) where the prime is checked, and its bytes
     go to `out` in pieces (by _in_pieces) before the next prime is checked.
-    At --jobs N this process checks every N-th prime itself (by pool.forked_map);
-    a forked worker ships its primes' pieces and each prime's tally, never a
-    record, and this process writes the pieces and adds up the tallies.
+    At --jobs N this process checks every N-th prime itself and forked
+    workers the others (by pool.forked_map), which ship each prime's pieces
+    and tally, never a record.  The tallies' counts are added up here, and
+    --fail-fast stops at the first prime whose tally has a first failure;
+    the Summary is built once, at the end.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -333,7 +323,7 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
     header, *_, trailer = form
     digits: list[str] = []
 
-    def unit(p: int, write: Callable) -> Summary:
+    def unit(p: int, write: Callable) -> tuple:
         return _report_prime(_check_prime(p, config), config, form, digits, write)
 
     primes = sieve_primes(config.pmin, config.pmax)
@@ -344,15 +334,16 @@ def sweep_report(config: SweepConfig, fmt: str, out: io.BufferedIOBase) -> Summa
         tallies = forked_map(unit, primes, jobs, out.write)
     else:
         tallies = _in_pieces(unit, primes, out.write)
-    summary = Summary()
+    counts, first = [0] * (2 * len(CLAIM_ORDER)), None
     try:
         out.write(header.encode())
-        for tally in tallies:
-            summary.merge(tally)
-            if config.fail_fast and tally.failed:
+        for prime_counts, prime_first in tallies:
+            counts = list(map(operator.add, counts, prime_counts))
+            first = first or prime_first
+            if config.fail_fast and prime_first:
                 break
     finally:
         tallies.close()  # stops the workers, if any
-    summary.per_claim = {c: summary.per_claim[c] for c in ClaimId if c in summary.per_claim}
+    summary = Summary(counts, first)
     out.write((trailer(summary) + "\n").encode())
     return summary

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from instances import CLAIMS_WITH_N, Instance, checker_of, expand, replace_checker
 from oracles import ap_harmonic, row_mod_prefix
 import trinocheck
-from trinocheck import cli, congruences, modular, pool, sweep, trinomial
+from trinocheck import cli, congruences, modular, sweep, trinomial
 from trinocheck.cli import main
 from trinocheck.congruences import (
     CHECKERS,
@@ -684,8 +684,9 @@ def _independent_summary(chunks):
 
 
 def _tallied(summary):
-    """What a summary holds, as plain values."""
-    per_claim = {c: (t.records, t.passed, t.failed) for c, t in summary.per_claim.items()}
+    """What a summary holds, as plain values: its counts, each claim's
+    counts in the summary's order, and its first failure."""
+    per_claim = [(c, t.records, t.passed, t.failed) for c, t in summary.per_claim.items()]
     return summary.records, summary.passed, summary.failed, per_claim, summary.first_failure
 
 
@@ -704,8 +705,9 @@ def _independent_report(chunks, fmt="jsonl"):
 
 
 def _judged(chunk, fmt, **kwargs):
-    """sweep._report_prime's writes, in `fmt`, and tally for `chunk`, one
-    prime's records in report order, under SweepConfig(**kwargs)."""
+    """sweep._report_prime's writes, in `fmt`, and tally, (counts, first),
+    for `chunk`, one prime's records in report order, under
+    SweepConfig(**kwargs)."""
     writes = []
     tally = sweep._report_prime(chunk, SweepConfig(**kwargs), sweep.FORMATS[fmt], [], writes.append)
     return writes, tally
@@ -733,17 +735,17 @@ def _independent_judging(chunk, summary_only, fail_fast):
 def _rendered_writes(chunks, fmt):
     """The format's header, the writes of sweep_report's pass on each prime
     (_report_prime, sharing its digits across primes) over `chunks`, then
-    the trailer of their summed tallies; and each chunk's tally, as _tallied
-    values."""
+    the trailer of the Summary of their summed counts and first failure;
+    and the Summary of each chunk's tally, as _tallied values."""
     form = sweep.FORMATS[fmt]
     writes, digits, tallies = [form[0].encode()], [], []
-    total = sweep.Summary()
+    counts, first = [0] * (2 * len(ClaimId)), None
     for chunk in chunks:
         tally = sweep._report_prime(chunk, SweepConfig(), form, digits, writes.append)
-        tallies.append(_tallied(tally))
-        total.merge(tally)
-    total.per_claim = {c: total.per_claim[c] for c in ClaimId if c in total.per_claim}
-    writes.append((form[-1](total) + "\n").encode())
+        tallies.append(_tallied(sweep.Summary(*tally)))
+        counts = [a + b for a, b in zip(counts, tally[0])]
+        first = first or tally[1]
+    writes.append((form[-1](sweep.Summary(counts, first)) + "\n").encode())
     return writes, tallies
 
 
@@ -898,14 +900,12 @@ class TestSharedTails:
 
     @settings(max_examples=60, deadline=None)
     @given(chunk=_shared_side_chunk())
-    def test_tally_crosses_a_pipe_as_itself(self, chunk):
-        # a forked worker sends each prime's tally as marshal data: it comes
-        # back with the same counts, claims and first failure
+    def test_tally_is_marshal_data(self, chunk):
+        # a forked worker sends each prime's tally down its pipe as it is:
+        # marshal carries it, and it comes back equal, lists and tuples alike
         for summary_only, fail_fast in product([False, True], [False, True]):
             _, tally = _judged(chunk, "jsonl", summary_only=summary_only, fail_fast=fail_fast)
-            sent = pool._unplain(marshal.loads(marshal.dumps(pool._plain(tally))))
-            assert _tallied(sent) == _tallied(tally)
-            assert list(sent.per_claim) == list(tally.per_claim)
+            assert marshal.loads(marshal.dumps(tally)) == tally
 
     @settings(max_examples=60, deadline=None)
     @given(chunk=_shared_side_chunk())
@@ -928,7 +928,7 @@ class TestSharedTails:
             writes, got = _judged(chunk, fmt, summary_only=summary_only, fail_fast=fail_fast)
             want = [(_independent_lines(r, fmt) + "\n").encode() for r in records]
             assert writes == want, (summary_only, fail_fast, fmt)
-            assert _tallied(got) == tally, (summary_only, fail_fast)
+            assert _tallied(sweep.Summary(*got)) == tally, (summary_only, fail_fast)
 
 
 def _one_instance_chunk(p):
@@ -1006,6 +1006,15 @@ options:
 class _CheckerBug(Exception):
     """An error of a checker, defined here: it reaches the caller as itself
     from any process."""
+
+
+class _Unrebuilt(Exception):
+    """An error that pickles but does not unpickle: its class cannot be
+    rebuilt from its args, which hold its message alone."""
+
+    def __init__(self, message, p):
+        super().__init__(message)
+        self.p = p
 
 
 def _counted_forks(monkeypatch):
@@ -1619,6 +1628,38 @@ class TestCli:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("pickles", [True, False], ids=["unrebuilt", "unpicklable"])
+    @pytest.mark.parametrize("jobs, p", [(2, 13), (3, 11)], ids=["jobs2-worker1", "jobs3-worker2"])
+    def test_worker_error_pickle_cannot_carry(self, monkeypatch, jobs, p, pickles):
+        # an exception raised at p in a worker that pickle cannot bring back
+        # as itself, as its class cannot be rebuilt from its args or it does
+        # not pickle at all (a local class), reaches the caller as a
+        # RuntimeError naming its type and message, after the bytes of the
+        # primes before p, and no child is left unreaped
+        class Local(Exception):
+            pass
+
+        def raises_at_p(ctx, nmax):
+            if ctx.p == p:
+                raise _Unrebuilt(f"p = {p}", 1) if pickles else Local(f"p = {p}")
+            return check_half_third_sixth(ctx, nmax)
+
+        forks = _counted_forks(monkeypatch)
+        replace_checker(monkeypatch, check_half_third_sixth, raises_at_p)
+        config = SweepConfig(pmax=31, nmax=2, claims=(ClaimId.GL0, ClaimId.THM1_EQ2))
+        serial, pooled = _RecordingOut(), _RecordingOut()
+        with pytest.raises(_Unrebuilt if pickles else Local) as raised:
+            sweep_report(config, "jsonl", serial)
+        with pytest.raises(RuntimeError) as carried:
+            sweep_report(config._replace(jobs=jobs), "jsonl", pooled)
+        assert type(carried.value) is RuntimeError
+        assert str(carried.value) == f"{type(raised.value).__qualname__}: p = {p}"
+        assert pooled.writes == serial.writes
+        assert b'"p":7' in b"".join(serial.writes) and b'"p":%d' % p not in b"".join(serial.writes)
+        assert len(forks) == jobs - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("jobs, p", [(2, 11), (2, 13), (3, 13), (3, 17)],
                              ids=["jobs2-parent", "jobs2-worker", "jobs3-parent", "jobs3-worker"])
     def test_fail_fast_wherever_the_first_failure_is_checked(self, monkeypatch, jobs, p):
@@ -1646,6 +1687,19 @@ class TestCli:
             sweep_report(config, fmt, serial)
             sweep_report(config._replace(jobs=2), fmt, pooled)
             assert pooled.writes == serial.writes
+
+    @pytest.mark.parametrize("flags", [{}, {"summary_only": True}, {"fail_fast": True}],
+                             ids=["full", "summary-only", "fail-fast"])
+    def test_summary_as_at_jobs_1(self, flags):
+        # the returned Summary is the same at jobs 1, 2 and 3 and is the one
+        # counted an instance at a time: counts, claims in catalog order
+        # with theirs, and the first failure, at p = 7 (Carlitz), which a
+        # worker checks at jobs 2 and 3
+        config = SweepConfig(pmax=97, nmax=2, **flags)
+        want = _tallied(_independent_summary(_checked(config)))
+        assert want[-1].p == 7 and modular.sieve_primes(5, 97).index(7) == 1
+        for jobs in (1, 2, 3):
+            assert _tallied(_summary(config._replace(jobs=jobs))) == want, jobs
 
     def test_each_prime_written_before_the_next_is_checked(self, monkeypatch):
         # at jobs 1 a prime's last piece reaches `out` before the next prime
