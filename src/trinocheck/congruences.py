@@ -21,6 +21,7 @@ import enum
 import math
 from collections import namedtuple
 from collections.abc import Callable
+from operator import add, mul
 
 from .harmonic import harmonic_table, inverse_table
 from .modular import PrimeContext, inv_mod, rat_mod
@@ -88,17 +89,17 @@ class CheckResult(namedtuple("CheckResult", "claim p n k modulus lhs rhs")):
 
 
 #: Factors per exact product in _product_mod: enough that most of the work
-#: runs inside math.prod, few enough that a partial product stays a few
+#: runs inside math.perm, few enough that a partial product stays a few
 #: hundred bits at the sweep's sizes.
 _CHUNK = 32
 
 
 def _product_mod(lo: int, hi: int, m: int) -> int:
-    """lo * (lo + 1) * ... * (hi - 1) mod m (1 when lo >= hi), multiplied
-    exactly in chunks of _CHUNK factors and reduced once per chunk."""
+    """lo * (lo + 1) * ... * (hi - 1) mod m (1 when lo >= hi): the chunk
+    j..top-1 of _CHUNK factors is math.perm(top - 1, top - j), reduced once."""
     acc = 1
     for j in range(lo, hi, _CHUNK):
-        acc = acc * math.prod(range(j, min(j + _CHUNK, hi))) % m
+        acc = acc * math.perm(min(j + _CHUNK, hi) - 1, min(_CHUNK, hi - j)) % m
     return acc
 
 
@@ -149,32 +150,29 @@ def check_thm2_eq6(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """sum_{k=0..(p-1)/2} C(2k,k) * H_k mod p vs -+q3 per p mod 3.
 
     Central binomials mod p come from the multiplicative recurrence
-    C(2k,k) = C(2k-2,k-1) * 2*(2k-1) / k; all factors stay below p.
+    C(2k,k) = C(2k-2,k-1) * (4k-2) / k, reduced once a step (p divides no
+    factor); the sum is reduced once, at the end.
     """
     p = ctx.p
     table = ctx.cached(harmonic_table)
     inv = ctx.cached(inverse_table)
-    central = 1
-    acc = 0  # k = 0 term vanishes with H_0 = 0
-    for k in range(1, (p - 1) // 2 + 1):
-        central = central * (2 * (2 * k - 1)) % p * inv[k] % p
-        acc = (acc + central * table[k]) % p
+    central, acc = 1, 0  # the k = 0 term vanishes with H_0 = 0
+    for step, inv_k, h_k in zip(range(2, 2 * p, 4), inv[1 : (p + 1) // 2], table[1 : (p + 1) // 2]):
+        central = central * step * inv_k % p
+        acc += central * h_k
     rhs = -ctx.q3 % p if ctx.rc6 == 1 else ctx.q3  # rc6 == 1 iff p == 1 (mod 3)
-    return [CheckResult(ClaimId.THM2_EQ6, p, None, None, p, [acc], [rhs])]
+    return [CheckResult(ClaimId.THM2_EQ6, p, None, None, p, [acc % p], [rhs])]
 
 
 def check_thm2_eq7(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """sum_{k=1..floor((p-1)/4)} C(4k,2k)/4**k * (2*H_{2k} - H_k) mod p vs
-    -+(-1)**((p-1)/2) * q3/2 per p mod 6."""
+    -+(-1)**((p-1)/2) * q3/2 per p mod 6; the k = 0 terms vanish (H_0 = 0)."""
     p = ctx.p
     table = ctx.cached(harmonic_table)
     central4 = ctx.cached(central4_table)
-    acc = 0
-    for k in range(1, len(central4)):
-        acc = (acc + central4[k] * (2 * table[2 * k] - table[k])) % p
+    acc = (2 * sum(map(mul, central4, table[::2])) - sum(map(mul, central4, table))) % p
     sign = 1 if (p - 1) // 2 % 2 == 0 else -1
-    half_q3 = rat_mod(ctx.q3, 2, p)
-    rhs = -sign * half_q3 % p if ctx.rc6 == 1 else sign * half_q3 % p
+    rhs = (-sign if ctx.rc6 == 1 else sign) * rat_mod(ctx.q3, 2, p) % p
     return [CheckResult(ClaimId.THM2_EQ7, p, None, None, p, [acc], [rhs])]
 
 
@@ -205,8 +203,7 @@ def check_triple_sum(ctx: PrimeContext, nmax: int) -> list[CheckResult]:
     """
     p, p2 = ctx.p, ctx.p2
     row = ctx.cached(row_mod_p2_prefix, p - 1)
-    ends = range(2, p, 3)  # 3k + 2
-    triples = [(row[j - 2] + row[j - 1] + row[j]) % p2 for j in ends]
+    triples = list(map(add, map(add, row[::3], row[1::3]), row[2::3]))  # below 3*p**2
     steps = [p * i for i in ctx.cached(inverse_table)[2::3]]  # p/(3k+2) mod p**2
     return [
         CheckResult(ClaimId.TRIPLE_SUM_A, p, n, 0, p2,

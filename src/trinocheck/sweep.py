@@ -279,14 +279,17 @@ def _parts(r: CheckResult, ok: bool, form: tuple, digits: list[str]) -> list[str
     _, head, _, modulus, between, ends, _ = form
     n = len(r.lhs)
     parts = [head(r), "", modulus.format(r.modulus), "", between, "", ends[True]] * n
-    digits.extend(map(repr, range(len(digits), r.k + n)))
+    mod_p = r.modulus == r.p  # then digits reaches p, and renders sides whose values index it
+    digits.extend(map(repr, range(len(digits), max(r.k + n, r.p if mod_p else 0))))
     parts[1::7] = digits[r.k : r.k + n]
-    lhs = list(map(repr, r.lhs))  # an int's repr is its str, at half the cost
+    sides = (r.lhs,) if ok else (r.lhs, r.rhs)
+    fits = mod_p and all(0 <= min(side) and max(side) < len(digits) for side in sides)
+    lhs = list(map(digits.__getitem__ if fits else repr, r.lhs))  # repr is str, at half the cost
     parts[3::7] = lhs
     if ok:
         parts[5::7] = lhs
     else:
-        parts[5::7] = map(repr, r.rhs)
+        parts[5::7] = map(digits.__getitem__ if fits else repr, r.rhs)
         parts[6::7] = map(ends.__getitem__, map(operator.eq, r.lhs, r.rhs))
     return parts
 

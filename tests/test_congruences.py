@@ -10,6 +10,7 @@ from trinocheck import congruences, trinomial
 from trinocheck.congruences import CHECKERS, ClaimId, check_row_np_minus1
 from trinocheck.harmonic import harmonic_table, inverse_table
 from trinocheck.modular import PrimeContext, sieve_primes
+from trinocheck.sweep import MAX_NMAX
 from trinocheck.trinomial import central4_table, row_mod_p2_prefix
 
 
@@ -46,7 +47,9 @@ class TestThm2Eq6:
         assert _check(ClaimId.THM2_EQ6, PrimeContext(13))[0].passed
 
     def test_direct_summation_oracle(self):
-        for p in sieve_primes(5, 61):
+        # every prime of the default sweep: the checker reduces once per
+        # step and sums unreduced, the oracle sums exact math.comb values
+        for p in sieve_primes(5, 1009):
             [r] = _check(ClaimId.THM2_EQ6, PrimeContext(p))
             table = [0]
             for n in range(1, p):
@@ -64,7 +67,9 @@ class TestThm2Eq7:
         assert _check(ClaimId.THM2_EQ7, PrimeContext(7))[0].passed
 
     def test_direct_summation_oracle(self):
-        for p in sieve_primes(5, 61):
+        # every prime of the default sweep: the checker's two unreduced dot
+        # products against exact math.comb terms reduced one at a time
+        for p in sieve_primes(5, 1009):
             [r] = _check(ClaimId.THM2_EQ7, PrimeContext(p))
             table = [0]
             for n in range(1, p):
@@ -173,12 +178,18 @@ class TestClassical:
         assert r.lhs % 343 == r.rhs % 343
 
 
+#: The smaller of the two known Wolstenholme primes (OEIS A088164), the
+#: primes p with C(2p - 1, p - 1) == 1 (mod p**4).
+WOLSTENHOLME_PRIME = 16843
+
+
 def test_binomial_memo_is_exact():
     # every n-free classical left side of the default sweep, p <= 1009:
     # Babbage's and Wolstenholme's C(2p - 1, p - 1) and Morley's and
     # Carlitz's C(p - 1, (p - 1)/2) (Carlitz's with its sign), each against
-    # math.comb reduced to the claim's modulus
-    for p in sieve_primes(5, 1009):
+    # math.comb reduced to the claim's modulus; and the Wolstenholme prime
+    # 16843, above the primes the report digests pin
+    for p in [*sieve_primes(5, 1009), WOLSTENHOLME_PRIME]:
         half = (p - 1) // 2
         babbage = math.comb(2 * p - 1, p - 1)
         central = math.comb(p - 1, half)
@@ -191,15 +202,19 @@ def test_binomial_memo_is_exact():
         got = {r.claim: r.lhs for r in congruences.check_classical(PrimeContext(p), 8)
                if r.n is None}
         assert got == {claim: [lhs] for claim, lhs in want.items()}, p
+    # there C(2p - 1, p - 1) == 1 (mod p**4): (p+1)...(2p-1) == (p-1)!
+    p = WOLSTENHOLME_PRIME
+    assert congruences._product_mod(p + 1, 2 * p, p**4) == congruences._product_mod(1, p, p**4)
 
 
 @pytest.mark.parametrize("p", [101, 211])
 def test_binomial_chunk_edges(p):
     # products of lengths on both sides of the chunk boundaries of
-    # _product_mod, starting below and above p
+    # _product_mod, starting below and above p, and at Glaisher's counted
+    # product (nmax*p - p + 1)...(nmax*p - 1) at nmax = MAX_NMAX
     m = p**4
     for length in (0, 1, 31, 32, 33, 63, 64, 65):
-        for lo in (1, p + 1, 2 * p + 1):
+        for lo in (1, p + 1, 2 * p + 1, (MAX_NMAX - 1) * p + 1):
             want = math.prod(range(lo, lo + length)) % m
             assert congruences._product_mod(lo, lo + length, m) == want, (lo, length)
 

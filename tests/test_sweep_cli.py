@@ -887,6 +887,26 @@ class TestSharedTails:
         ks = max(r.k + len(r.lhs) for chunk in chunks for r in chunk)  # digits, shared by all
         assert calls == {int: sum(len(chunk[0].lhs) for chunk in chunks) + ks}
 
+    @pytest.mark.parametrize("after_cong0", [False, True])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_mod_p_sides_outside_the_contract_render_as_repr(self, fmt, after_cong0):
+        # a record mod p reads its residues' digits from the shared table,
+        # but only where every value of a rendered side indexes it: -1, p and
+        # 10*p break the record contract and still render as their decimals,
+        # on a passing record and on either side of a failing one, whether
+        # the table starts empty or a Cong0 record has grown it to p
+        p = 101
+        broken = [-1, p, 10 * p]
+        records = [r for r in check_reflections(PrimeContext(p), 1) if r.claim is ClaimId.CONG0]
+        records = records if after_cong0 else []
+        records += [
+            CheckResult(ClaimId.CONG1, p, None, 1, p, broken, broken),
+            CheckResult(ClaimId.CONG1, p, None, 1, p, [0, 1, 2], broken),
+            CheckResult(ClaimId.CONG1, p, None, 1, p, broken, [0, 1, 2]),
+        ]
+        writes, _ = _rendered_writes([records], fmt)
+        assert writes == _independent_writes([records], fmt)
+
     @settings(max_examples=60, deadline=None)
     @given(chunks=st.lists(_shared_side_chunk(), min_size=1, max_size=3))
     def test_any_records_render_as_if_alone(self, chunks):
