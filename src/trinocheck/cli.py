@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import io
 import os
 import sys
@@ -107,5 +108,12 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if summary.failed == 0 else 1
 
 
-def entry() -> None:  # console-script shim
+def entry() -> None:
+    """The console script, which `python -m trinocheck` runs too.
+
+    What is alive before main starts lives until the process ends, so it is
+    frozen first: the collections at exit, on every way out (--help and
+    usage errors too), and in forked workers skip it.  main itself leaves
+    the caller's collector alone."""
+    gc.freeze()
     sys.exit(main())

@@ -11,6 +11,7 @@ subprocess, at one and at two workers.
 """
 
 import hashlib
+import os
 import re
 import subprocess
 import sys
@@ -137,15 +138,32 @@ def test_full_report_bytes(tmp_path, flags, digest, rc, jobs):
     _check_report(tmp_path, flags, digest, rc, jobs)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_default_report_bytes_to_stdout(tmp_path, jobs):
-    [(flags, digest, rc)] = [(f, d, c) for name, f, d, c, _ in REPORTS if name == "default-jsonl"]
+def _check_stdout(tmp_path, report, jobs, env=None):
+    """Write the REPORTS row `report` to the stdout of a `python -m
+    trinocheck` subprocess at `jobs` workers, check its digest and exit
+    code, and return what it wrote to stderr."""
+    [(flags, digest, rc)] = [(f, d, c) for name, f, d, c, _ in REPORTS if name == report]
     out = tmp_path / "stdout"
     with out.open("wb") as stdout:
         proc = subprocess.run([sys.executable, "-m", "trinocheck", *flags, "--jobs", str(jobs)],
-                              stdout=stdout)
+                              stdout=stdout, stderr=subprocess.PIPE, env=env)
     assert proc.returncode == rc
     assert _sha256(out) == digest
+    return proc.stderr
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_default_report_bytes_to_stdout(tmp_path, jobs):
+    assert _check_stdout(tmp_path, "default-jsonl", jobs) == b""
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_no_warning_at_exit(tmp_path, jobs):
+    # a pipe or file left open, here or in a forked worker, warns when it is
+    # freed; with warnings as errors that lands on stderr, also in a process
+    # that froze its startup heap
+    env = {**os.environ, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
+    assert _check_stdout(tmp_path, "all-claims-jsonl", jobs, env) == b""
 
 
 def test_claim_names_need_no_escaping():

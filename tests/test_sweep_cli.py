@@ -1,4 +1,5 @@
 import copy
+import gc
 import importlib
 import io
 import json
@@ -1113,9 +1114,28 @@ class TestCli:
     )
     def test_entry_exit_codes(self, monkeypatch, capsysbinary, args, code):
         monkeypatch.setattr(sys, "argv", ["trinocheck", "--pmax", "7", *args])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.entry()
+        finally:
+            # entry froze this process's heap: a later test on a frozen heap
+            # would never see a leaked file that sits in a reference cycle
+            gc.unfreeze()
         assert exc.value.code == code
+
+    def test_entry_freezes_before_main(self):
+        # so that --help and usage errors, which leave from inside main,
+        # exit through the frozen heap too
+        frozen = _bare_python("import gc, sys, trinocheck.cli as cli; "
+                              "cli.main = lambda: print(gc.get_freeze_count() > 0, file=sys.stderr) or 0; "
+                              "cli.entry()")
+        assert frozen == b"True\n"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_main_leaves_the_collector_alone(self, capsys, jobs):
+        frozen = gc.get_freeze_count()
+        assert main(["--pmax", "7", "--claims", "GL0", "--jobs", str(jobs)]) == 0
+        assert gc.get_freeze_count() == frozen
 
     def test_parser_defaults_are_sweep_defaults(self):
         # no sweep field is set, so main builds SweepConfig() from its own defaults
