@@ -108,12 +108,6 @@ def _passed(r: CheckResult) -> int:
     return len(r.lhs) if r.lhs == r.rhs else sum(map(operator.eq, r.lhs, r.rhs))
 
 
-def _slice(r: CheckResult, start: int, stop: int) -> CheckResult:
-    """r's instances start..stop-1 as a record of their own."""
-    k = None if r.k is None else r.k + start
-    return CheckResult(r.claim, r.p, r.n, k, r.modulus, r.lhs[start:stop], r.rhs[start:stop])
-
-
 class Summary(ClaimTally):
     """The tally over all claims, each claim's tally, in catalog order and
     for the claims with instances only, and the first failing instance, as
@@ -150,54 +144,65 @@ def _report_prime(
     CLAIM_ORDER i, and first is None or the fields of the first failing
     instance, a one-instance record, with the claim's wire name.
 
-    A record over k is judged, and its parts built, once per key (both lists'
-    ids, k and modulus), as the Cor4 records of every n share one row and one
-    pattern: the memo holds [pass count, parts] from the first record with a
-    key to the last.  `records` keeps every list alive, so no id is reused.
-    With summary_only, a record over k is written as one aggregate of its
-    passed-count (lhs) and instance-count (rhs), unreduced, so it passes iff
-    every instance does.  With fail_fast, the pass ends with the record of
-    the first failing instance, cut after it."""
+    A one-instance record, and with summary_only the aggregate of a record
+    over k, its passes (lhs) against its instances (rhs), unreduced, is one
+    line: judged by one compare of two ints and written by the one line
+    builder, an f-string of its head (of the format's head pieces) and the
+    format's pieces (moduli formatted once per prime), which a record cut to
+    one instance and the trailer's first failure take too.  A record over k
+    is judged once per key (both lists' ids, k and modulus), as the Cor4
+    records of every n share one row and pattern: the memo holds [passes,
+    tails] up to the key's last record, tails being b"" and each line's bytes
+    after its head, built once from the first use's parts, so a use is one
+    join on its head.  `records` keeps every list alive, so no id is reused.
+    With fail_fast, the pass ends at the first failing instance's record."""
+    _, (h0, h1, h2, h3), none, modulus, between, ends, _ = form
+    fail_fast, summary_only = config.fail_fast, config.summary_only
     last = {(id(r.lhs), id(r.rhs), r.k, r.modulus): i
             for i, r in enumerate(records) if r.k is not None}
-    memo: dict[tuple, list] = {}
-    counts = [0] * (2 * len(CLAIM_ORDER))
-    first = None
+    memo, pieces = {}, {}  # key -> [passes, tails], modulus -> its piece
+    counts, first = [0] * (2 * len(CLAIM_ORDER)), None
     for i, r in enumerate(records):
-        if config.fail_fast and first:
+        if fail_fast and first:
             break
-        size = len(r.lhs)
-        held = None
-        if r.k is None:  # one instance
-            passed = int(r.lhs == r.rhs)
+        claim, p, n, k, m, lhs, rhs = r
+        c = 2 * CLAIM_ORDER[claim]
+        h = f"{h0}{_WIRE_NAME[claim]}{h1}{p}{h2}{none if n is None else n}{h3}"
+        piece = pieces.get(m) or pieces.setdefault(m, modulus.format(m))
+        if k is None:  # one instance
+            a, b = lhs[0], rhs[0]
         else:
-            key = id(r.lhs), id(r.rhs), r.k, r.modulus
+            key = id(lhs), id(rhs), k, m
             held = memo.pop(key, None) or [_passed(r), None]
-            if last[key] > i:
+            if again := last[key] > i:
                 memo[key] = held
-            passed = held[0]
-            if config.summary_only:
-                r = CheckResult(r.claim, r.p, r.n, None, r.modulus, [passed], [size])
-                passed, size = int(passed == size), 1
-        if passed < size and first is None:
-            j = next(compress(count(), map(operator.ne, r.lhs, r.rhs)))
-            first = (_WIRE_NAME[r.claim], *_slice(r, j, j + 1)[1:])
-            if config.fail_fast:
-                passed, size, held = j, j + 1, None
-                r = _slice(r, 0, size)
-        c = 2 * CLAIM_ORDER[r.claim]
-        counts[c] += size
-        counts[c + 1] += passed
-        if size == 1:
-            write(_line(r, passed == 1, form).encode())
-            continue
-        if held is None:
-            held = [passed, None]
-        if held[1] is None:
-            held[1] = _parts(r, passed == size, form, digits)
+            a, b = held[0], len(lhs)  # passes, instances
+        if k is None or summary_only:  # one line, without k
+            counts[c] += 1
+            counts[c + 1] += a == b
+            if a != b and first is None:
+                first = (_WIRE_NAME[claim], p, n, None, m, [a], [b])
+            k = none
         else:
-            held[1][0::7] = [form[1](r)] * size  # only the heads differ
-        write("".join(held[1]).encode())
+            if a < b and first is None:
+                j = next(compress(count(), map(operator.ne, lhs, rhs)))
+                first = (_WIRE_NAME[claim], p, n, k + j, m, [lhs[j]], [rhs[j]])
+                if fail_fast:  # cut after it
+                    a, b, again = j, j + 1, False
+                    r = r._replace(lhs=lhs[:b], rhs=rhs[:b])
+            counts[c] += b
+            counts[c + 1] += a
+            if b > 1:
+                if held[1] is None:
+                    text = "".join(_parts(r, a == b, "" if again else h, form, digits))
+                    if not again:  # a key used once
+                        write(text.encode())
+                        continue
+                    held[1] = (b"", *text.encode().splitlines(True))  # b"": a head leads each line
+                write(h.encode().join(held[1]))
+                continue
+            a, b = lhs[0], rhs[0]
+        write(f"{h}{k}{piece}{a}{between}{b}{ends[a == b]}".encode())
     return counts, first
 
 
@@ -226,59 +231,48 @@ def _in_pieces(unit: Callable, primes: list[int], sink: Callable) -> Iterator:
         yield result
 
 
-def _jsonl_head(r: CheckResult) -> str:
-    return f'{{"claim":"{_WIRE_NAME[r.claim]}","p":{r.p},"n":{"null" if r.n is None else r.n},"k":'
-
-
 def _jsonl_trailer(s: Summary) -> str:
     per_claim = ",".join(
         f'"{_WIRE_NAME[c]}":{{"records":{t.records},"passed":{t.passed},"failed":{t.failed}}}'
         for c, t in s.per_claim.items()
     )
-    f = s.first_failure
-    first = "null" if f is None else _line(f, False, FORMATS["jsonl"])[:-1]
+    lines = [b"null\n"]  # or the first failure's line, from _report_prime's line builder
+    if s.first_failure:
+        _report_prime([s.first_failure], SweepConfig(), FORMATS["jsonl"], [], lines.append)
+    first = lines[-1].decode()[:-1]
     return (
         f'{{"summary":{{"records":{s.records},"passed":{s.passed},"failed":{s.failed},'
         f'"per_claim":{{{per_claim}}},"first_failure":{first}}}}}'
     )
 
 
-def _csv_head(r: CheckResult) -> str:
-    return f'{_WIRE_NAME[r.claim]},{r.p},{"" if r.n is None else r.n},'
-
-
 def _csv_trailer(s: Summary) -> str:
     return f'summary,,,,,{s.passed},{s.records},{"true" if s.failed == 0 else "false"}'
 
 
-#: format -> (header, head, no_k, modulus, between, ends, trailer): instance i
-#: of record r is the line head(r) + k + modulus.format(r.modulus) + lhs +
-#: between + rhs + ends[lhs == rhs], with k = r.k + i (no_k if r.k is None)
-#: and ends = (fail, pass), newline included.  Trailers carry no newline.
+#: format -> (header, (h0, h1, h2, h3), none, modulus, between, ends,
+#: trailer): instance i of record r is the line h0 + claim + h1 + p + h2 + n
+#: + h3 (its head) + k + modulus.format(r.modulus) + lhs + between + rhs +
+#: ends[lhs == rhs], with k = r.k + i, `none` for an absent n or k, and
+#: ends = (fail, pass), newline included.  Trailers carry no newline.
 FORMATS = {
-    "jsonl": ("", _jsonl_head, "null", ',"modulus":{},"lhs":"', '","rhs":"',
+    "jsonl": ("", ('{"claim":"', '","p":', ',"n":', ',"k":'), "null",
+              ',"modulus":{},"lhs":"', '","rhs":"',
               ('","pass":false}\n', '","pass":true}\n'), _jsonl_trailer),
-    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", _csv_head, "", ",{},", ",",
+    "csv": ("claim,p,n,k,modulus,lhs,rhs,pass\n", ("", ",", ",", ","), "", ",{},", ",",
             (",false\n", ",true\n"), _csv_trailer),
 }
 
 
-def _line(r: CheckResult, ok: bool, form: tuple) -> str:
-    """The line of r, a one-instance record, in the FORMATS entry `form`."""
-    _, head, no_k, modulus, between, ends, _ = form
-    return (f"{head(r)}{no_k if r.k is None else r.k}{modulus.format(r.modulus)}"
-            f"{r.lhs[0]}{between}{r.rhs[0]}{ends[ok]}")
-
-
-def _parts(r: CheckResult, ok: bool, form: tuple, digits: list[str]) -> list[str]:
-    """r's lines in the FORMATS entry `form` as parts to join, seven a line,
-    with no Python step per instance: a passing line's parts repeated once per
-    instance, then the k, lhs and rhs slots (and, unless `ok`, the ends of
-    failing lines) set by slice assignment.  r has a k, as a record of several
-    instances does.  digits[i] is repr(i), grown on demand."""
-    _, head, _, modulus, between, ends, _ = form
+def _parts(r: CheckResult, ok: bool, h: str, form: tuple, digits: list[str]) -> list[str]:
+    """r's lines, each headed by h, in the FORMATS entry `form` as parts to
+    join, seven a line, with no Python step per instance: a passing line's
+    parts repeated once per instance, then the k, lhs and rhs slots (and,
+    unless `ok`, the ends of failing lines) set by slice assignment.  r has a
+    k, as a record of several instances does.  digits[i] is repr(i), grown."""
+    _, _, _, modulus, between, ends, _ = form
     n = len(r.lhs)
-    parts = [head(r), "", modulus.format(r.modulus), "", between, "", ends[True]] * n
+    parts = [h, "", modulus.format(r.modulus), "", between, "", ends[True]] * n
     mod_p = r.modulus == r.p  # then digits reaches p, and renders sides whose values index it
     digits.extend(map(repr, range(len(digits), max(r.k + n, r.p if mod_p else 0))))
     parts[1::7] = digits[r.k : r.k + n]

@@ -15,9 +15,11 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from trinocheck import sweep
 from trinocheck.cli import main
 from trinocheck.congruences import ClaimId
 
@@ -52,6 +54,12 @@ REPORTS = [
      "31a58abcac42c9ff21c095eaab003a1024fa4f04fad3cdf57394740768af33e3", 1, JOBS_97),
     ("all-claims-csv", [*PMAX_97, "--format", "csv"],
      "acf1e8527daf65c5ec2ea980f46f3a2d021da54166b18fddb97b5d2e219f9545", 1, JOBS_97),
+    # an aggregate line meets a one-instance first failure (Carlitz, p = 7)
+    # under the cut
+    ("summary-only-fail-fast-jsonl", [*PMAX_97, "--summary-only", "--fail-fast"],
+     "89804ed68821f5d288a32eb1c617704ce5182f0a9db569a85f673ddd11a8717d", 1, JOBS_97),
+    ("summary-only-fail-fast-csv", [*PMAX_97, "--summary-only", "--fail-fast", "--format", "csv"],
+     "01c0ef9bdb539a260bcedfe864adbdbba4d2b8c1845c159757a9b64c9460ac63", 1, JOBS_97),
     # the full reports; the default JSONL is up to 94 MB
     ("default-jsonl", [],
      "1702e7c93febe642aae1ce780cd55e154aabe66ebb961ed02d7d3c36580e0fa7", 1, (1, 2)),
@@ -136,6 +144,20 @@ def test_pmax_97_report_bytes(tmp_path, flags, digest, rc, jobs):
 @pytest.mark.parametrize(ARGS, _runs(pmax_97=False))
 def test_full_report_bytes(tmp_path, flags, digest, rc, jobs):
     _check_report(tmp_path, flags, digest, rc, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("report", ["all-claims-jsonl", "summary-only-csv"])
+def test_report_does_not_depend_on_checker_order(tmp_path, report, jobs):
+    # records go out in (n, claim) order, not in the order the checkers ran:
+    # the checker table rebuilt in reverse, as deleting a checker and adding
+    # it again leaves it in another order, gives the same bytes
+    [(flags, digest, rc)] = [(f, d, c) for name, f, d, c, _ in REPORTS
+                             if name == report and f[:2] == PMAX_97]
+    order = list(sweep.CHECKERS)
+    with mock.patch.dict(sweep.CHECKERS, dict(reversed(sweep.CHECKERS.items())), clear=True):
+        assert list(sweep.CHECKERS) == order[::-1]
+        _check_report(tmp_path, flags, digest, rc, jobs)
 
 
 def _check_stdout(tmp_path, report, jobs, env=None):

@@ -1716,8 +1716,9 @@ class TestCli:
         for fmt in ("jsonl", "csv"):
             assert _report(config._replace(jobs=jobs), fmt) == _report(config, fmt)
 
-    @pytest.mark.parametrize("flags", [{}, {"summary_only": True}, {"fail_fast": True}],
-                             ids=["full", "summary-only", "fail-fast"])
+    @pytest.mark.parametrize("flags", [{}, {"summary_only": True}, {"fail_fast": True},
+                                       {"summary_only": True, "fail_fast": True}],
+                             ids=["full", "summary-only", "fail-fast", "summary-only-fail-fast"])
     def test_writes_as_at_jobs_1(self, flags):
         # at --jobs 2, `out` gets the writes of --jobs 1, piece for piece:
         # the pieces of this process's primes and those read from the worker
@@ -1728,8 +1729,9 @@ class TestCli:
             sweep_report(config._replace(jobs=2), fmt, pooled)
             assert pooled.writes == serial.writes
 
-    @pytest.mark.parametrize("flags", [{}, {"summary_only": True}, {"fail_fast": True}],
-                             ids=["full", "summary-only", "fail-fast"])
+    @pytest.mark.parametrize("flags", [{}, {"summary_only": True}, {"fail_fast": True},
+                                       {"summary_only": True, "fail_fast": True}],
+                             ids=["full", "summary-only", "fail-fast", "summary-only-fail-fast"])
     def test_summary_as_at_jobs_1(self, flags):
         # the returned Summary is the same at jobs 1, 2 and 3 and is the one
         # counted an instance at a time: counts, claims in catalog order
